@@ -441,9 +441,14 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
       });
 
       // Row-wise factor update (Eq. 5) on each owner partition. Each
-      // worker rewrites only the factor rows its partitions own.
+      // worker rewrites only the factor rows its partitions own. The two
+      // R x R systems are shared by every row of the mode, so the driver
+      // factors them once; workers only build numerators and solve.
       const Matrix denom0 =
           LinearCombine(1.0, had_g01, -(1.0 - mu), had_g0);
+      const Matrix lower_old = FactorNormalEquations(denom0);
+      const Matrix lower_new = FactorNormalEquations(had_g01);
+      const Matrix had_h_t = Transpose(had_h);
       exec.Run(&acct, [&](uint32_t w, SuperstepAccounting& shard) {
         for (uint32_t q = w; q < parts; q += workers) {
           const auto& rows = rows_of_part[n][q];
@@ -458,17 +463,10 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
             Matrix numerator(rows_old.size(), rank);
             for (size_t i = 0; i < rows_old.size(); ++i) {
               const size_t r = static_cast<size_t>(rows_old[i]);
-              const double* prow = prev.factor(n).RowPtr(r);
-              double* out = numerator.RowPtr(i);
-              // numerator = μ Ã[r,:]·had_h + Â[r,:]
-              for (size_t c = 0; c < rank; ++c) {
-                const double acc =
-                    kern.dot_strided(prow, 1, had_h.data() + c, rank, rank);
-                out[c] = mu * acc + mttkrp(r, c);
-              }
+              DtdOldRowNumerator(kern, had_h_t, mu, prev.factor(n).RowPtr(r),
+                                 mttkrp.RowPtr(r), numerator.RowPtr(i));
             }
-            const Matrix updated =
-                SolveNormalEquationsRows(denom0, numerator);
+            const Matrix updated = SolveFactoredRows(lower_old, numerator);
             for (size_t i = 0; i < rows_old.size(); ++i) {
               std::copy(updated.RowPtr(i), updated.RowPtr(i) + rank,
                         factors[n].RowPtr(static_cast<size_t>(rows_old[i])));
@@ -481,13 +479,14 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
               std::copy(mttkrp.RowPtr(r), mttkrp.RowPtr(r) + rank,
                         numerator.RowPtr(i));
             }
-            const Matrix updated =
-                SolveNormalEquationsRows(had_g01, numerator);
+            const Matrix updated = SolveFactoredRows(lower_new, numerator);
             for (size_t i = 0; i < rows_new.size(); ++i) {
               std::copy(updated.RowPtr(i), updated.RowPtr(i) + rank,
                         factors[n].RowPtr(static_cast<size_t>(rows_new[i])));
             }
           }
+          // Simulated cost is per partition: on a real cluster each owner
+          // factors and solves its own copy of the replicated system.
           shard.AddTask(w, rows.size() * 4 * rank * rank +
                                rank * rank * rank);
         }

@@ -33,6 +33,15 @@ std::vector<Matrix> InitializeDtdFactors(const std::vector<uint64_t>& new_dims,
   return factors;
 }
 
+void DtdOldRowNumerator(const kernels::KernelTable& kern,
+                        const Matrix& had_h_t, double mu,
+                        const double* prev_row, const double* mttkrp_row,
+                        double* out) {
+  const size_t rank = had_h_t.rows();
+  kern.topk_score_block(had_h_t.data(), rank, rank, prev_row, out);
+  for (size_t c = 0; c < rank; ++c) out[c] = mu * out[c] + mttkrp_row[c];
+}
+
 AlsResult DynamicTensorDecomposition(const SparseTensor& delta,
                                      const std::vector<uint64_t>& old_dims,
                                      const KruskalTensor& prev,
@@ -41,6 +50,7 @@ AlsResult DynamicTensorDecomposition(const SparseTensor& delta,
   DISMASTD_CHECK(old_dims.size() == order);
   DISMASTD_CHECK(options.rank >= 1);
   const double mu = options.mu;
+  const kernels::KernelTable& kern = kernels::Get();
 
   bool has_prev = false;
   for (uint64_t d : old_dims) has_prev = has_prev || d > 0;
@@ -108,11 +118,13 @@ AlsResult DynamicTensorDecomposition(const SparseTensor& delta,
 
       // A_n^(0) update (Eq. 5, first rule).
       if (old_rows > 0) {
-        Matrix numerator = MatMul(prev.factor(n), had_h);
-        ScaleInPlace(numerator, mu);
-        const Matrix mttkrp_old = mttkrp.RowSlice(0, old_rows);
-        AddInPlace(numerator, mttkrp_old);
-        Matrix denom = LinearCombine(1.0, had_g01, -(1.0 - mu), had_g0);
+        const Matrix had_h_t = Transpose(had_h);
+        Matrix numerator(old_rows, options.rank);
+        for (size_t r = 0; r < old_rows; ++r) {
+          DtdOldRowNumerator(kern, had_h_t, mu, prev.factor(n).RowPtr(r),
+                             mttkrp.RowPtr(r), numerator.RowPtr(r));
+        }
+        const Matrix denom = LinearCombine(1.0, had_g01, -(1.0 - mu), had_g0);
         const Matrix a0 = SolveNormalEquationsRows(denom, numerator);
         for (size_t r = 0; r < old_rows; ++r) {
           std::copy(a0.RowPtr(r), a0.RowPtr(r) + options.rank,

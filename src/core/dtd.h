@@ -5,6 +5,7 @@
 
 #include "core/cp_als.h"
 #include "core/options.h"
+#include "kernels/kernels.h"
 #include "tensor/coo_tensor.h"
 #include "tensor/kruskal.h"
 
@@ -45,6 +46,16 @@ std::vector<Matrix> InitializeDtdFactors(const std::vector<uint64_t>& new_dims,
                                          const std::vector<uint64_t>& old_dims,
                                          const KruskalTensor& prev,
                                          const DecompositionOptions& options);
+
+/// Eq. 5's numerator for one old-range row, shared by the centralized and
+/// distributed updates: out = μ·Ã[r,:]·had_h + mttkrp_row. `had_h_t` is
+/// had_hᵀ (R x R), so one topk_score_block call scores Ã[r,:] against every
+/// column of had_h on the contiguous path of the blocked-8 dot contract
+/// (kernels.h), bit-identical to R strided dots down had_h's columns.
+void DtdOldRowNumerator(const kernels::KernelTable& kern,
+                        const Matrix& had_h_t, double mu,
+                        const double* prev_row, const double* mttkrp_row,
+                        double* out);
 
 }  // namespace dismastd
 

@@ -91,11 +91,6 @@ void AddInPlace(Matrix& a, const Matrix& b) {
   for (size_t i = 0; i < a.size(); ++i) ad[i] += bd[i];
 }
 
-void ScaleInPlace(Matrix& a, double s) {
-  double* ad = a.data();
-  for (size_t i = 0; i < a.size(); ++i) ad[i] *= s;
-}
-
 double FrobeniusNormSquared(const Matrix& a) {
   double sum = 0.0;
   const double* ad = a.data();

@@ -33,9 +33,6 @@ Matrix LinearCombine(double alpha, const Matrix& a, double beta,
 /// a += b; shapes must match.
 void AddInPlace(Matrix& a, const Matrix& b);
 
-/// a *= s.
-void ScaleInPlace(Matrix& a, double s);
-
 /// Sum of squares of all elements (‖A‖_F²).
 double FrobeniusNormSquared(const Matrix& a);
 

@@ -1,5 +1,6 @@
 #include "la/solve.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -30,28 +31,57 @@ Status CholeskyFactor(const Matrix& a, Matrix* lower) {
 Matrix CholeskySolveRows(const Matrix& lower, const Matrix& rhs_rows) {
   const size_t n = lower.rows();
   DISMASTD_CHECK(lower.cols() == n && rhs_rows.cols() == n);
-  Matrix x(rhs_rows.rows(), n);
-  std::vector<double> y(n);
-  for (size_t r = 0; r < rhs_rows.rows(); ++r) {
-    const double* b = rhs_rows.RowPtr(r);
-    // Forward substitution: L y = b.
-    for (size_t i = 0; i < n; ++i) {
-      double sum = b[i];
-      for (size_t k = 0; k < i; ++k) sum -= lower(i, k) * y[k];
-      y[i] = sum / lower(i, i);
+  const size_t m = rhs_rows.rows();
+  Matrix x(m, n);
+  // Rows are solved kBlock at a time, lane-parallel: block[i * kBlock + l]
+  // holds element i of the block's row l, so each substitution step is one
+  // independent operation across the block's rows, which the compiler
+  // vectorizes. Each row runs exactly the per-row recurrences below, in the
+  // same order and with a true division (no reciprocal), so each result is
+  // bit-identical to solving that row alone. A partial last block is padded
+  // with zero rows, which stay zero.
+  constexpr size_t kBlock = 8;
+  std::vector<double> block(n * kBlock);
+  for (size_t r0 = 0; r0 < m; r0 += kBlock) {
+    const size_t rows = std::min(kBlock, m - r0);
+    if (rows < kBlock) std::fill(block.begin(), block.end(), 0.0);
+    for (size_t l = 0; l < rows; ++l) {
+      const double* b = rhs_rows.RowPtr(r0 + l);
+      for (size_t i = 0; i < n; ++i) block[i * kBlock + l] = b[i];
     }
-    // Back substitution: Lᵀ z = y.
-    double* out = x.RowPtr(r);
-    for (size_t ii = n; ii-- > 0;) {
-      double sum = y[ii];
-      for (size_t k = ii + 1; k < n; ++k) sum -= lower(k, ii) * out[k];
-      out[ii] = sum / lower(ii, ii);
+    // Forward substitution L y = b: y_i = (b_i - Σ_{k<i} L_ik y_k) / L_ii.
+    for (size_t i = 0; i < n; ++i) {
+      double acc[kBlock];
+      std::copy_n(&block[i * kBlock], kBlock, acc);
+      for (size_t k = 0; k < i; ++k) {
+        const double lik = lower(i, k);
+        const double* yk = &block[k * kBlock];
+        for (size_t l = 0; l < kBlock; ++l) acc[l] -= lik * yk[l];
+      }
+      const double diag = lower(i, i);
+      for (size_t l = 0; l < kBlock; ++l) block[i * kBlock + l] = acc[l] / diag;
+    }
+    // Back substitution Lᵀ z = y: z_i = (y_i - Σ_{k>i} L_ki z_k) / L_ii.
+    for (size_t i = n; i-- > 0;) {
+      double acc[kBlock];
+      std::copy_n(&block[i * kBlock], kBlock, acc);
+      for (size_t k = i + 1; k < n; ++k) {
+        const double lki = lower(k, i);
+        const double* zk = &block[k * kBlock];
+        for (size_t l = 0; l < kBlock; ++l) acc[l] -= lki * zk[l];
+      }
+      const double diag = lower(i, i);
+      for (size_t l = 0; l < kBlock; ++l) block[i * kBlock + l] = acc[l] / diag;
+    }
+    for (size_t l = 0; l < rows; ++l) {
+      double* out = x.RowPtr(r0 + l);
+      for (size_t i = 0; i < n; ++i) out[i] = block[i * kBlock + l];
     }
   }
   return x;
 }
 
-Matrix SolveNormalEquationsRows(const Matrix& a, const Matrix& rhs_rows) {
+Matrix FactorNormalEquations(const Matrix& a) {
   DISMASTD_CHECK(a.rows() == a.cols());
   const size_t n = a.rows();
   double trace = 0.0;
@@ -63,16 +93,23 @@ Matrix SolveNormalEquationsRows(const Matrix& a, const Matrix& rhs_rows) {
     if (ridge > 0.0) {
       for (size_t i = 0; i < n; ++i) work(i, i) += ridge;
     }
-    if (CholeskyFactor(work, &lower).ok()) {
-      return CholeskySolveRows(lower, rhs_rows);
-    }
+    if (CholeskyFactor(work, &lower).ok()) return lower;
     const double base =
         trace > 0.0 ? trace / static_cast<double>(n) : 1.0;
     ridge = ridge == 0.0 ? 1e-12 * base : ridge * 100.0;
   }
-  // Pathological input (e.g. all-zero Grams): fall back to zero update so
-  // callers never see NaNs.
-  return Matrix(rhs_rows.rows(), n);
+  return Matrix();
+}
+
+Matrix SolveFactoredRows(const Matrix& lower, const Matrix& rhs_rows) {
+  // Every ridge retry failed (e.g. a NaN Gram): fall back to the zero
+  // update so callers never see NaNs.
+  if (lower.empty()) return Matrix(rhs_rows.rows(), rhs_rows.cols());
+  return CholeskySolveRows(lower, rhs_rows);
+}
+
+Matrix SolveNormalEquationsRows(const Matrix& a, const Matrix& rhs_rows) {
+  return SolveFactoredRows(FactorNormalEquations(a), rhs_rows);
 }
 
 Status LuSolve(const Matrix& a, const Matrix& b, Matrix* x) {

@@ -187,6 +187,67 @@ TEST(DeterminismTest, ForcedScalarBitIdenticalToBestKernelBackend) {
   ExpectResultsIdentical(scalar_seq, best_par);
 }
 
+/// FNV-1a over raw bytes: doubles are hashed by representation, so the
+/// fingerprint changes with any bit of any factor or loss.
+uint64_t Fnv1a(const void* data, size_t bytes, uint64_t hash) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    hash ^= p[i];
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+uint64_t FingerprintStep(const DistributedResult& r, uint64_t hash) {
+  for (size_t n = 0; n < r.als.factors.order(); ++n) {
+    const Matrix& f = r.als.factors.factor(n);
+    const uint64_t shape[2] = {f.rows(), f.cols()};
+    hash = Fnv1a(shape, sizeof(shape), hash);
+    hash = Fnv1a(f.data(), f.size() * sizeof(double), hash);
+  }
+  return Fnv1a(r.als.loss_history.data(),
+               r.als.loss_history.size() * sizeof(double), hash);
+}
+
+TEST(DeterminismTest, ChainedStepsMatchGoldenFingerprint) {
+  // A cold step and two chained delta steps at the paper's R = 10, with
+  // more partitions than workers. The golden value comes from the per-row
+  // numerators and substitution, so it pins the blocked row update to
+  // their bits; any hot-path change that moves one bit changes it.
+  constexpr uint64_t kGolden = 0x86037D91EDA21AE2ULL;
+  GeneratorOptions gen;
+  gen.dims = {60, 45, 30};
+  gen.nnz = 6000;
+  gen.zipf_exponents = {1.0, 0.8, 0.5};
+  gen.latent_rank = 3;
+  gen.noise_stddev = 0.05;
+  gen.seed = 47;
+  const StreamingTensorSequence seq(
+      GenerateSparseTensor(gen).tensor,
+      {{40, 30, 20}, {50, 38, 25}, {60, 45, 30}});
+  for (size_t threads : {1u, 4u}) {
+    DistributedOptions o;
+    o.als.rank = 10;
+    o.als.max_iterations = 5;
+    o.partitioner = PartitionerKind::kMaxMin;
+    o.num_workers = 3;
+    o.parts_per_mode = 7;
+    o.execution.num_threads = threads;
+    uint64_t hash = 0xCBF29CE484222325ULL;
+    KruskalTensor prev;
+    std::vector<uint64_t> old_dims(3, 0);
+    for (size_t t = 0; t < seq.num_steps(); ++t) {
+      DistributedResult r =
+          DisMastdDecompose(seq.DeltaAt(t), old_dims, prev, o);
+      hash = FingerprintStep(r, hash);
+      prev = std::move(r.als.factors);
+      old_dims = seq.DimsAt(t);
+    }
+    EXPECT_EQ(hash, kGolden) << "threads=" << threads << " got 0x" << std::hex
+                             << hash;
+  }
+}
+
 TEST(DeterminismTest, MoreThreadsThanWorkersIsClamped) {
   const SparseTensor full =
       test::MakeDenseLowRank({20, 15, 11}, 2, /*seed=*/43, 0.06).tensor;

@@ -196,6 +196,23 @@ TEST(KernelsParityTest, TopKScoreBlockMatchesDotStridedBitExactly) {
             << BackendName(backend) << " rank=" << rank << " j=" << j;
       }
     }
+    // The Eq. 5 numerator identity: the strided dot of x down column c of a
+    // row-major rank x rank matrix M is block score c of x against Mᵀ.
+    const std::vector<double> m = RandomVector(rank * rank, rng);
+    std::vector<double> mt(rank * rank);
+    for (size_t i = 0; i < rank; ++i) {
+      for (size_t c = 0; c < rank; ++c) mt[c * rank + i] = m[i * rank + c];
+    }
+    for (Backend backend : SupportedBackends()) {
+      const KernelTable& kern = Get(backend);
+      std::vector<double> got(rank);
+      kern.topk_score_block(mt.data(), rank, rank, weights.data(), got.data());
+      for (size_t c = 0; c < rank; ++c) {
+        ASSERT_EQ(kern.dot_strided(weights.data(), 1, m.data() + c, rank, rank),
+                  got[c])
+            << BackendName(backend) << " rank=" << rank << " c=" << c;
+      }
+    }
   }
 }
 

@@ -105,12 +105,10 @@ TEST(LinearCombineTest, ComputesAlphaAPlusBetaB) {
       LinearCombine(2.0, a, 0.5, b).AllClose(Matrix{{7.0, 14.0}}));
 }
 
-TEST(AddScaleTest, InPlaceOps) {
+TEST(AddInPlaceTest, AddsElementwise) {
   Matrix a{{1.0, 2.0}};
   AddInPlace(a, Matrix{{3.0, 4.0}});
   EXPECT_TRUE(a.AllClose(Matrix{{4.0, 6.0}}));
-  ScaleInPlace(a, 0.5);
-  EXPECT_TRUE(a.AllClose(Matrix{{2.0, 3.0}}));
 }
 
 TEST(NormTest, FrobeniusAndDot) {

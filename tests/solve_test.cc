@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "la/ops.h"
 
@@ -49,6 +50,44 @@ TEST(CholeskySolveRowsTest, SolvesRowSystems) {
   EXPECT_TRUE(x.AllClose(x_true, 1e-8));
 }
 
+/// The per-row forward and back substitution CholeskySolveRows used to run:
+/// the oracle its row-interleaved blocks must match bit for bit.
+Matrix SolveRowByRow(const Matrix& lower, const Matrix& rhs_rows) {
+  const size_t n = lower.rows();
+  Matrix x(rhs_rows.rows(), n);
+  std::vector<double> y(n);
+  for (size_t r = 0; r < rhs_rows.rows(); ++r) {
+    const double* b = rhs_rows.RowPtr(r);
+    for (size_t i = 0; i < n; ++i) {
+      double sum = b[i];
+      for (size_t k = 0; k < i; ++k) sum -= lower(i, k) * y[k];
+      y[i] = sum / lower(i, i);
+    }
+    double* out = x.RowPtr(r);
+    for (size_t ii = n; ii-- > 0;) {
+      double sum = y[ii];
+      for (size_t k = ii + 1; k < n; ++k) sum -= lower(k, ii) * out[k];
+      out[ii] = sum / lower(ii, ii);
+    }
+  }
+  return x;
+}
+
+TEST(CholeskySolveRowsTest, BlockedMatchesPerRowOracleBitForBit) {
+  // Ranks around the 8-lane width and row counts around the 8-row block:
+  // empty, a lone padded row, partial, exact and overflowing blocks.
+  for (size_t n : {1u, 2u, 7u, 8u, 9u, 10u, 16u, 17u}) {
+    Matrix lower;
+    ASSERT_TRUE(CholeskyFactor(RandomSpd(n, 41 + n), &lower).ok());
+    for (size_t m : {0u, 1u, 7u, 8u, 9u, 65u}) {
+      Rng rng(43 + 100 * n + m);
+      const Matrix rhs = Matrix::RandomGaussian(m, n, rng);
+      const Matrix x = CholeskySolveRows(lower, rhs);
+      EXPECT_TRUE(x == SolveRowByRow(lower, rhs)) << "R=" << n << " rows=" << m;
+    }
+  }
+}
+
 TEST(SolveNormalEquationsTest, MatchesCholeskyOnWellConditioned) {
   const Matrix a = RandomSpd(4, 19);
   Rng rng(23);
@@ -79,6 +118,34 @@ TEST(SolveNormalEquationsTest, AllZeroGramGivesZeroNotNan) {
   const Matrix rhs{{1.0, 1.0, 1.0}};
   const Matrix x = SolveNormalEquationsRows(a, rhs);
   for (size_t c = 0; c < 3; ++c) EXPECT_TRUE(std::isfinite(x(0, c)));
+}
+
+TEST(SolveNormalEquationsTest, FactorOnceKeepsRidgeRetryAndZeroFallback) {
+  const Matrix rhs{{1.0, 2.0, 3.0}, {-1.0, 0.5, 2.0}};
+  // Rank-1 Gram: plain Cholesky fails, the retry factors A + ridge·I with
+  // a tiny ridge, and the split solve reproduces the one-call solve.
+  const Matrix v{{1.0, 2.0, 3.0}};
+  const Matrix a = MatMul(Transpose(v), v);
+  Matrix plain;
+  ASSERT_FALSE(CholeskyFactor(a, &plain).ok());
+  const Matrix lower = FactorNormalEquations(a);
+  ASSERT_EQ(lower.rows(), 3u);
+  const Matrix rebuilt = MatMul(lower, Transpose(lower));
+  EXPECT_GT(rebuilt(1, 1), a(1, 1));
+  EXPECT_TRUE(rebuilt.AllClose(a, 1e-6));
+  const Matrix x = SolveFactoredRows(lower, rhs);
+  EXPECT_TRUE(x == SolveNormalEquationsRows(a, rhs));
+  for (size_t i = 0; i < x.size(); ++i) EXPECT_TRUE(std::isfinite(x.data()[i]));
+
+  // An all-zero Gram is rescued by the ridge too; a NaN pivot fails every
+  // retry, and the solve falls back to the all-zero update.
+  EXPECT_EQ(FactorNormalEquations(Matrix(3, 3)).rows(), 3u);
+  Matrix nan_gram = Matrix::Identity(3);
+  nan_gram(1, 1) = std::nan("");
+  const Matrix failed = FactorNormalEquations(nan_gram);
+  EXPECT_TRUE(failed.empty());
+  EXPECT_TRUE(SolveFactoredRows(failed, rhs) == Matrix(2, 3));
+  EXPECT_TRUE(SolveNormalEquationsRows(nan_gram, rhs) == Matrix(2, 3));
 }
 
 TEST(LuSolveTest, SolvesGeneralSystem) {
