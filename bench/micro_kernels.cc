@@ -11,7 +11,8 @@
 //   --kernel scalar|avx2|avx512   force the dispatched backend for the
 //                                 google-benchmark suite
 //   --kernel-sweep=FILE           run the backend x precision sweep
-//                                 (MTTKRP fp64, top-K fp64/bf16/int8 on
+//                                 (MTTKRP, lane-block solve and row-list
+//                                 Gram fp64, top-K fp64/bf16/int8 on
 //                                 every supported backend) and append CSV
 //                                 rows op,backend,precision,rank,items,
 //                                 seconds,rows_per_s,gb_per_s to FILE
@@ -23,6 +24,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -250,9 +252,11 @@ BENCHMARK(BM_DisMastdStep)->Arg(8)->Unit(benchmark::kMillisecond);
 // Times the kernel-table entry points directly — no engine or partial-sort
 // overhead — on every backend this host supports, and appends CSV rows
 //   op,backend,precision,rank,items,seconds,rows_per_s,gb_per_s
-// to FILE. "mttkrp" rows cover fp64 (the decomposition path is fp64-only by
-// the determinism contract); "topk" rows cover fp64, bf16 and int8 candidate
-// scans. CI greps this CSV to assert the vectorized backends actually ran.
+// to FILE. "mttkrp", "solve" (the Eq. 5 substitution over lane blocks) and
+// "gram" (the row-list Gram update) rows cover fp64 (the decomposition path
+// is fp64-only by the determinism contract); "topk" rows cover fp64, bf16
+// and int8 candidate scans. CI greps this CSV to assert the vectorized
+// backends actually ran.
 
 template <typename Fn>
 double TimeSeconds(size_t reps, Fn&& fn) {
@@ -312,11 +316,26 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
     nnz_values[i] = rng.NextDouble(-1.0, 1.0);
   }
 
+  // Row-update inputs: one R x R Cholesky factor, right-hand sides already
+  // in lane blocks (restored before every timed solve, which works in
+  // place), and a random row list over the MTTKRP side matrix for the Gram.
+  constexpr size_t kSolveBlocks = 1024;
+  const Matrix basis = Matrix::Random(2 * kRank, kRank, rng);
+  const Matrix lower = FactorNormalEquations(TransposeTimes(basis, basis));
+  const Matrix rhs = Matrix::Random(kSolveBlocks * kernels::kLanes, kRank, rng);
+  std::vector<double> lane_blocks(rhs.size());
+  constexpr size_t kGramRows = 1 << 16;
+  std::vector<uint64_t> gram_rows(kGramRows);
+  for (uint64_t& r : gram_rows) r = rng.NextBounded(kSideRows);
+  Matrix gram(kRank, kRank);
+
   // Top-K inputs: one contiguous candidate block per precision.
   constexpr size_t kCandidates = 1 << 16;
   const Matrix cand = Matrix::Random(kCandidates, kRank, rng);
-  const kernels::Bf16Matrix cand_bf16 = kernels::QuantizeBf16(cand);
-  const kernels::Int8Matrix cand_i8 = kernels::QuantizeInt8(cand);
+  const kernels::Bf16Matrix cand_bf16 =
+      kernels::QuantizeBf16(cand.data(), kCandidates, kRank);
+  const kernels::Int8Matrix cand_i8 =
+      kernels::QuantizeInt8(cand.data(), kCandidates, kRank);
   std::vector<double> weights(kRank);
   std::vector<double> wscaled(kRank);
   for (size_t f = 0; f < kRank; ++f) {
@@ -348,6 +367,39 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
       // Two factor-row reads plus an accumulator read-modify-write.
       const double bytes = items * 4.0 * kRank * sizeof(double);
       EmitSweepRow(csv, &report, "mttkrp", backend, "f64", kRank, items, secs, bytes);
+    }
+
+    {
+      constexpr size_t kReps = 16;
+      double secs = 0.0;
+      for (size_t r = 0; r < kReps; ++r) {
+        std::copy(rhs.data(), rhs.data() + rhs.size(), lane_blocks.data());
+        secs += TimeSeconds(1, [&] {
+          kern.cholesky_solve_lanes(lower.data(), kRank, lane_blocks.data(),
+                                    kSolveBlocks);
+          benchmark::DoNotOptimize(lane_blocks.data());
+        });
+      }
+      const double items =
+          static_cast<double>(kSolveBlocks * kernels::kLanes) * kReps;
+      // Each row is read and written once.
+      const double bytes = items * 2.0 * kRank * sizeof(double);
+      EmitSweepRow(csv, &report, "solve", backend, "f64", kRank, items, secs,
+                   bytes);
+    }
+    {
+      constexpr size_t kReps = 16;
+      gram.Fill(0.0);
+      const double secs = TimeSeconds(kReps, [&] {
+        kern.gram_rows(fa.data(), fb.data(), gram_rows.data(), kGramRows,
+                       kRank, gram.data());
+        benchmark::DoNotOptimize(gram.data());
+      });
+      const double items = static_cast<double>(kGramRows) * kReps;
+      // One row of each input matrix per listed row.
+      const double bytes = items * 2.0 * kRank * sizeof(double);
+      EmitSweepRow(csv, &report, "gram", backend, "f64", kRank, items, secs,
+                   bytes);
     }
 
     constexpr size_t kScanReps = 64;

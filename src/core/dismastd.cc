@@ -10,7 +10,6 @@
 #include "dist/execution.h"
 #include "kernels/kernels.h"
 #include "la/ops.h"
-#include "la/solve.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "partition/factor_assign.h"
@@ -338,21 +337,35 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
 
   // Replicated R x R products (cached on every worker, §IV-B2/3).
   std::vector<Matrix> g0(order), g1(order), h(order);
-  auto local_products = [&](size_t n) {
+  // While A_n's old rows are Ã_n bit for bit — at step start
+  // (InitializeDtdFactors) and after a checkpoint replay — one Gram ÃᵀÃ
+  // per mode stands in for g0 = A0ᵀA0 and h = ÃᵀA0. It is also mode n's
+  // factor of the constant loss ingredient ‖[[Ã_1..Ã_N]]‖² (§IV-B4).
+  std::vector<Matrix> prev_grams(has_prev ? order : 0);
+  auto local_products = [&](size_t n, bool old_rows_are_prev) {
     const size_t old_rows = static_cast<size_t>(old_dims[n]);
-    const Matrix a0 = factors[n].RowSlice(0, old_rows);
     const Matrix a1 = factors[n].RowSlice(old_rows, factors[n].rows());
-    g0[n] = old_rows > 0 ? TransposeTimes(a0, a0) : Matrix(rank, rank);
     g1[n] = a1.rows() > 0 ? TransposeTimes(a1, a1) : Matrix(rank, rank);
-    h[n] = old_rows > 0 ? TransposeTimes(prev.factor(n), a0)
-                        : Matrix(rank, rank);
+    if (old_rows == 0) {
+      g0[n] = Matrix(rank, rank);
+      h[n] = Matrix(rank, rank);
+    } else if (old_rows_are_prev) {
+      g0[n] = prev_grams[n];
+      h[n] = prev_grams[n];
+    } else {
+      const Matrix a0 = factors[n].RowSlice(0, old_rows);
+      g0[n] = TransposeTimes(a0, a0);
+      h[n] = TransposeTimes(prev.factor(n), a0);
+    }
   };
   // Builds the canonical replicated products and accounts one products
   // superstep: each worker computes partials over its owned rows and
   // all-to-all reduces the three R x R products per mode. Used once at
   // initialization and again after a crash recovery.
-  auto products_superstep = [&](SuperstepAccounting& acct) {
-    exec.pool().ParallelFor(order, [&](size_t n) { local_products(n); });
+  auto products_superstep = [&](SuperstepAccounting& acct,
+                                bool old_rows_are_prev) {
+    exec.pool().ParallelFor(
+        order, [&](size_t n) { local_products(n, old_rows_are_prev); });
     for (size_t n = 0; n < order; ++n) {
       std::vector<Matrix> partial_stub(workers, Matrix(rank, rank));
       // Account the reduction traffic for the three products per mode.
@@ -366,14 +379,18 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
       });
     }
   };
+  if (has_prev) {
+    exec.pool().ParallelFor(order, [&](size_t n) {
+      prev_grams[n] = TransposeTimes(prev.factor(n), prev.factor(n));
+    });
+  }
   {
     SuperstepAccounting acct = cluster.NewSuperstep();
-    products_superstep(acct);
+    products_superstep(acct, /*old_rows_are_prev=*/true);
     cluster.CommitSuperstep(acct, "products");
   }
 
-  const double prev_model_norm_sq =
-      has_prev ? prev.NormSquaredViaGrams() : 0.0;
+  const double prev_model_norm_sq = has_prev ? HadamardSum(prev_grams) : 0.0;
   const double delta_norm_sq = delta.NormSquared();
 
   const double sim_iterations_start = cluster.ElapsedSimSeconds();
@@ -393,24 +410,6 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
         tracer->BeginSim(obs::Tracer::kDriverLane,
                          ("mode " + std::to_string(n)).c_str(), "mode",
                          cluster.ElapsedSimSeconds());
-      }
-
-      // Hadamard accumulations over k != n, replicated on every worker.
-      Matrix had_h(rank, rank), had_g01(rank, rank), had_g0(rank, rank);
-      bool first = true;
-      for (size_t k = 0; k < order; ++k) {
-        if (k == n) continue;
-        const Matrix g01 = LinearCombine(1.0, g0[k], 1.0, g1[k]);
-        if (first) {
-          had_h = h[k];
-          had_g01 = g01;
-          had_g0 = g0[k];
-          first = false;
-        } else {
-          HadamardInPlace(had_h, h[k]);
-          HadamardInPlace(had_g01, g01);
-          HadamardInPlace(had_g0, g0[k]);
-        }
       }
 
       // --- Superstep A: fetch remote rows, MTTKRP, row-wise update. ---
@@ -442,49 +441,18 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
 
       // Row-wise factor update (Eq. 5) on each owner partition. Each
       // worker rewrites only the factor rows its partitions own. The two
-      // R x R systems are shared by every row of the mode, so the driver
-      // factors them once; workers only build numerators and solve.
-      const Matrix denom0 =
-          LinearCombine(1.0, had_g01, -(1.0 - mu), had_g0);
-      const Matrix lower_old = FactorNormalEquations(denom0);
-      const Matrix lower_new = FactorNormalEquations(had_g01);
-      const Matrix had_h_t = Transpose(had_h);
+      // R x R systems are replicated and shared by every row of the mode,
+      // so the driver builds and factors them once; workers stream their
+      // rows through lane blocks (old rows precede new rows in each
+      // ascending partition row list).
+      const DtdModeSystems sys = FactorDtdModeSystems(g0, g1, h, n, mu);
+      const Matrix* prev_factor = old_rows > 0 ? &prev.factor(n) : nullptr;
       exec.Run(&acct, [&](uint32_t w, SuperstepAccounting& shard) {
         for (uint32_t q = w; q < parts; q += workers) {
           const auto& rows = rows_of_part[n][q];
           if (rows.empty()) continue;
-          // Gather this partition's numerator rows, split old/new.
-          std::vector<uint64_t> rows_old, rows_new;
-          for (uint64_t r : rows) {
-            (static_cast<size_t>(r) < old_rows ? rows_old : rows_new)
-                .push_back(r);
-          }
-          if (!rows_old.empty()) {
-            Matrix numerator(rows_old.size(), rank);
-            for (size_t i = 0; i < rows_old.size(); ++i) {
-              const size_t r = static_cast<size_t>(rows_old[i]);
-              DtdOldRowNumerator(kern, had_h_t, mu, prev.factor(n).RowPtr(r),
-                                 mttkrp.RowPtr(r), numerator.RowPtr(i));
-            }
-            const Matrix updated = SolveFactoredRows(lower_old, numerator);
-            for (size_t i = 0; i < rows_old.size(); ++i) {
-              std::copy(updated.RowPtr(i), updated.RowPtr(i) + rank,
-                        factors[n].RowPtr(static_cast<size_t>(rows_old[i])));
-            }
-          }
-          if (!rows_new.empty()) {
-            Matrix numerator(rows_new.size(), rank);
-            for (size_t i = 0; i < rows_new.size(); ++i) {
-              const size_t r = static_cast<size_t>(rows_new[i]);
-              std::copy(mttkrp.RowPtr(r), mttkrp.RowPtr(r) + rank,
-                        numerator.RowPtr(i));
-            }
-            const Matrix updated = SolveFactoredRows(lower_new, numerator);
-            for (size_t i = 0; i < rows_new.size(); ++i) {
-              std::copy(updated.RowPtr(i), updated.RowPtr(i) + rank,
-                        factors[n].RowPtr(static_cast<size_t>(rows_new[i])));
-            }
-          }
+          DtdUpdateRows(kern, sys, prev_factor, mttkrp, old_rows, rows.data(),
+                        rows.size(), &factors[n]);
           // Simulated cost is per partition: on a real cluster each owner
           // factors and solves its own copy of the replicated system.
           shard.AddTask(w, rows.size() * 4 * rank * rank +
@@ -504,22 +472,23 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
       std::vector<Matrix> p_g1(workers, Matrix(rank, rank));
       std::vector<Matrix> p_h(workers, Matrix(rank, rank));
       exec.Run(&reduce_acct, [&](uint32_t w, SuperstepAccounting& shard) {
+        const double* a = factors[n].data();
         for (uint32_t q = w; q < parts; q += workers) {
-          uint64_t gram_flops = 0;
-          for (uint64_t row : rows_of_part[n][q]) {
-            const size_t r = static_cast<size_t>(row);
-            const double* arow = factors[n].RowPtr(r);
-            if (r < old_rows) {
-              const double* prow = prev.factor(n).RowPtr(r);
-              kern.gram_rank_update(arow, arow, rank, p_g0[w].data());
-              kern.gram_rank_update(prow, arow, rank, p_h[w].data());
-              gram_flops += 2 * rank * rank;
-            } else {
-              kern.gram_rank_update(arow, arow, rank, p_g1[w].data());
-              gram_flops += rank * rank;
-            }
+          // Ascending rows: the old-range rows form the list's prefix.
+          const auto& rows = rows_of_part[n][q];
+          const size_t num_old = static_cast<size_t>(
+              std::lower_bound(rows.begin(), rows.end(),
+                               static_cast<uint64_t>(old_rows)) -
+              rows.begin());
+          const size_t num_new = rows.size() - num_old;
+          if (num_old > 0) {
+            kern.gram_rows(a, a, rows.data(), num_old, rank, p_g0[w].data());
+            kern.gram_rows(prev_factor->data(), a, rows.data(), num_old, rank,
+                           p_h[w].data());
           }
-          shard.AddTask(w, gram_flops);
+          kern.gram_rows(a, a, rows.data() + num_old, num_new, rank,
+                         p_g1[w].data());
+          shard.AddTask(w, (2 * num_old + num_new) * rank * rank);
         }
       });
       g0[n] = cluster.AllToAllReduceMatrix(p_g0, &reduce_acct);
@@ -540,17 +509,13 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
 
     // --- Loss superstep (§IV-B4): reuse Grams + the cached MTTKRP. ---
     SuperstepAccounting loss_acct = cluster.NewSuperstep();
-    Matrix had_g0_all = g0[0];
-    Matrix had_g01_all = LinearCombine(1.0, g0[0], 1.0, g1[0]);
-    Matrix had_h_all = h[0];
-    for (size_t k = 1; k < order; ++k) {
-      HadamardInPlace(had_g0_all, g0[k]);
-      HadamardInPlace(had_g01_all, LinearCombine(1.0, g0[k], 1.0, g1[k]));
-      HadamardInPlace(had_h_all, h[k]);
+    std::vector<Matrix> g01(order);
+    for (size_t k = 0; k < order; ++k) {
+      g01[k] = LinearCombine(1.0, g0[k], 1.0, g1[k]);
     }
-    const double a0_model_norm_sq = SumAll(had_g0_all);
-    const double full_model_norm_sq = SumAll(had_g01_all);
-    const double cross = SumAll(had_h_all);
+    const double a0_model_norm_sq = HadamardSum(g0);
+    const double full_model_norm_sq = HadamardSum(g01);
+    const double cross = HadamardSum(h);
 
     // Partial inner products over the last mode's owned rows, reduced.
     const size_t last = order - 1;
@@ -674,8 +639,11 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
         racct.AddReceive(crashed, RowTransferBytes(lost_rows, rank));
       }
       // Either way the replicated products are stale — rebuild them in
-      // one accounted recovery superstep before the next sweep.
-      products_superstep(racct);
+      // one accounted recovery superstep before the next sweep. A
+      // checkpoint replay restored the step's input factors, whose old
+      // rows are Ã again.
+      products_superstep(racct,
+                         options.recovery == RecoveryMode::kCheckpoint);
       const double before_recovery_commit = cluster.ElapsedSimSeconds();
       cluster.CommitSuperstep(racct, "recovery");
       injector.metrics().recovery_sim_seconds +=

@@ -1,6 +1,8 @@
 #include "core/dtd.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "la/ops.h"
 #include "la/solve.h"
@@ -33,13 +35,92 @@ std::vector<Matrix> InitializeDtdFactors(const std::vector<uint64_t>& new_dims,
   return factors;
 }
 
-void DtdOldRowNumerator(const kernels::KernelTable& kern,
-                        const Matrix& had_h_t, double mu,
-                        const double* prev_row, const double* mttkrp_row,
-                        double* out) {
-  const size_t rank = had_h_t.rows();
-  kern.topk_score_block(had_h_t.data(), rank, rank, prev_row, out);
-  for (size_t c = 0; c < rank; ++c) out[c] = mu * out[c] + mttkrp_row[c];
+DtdModeSystems FactorDtdModeSystems(const std::vector<Matrix>& g0,
+                                    const std::vector<Matrix>& g1,
+                                    const std::vector<Matrix>& h, size_t n,
+                                    double mu) {
+  const size_t rank = g0[n].rows();
+  Matrix had_h(rank, rank), had_g01(rank, rank), had_g0(rank, rank);
+  bool first = true;
+  for (size_t k = 0; k < g0.size(); ++k) {
+    if (k == n) continue;
+    const Matrix g01 = LinearCombine(1.0, g0[k], 1.0, g1[k]);
+    if (first) {
+      had_h = h[k];
+      had_g01 = g01;
+      had_g0 = g0[k];
+      first = false;
+    } else {
+      HadamardInPlace(had_h, h[k]);
+      HadamardInPlace(had_g01, g01);
+      HadamardInPlace(had_g0, g0[k]);
+    }
+  }
+  DtdModeSystems sys;
+  sys.mu = mu;
+  sys.had_h_t = Transpose(had_h);
+  sys.lower_old = FactorNormalEquations(
+      LinearCombine(1.0, had_g01, -(1.0 - mu), had_g0));
+  sys.lower_new = FactorNormalEquations(had_g01);
+  return sys;
+}
+
+void DtdUpdateRows(const kernels::KernelTable& kern, const DtdModeSystems& sys,
+                   const Matrix* prev, const Matrix& mttkrp, size_t old_rows,
+                   const uint64_t* rows, size_t num_rows, Matrix* factor) {
+  constexpr size_t kLanes = kernels::kLanes;
+  // Rows per solve call: four lane blocks, enough for the kernels to
+  // interleave the blocks' substitution chains.
+  constexpr size_t kChunkRows = 4 * kLanes;
+  const size_t rank = factor->cols();
+  const size_t block_size = rank * kLanes;
+  const uint64_t* const end = rows + num_rows;
+  const uint64_t* const first_new =
+      std::lower_bound(rows, end, static_cast<uint64_t>(old_rows));
+  std::vector<double> blocks(kChunkRows * rank);
+  std::vector<double> prev_block(block_size);
+  const double* in[kLanes];
+  double* out[kChunkRows];
+  const uint64_t* b = rows;
+  while (b < end) {
+    const bool old = b < first_new;
+    const uint64_t* const run_end = old ? first_new : end;
+    const size_t count = std::min(kChunkRows, static_cast<size_t>(run_end - b));
+    const size_t num_blocks = (count + kLanes - 1) / kLanes;
+    for (size_t k = 0; k < count; ++k) {
+      out[k] = factor->RowPtr(static_cast<size_t>(b[k]));
+    }
+    const Matrix& lower = old ? sys.lower_old : sys.lower_new;
+    if (lower.empty()) {
+      for (size_t k = 0; k < count; ++k) std::fill(out[k], out[k] + rank, 0.0);
+      b += count;
+      continue;
+    }
+    for (size_t q = 0; q < num_blocks; ++q) {
+      const uint64_t* block_rows = b + q * kLanes;
+      const size_t lanes = std::min(kLanes, count - q * kLanes);
+      double* block = blocks.data() + q * block_size;
+      for (size_t l = 0; l < lanes; ++l) {
+        in[l] = mttkrp.RowPtr(static_cast<size_t>(block_rows[l]));
+      }
+      kernels::GatherLanes(in, lanes, rank, block);
+      if (old) {
+        for (size_t l = 0; l < lanes; ++l) {
+          in[l] = prev->RowPtr(static_cast<size_t>(block_rows[l]));
+        }
+        kernels::GatherLanes(in, lanes, rank, prev_block.data());
+        kern.dtd_numerator_lanes(prev_block.data(), sys.had_h_t.data(), rank,
+                                 sys.mu, block);
+      }
+    }
+    kern.cholesky_solve_lanes(lower.data(), rank, blocks.data(), num_blocks);
+    for (size_t q = 0; q < num_blocks; ++q) {
+      kernels::ScatterLanes(blocks.data() + q * block_size,
+                            std::min(kLanes, count - q * kLanes), rank,
+                            out + q * kLanes);
+    }
+    b += count;
+  }
 }
 
 AlsResult DynamicTensorDecomposition(const SparseTensor& delta,
@@ -73,12 +154,30 @@ AlsResult DynamicTensorDecomposition(const SparseTensor& delta,
     h[n] = old_rows > 0 ? TransposeTimes(prev.factor(n), a0)
                         : Matrix(options.rank, options.rank);
   };
-  for (size_t n = 0; n < order; ++n) refresh_products(n);
-
-  // Constant loss ingredients (§IV-B4): ‖[[Ã_1..Ã_N]]‖² and ‖X \ X̃‖².
-  double prev_model_norm_sq = 0.0;
-  if (has_prev) prev_model_norm_sq = prev.NormSquaredViaGrams();
+  // At the start A_k^(0) is Ã_k bit for bit (InitializeDtdFactors), so one
+  // Gram ÃᵀÃ per mode stands in for g0 and h, and for its factor of the
+  // constant loss ingredient ‖[[Ã_1..Ã_N]]‖² (§IV-B4).
+  std::vector<Matrix> prev_grams;
+  for (size_t n = 0; has_prev && n < order; ++n) {
+    prev_grams.push_back(TransposeTimes(prev.factor(n), prev.factor(n)));
+  }
+  for (size_t n = 0; n < order; ++n) {
+    const size_t old_rows = static_cast<size_t>(old_dims[n]);
+    const Matrix a1 = factors[n].RowSlice(old_rows, factors[n].rows());
+    g0[n] = old_rows > 0 ? prev_grams[n] : Matrix(options.rank, options.rank);
+    h[n] = g0[n];
+    g1[n] = a1.rows() > 0 ? TransposeTimes(a1, a1)
+                          : Matrix(options.rank, options.rank);
+  }
+  const double prev_model_norm_sq = has_prev ? HadamardSum(prev_grams) : 0.0;
   const double delta_norm_sq = delta.NormSquared();
+
+  // Every row of a mode, in order: the row list DtdUpdateRows streams.
+  std::vector<std::vector<uint64_t>> all_rows(order);
+  for (size_t n = 0; n < order; ++n) {
+    all_rows[n].resize(factors[n].rows());
+    std::iota(all_rows[n].begin(), all_rows[n].end(), uint64_t{0});
+  }
 
   AlsResult result;
   double prev_loss = -1.0;
@@ -87,8 +186,6 @@ AlsResult DynamicTensorDecomposition(const SparseTensor& delta,
     Matrix mttkrp_last;
     for (size_t n = 0; n < order; ++n) {
       const size_t old_rows = static_cast<size_t>(old_dims[n]);
-      const size_t new_rows = factors[n].rows() - old_rows;
-
       std::vector<const Matrix*> factor_ptrs(order);
       for (size_t k = 0; k < order; ++k) factor_ptrs[k] = &factors[k];
       // One pass over the non-zeros of X \ X̃ covers every sub-tensor of
@@ -96,68 +193,25 @@ AlsResult DynamicTensorDecomposition(const SparseTensor& delta,
       // contribution feeds.
       Matrix mttkrp = Mttkrp(delta, factor_ptrs, n);
 
-      // Hadamard accumulations over k != n.
-      Matrix had_h(options.rank, options.rank);
-      Matrix had_g01(options.rank, options.rank);
-      Matrix had_g0(options.rank, options.rank);
-      bool first = true;
-      for (size_t k = 0; k < order; ++k) {
-        if (k == n) continue;
-        const Matrix g01 = LinearCombine(1.0, g0[k], 1.0, g1[k]);
-        if (first) {
-          had_h = h[k];
-          had_g01 = g01;
-          had_g0 = g0[k];
-          first = false;
-        } else {
-          HadamardInPlace(had_h, h[k]);
-          HadamardInPlace(had_g01, g01);
-          HadamardInPlace(had_g0, g0[k]);
-        }
-      }
-
-      // A_n^(0) update (Eq. 5, first rule).
-      if (old_rows > 0) {
-        const Matrix had_h_t = Transpose(had_h);
-        Matrix numerator(old_rows, options.rank);
-        for (size_t r = 0; r < old_rows; ++r) {
-          DtdOldRowNumerator(kern, had_h_t, mu, prev.factor(n).RowPtr(r),
-                             mttkrp.RowPtr(r), numerator.RowPtr(r));
-        }
-        const Matrix denom = LinearCombine(1.0, had_g01, -(1.0 - mu), had_g0);
-        const Matrix a0 = SolveNormalEquationsRows(denom, numerator);
-        for (size_t r = 0; r < old_rows; ++r) {
-          std::copy(a0.RowPtr(r), a0.RowPtr(r) + options.rank,
-                    factors[n].RowPtr(r));
-        }
-      }
-      // A_n^(1) update (Eq. 5, second rule).
-      if (new_rows > 0) {
-        const Matrix numerator =
-            mttkrp.RowSlice(old_rows, old_rows + new_rows);
-        const Matrix a1 = SolveNormalEquationsRows(had_g01, numerator);
-        for (size_t r = 0; r < new_rows; ++r) {
-          std::copy(a1.RowPtr(r), a1.RowPtr(r) + options.rank,
-                    factors[n].RowPtr(old_rows + r));
-        }
-      }
+      // Eq. 5 for every row of the mode: old-range rows against
+      // had_g01 − (1−μ)·had_g0, new rows against had_g01.
+      const DtdModeSystems sys = FactorDtdModeSystems(g0, g1, h, n, mu);
+      DtdUpdateRows(kern, sys, old_rows > 0 ? &prev.factor(n) : nullptr,
+                    mttkrp, old_rows, all_rows[n].data(), all_rows[n].size(),
+                    &factors[n]);
       refresh_products(n);
       if (n + 1 == order) mttkrp_last = std::move(mttkrp);
     }
 
     // Loss (Eq. 4) assembled from maintained intermediates (§IV-B4):
     //   L = μ‖[[Ã]] - [[A^(0)]]‖² + ‖X\X̃‖² + (‖Y‖² - ‖Y^(0..0)‖²) - 2⟨X\X̃, Y⟩.
-    Matrix had_g0_all = g0[0];
-    Matrix had_g01_all = LinearCombine(1.0, g0[0], 1.0, g1[0]);
-    Matrix had_h_all = h[0];
-    for (size_t k = 1; k < order; ++k) {
-      HadamardInPlace(had_g0_all, g0[k]);
-      HadamardInPlace(had_g01_all, LinearCombine(1.0, g0[k], 1.0, g1[k]));
-      HadamardInPlace(had_h_all, h[k]);
+    std::vector<Matrix> g01(order);
+    for (size_t k = 0; k < order; ++k) {
+      g01[k] = LinearCombine(1.0, g0[k], 1.0, g1[k]);
     }
-    const double a0_model_norm_sq = SumAll(had_g0_all);
-    const double full_model_norm_sq = SumAll(had_g01_all);
-    const double cross = SumAll(had_h_all);
+    const double a0_model_norm_sq = HadamardSum(g0);
+    const double full_model_norm_sq = HadamardSum(g01);
+    const double cross = HadamardSum(h);
 
     double inner;
     if (options.reuse_intermediates) {

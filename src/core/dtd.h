@@ -47,15 +47,39 @@ std::vector<Matrix> InitializeDtdFactors(const std::vector<uint64_t>& new_dims,
                                          const KruskalTensor& prev,
                                          const DecompositionOptions& options);
 
-/// Eq. 5's numerator for one old-range row, shared by the centralized and
-/// distributed updates: out = μ·Ã[r,:]·had_h + mttkrp_row. `had_h_t` is
-/// had_hᵀ (R x R), so one topk_score_block call scores Ã[r,:] against every
-/// column of had_h on the contiguous path of the blocked-8 dot contract
-/// (kernels.h), bit-identical to R strided dots down had_h's columns.
-void DtdOldRowNumerator(const kernels::KernelTable& kern,
-                        const Matrix& had_h_t, double mu,
-                        const double* prev_row, const double* mttkrp_row,
-                        double* out);
+/// Mode n's two Eq. 5 systems and the old-row numerator weights, shared by
+/// every row of the mode and built from the cached R x R products of the
+/// other modes (§IV-B3): had_h = ⊛_{k≠n} h_k, had_g01 = ⊛_{k≠n}(g0_k+g1_k),
+/// had_g0 = ⊛_{k≠n} g0_k.
+struct DtdModeSystems {
+  double mu = 0.0;
+  /// had_hᵀ: row c holds column c of had_h.
+  Matrix had_h_t;
+  /// FactorNormalEquations(had_g01 − (1−μ)·had_g0), for old-range rows.
+  Matrix lower_old;
+  /// FactorNormalEquations(had_g01), for new rows.
+  Matrix lower_new;
+};
+
+/// Builds mode n's systems from every mode's cached products g0, g1, h and
+/// factors both (FactorNormalEquations), once per mode.
+DtdModeSystems FactorDtdModeSystems(const std::vector<Matrix>& g0,
+                                    const std::vector<Matrix>& g1,
+                                    const std::vector<Matrix>& h, size_t n,
+                                    double mu);
+
+/// Eq. 5 for the rows of one mode listed in `rows`, which must be
+/// ascending, so the old-range rows (index < old_rows) come first. Rows
+/// stream through lane blocks of kernels::kLanes: gather Â = mttkrp rows
+/// (and Ã = prev rows), build old rows' numerators μ·Ã[r,:]·had_h + Â[r,:],
+/// solve against the mode's system, and scatter into `factor`. A block
+/// never mixes old and new rows. An empty factor (every ridge retry
+/// failed) gives the zero update. `prev` is Ã_n and may be null when
+/// old_rows == 0. Each row's result is bit-identical to its per-row
+/// numerator (topk_score_block against had_hᵀ) and per-row substitution.
+void DtdUpdateRows(const kernels::KernelTable& kern, const DtdModeSystems& sys,
+                   const Matrix* prev, const Matrix& mttkrp, size_t old_rows,
+                   const uint64_t* rows, size_t num_rows, Matrix* factor);
 
 }  // namespace dismastd
 

@@ -11,6 +11,8 @@
 #if defined(__AVX2__)
 #include <immintrin.h>
 
+#include <algorithm>
+
 namespace dismastd {
 namespace kernels {
 namespace {
@@ -51,20 +53,174 @@ void HadamardCombineAvx2(const double* const* rows, size_t num_rows,
   }
 }
 
-void GramRankUpdateAvx2(const double* x, const double* y, size_t rank,
-                        double* out) {
-  const size_t r4 = rank & ~static_cast<size_t>(3);
-  for (size_t i = 0; i < rank; ++i) {
-    const double xi = x[i];
-    const __m256d vx = _mm256_set1_pd(xi);
-    double* row = out + i * rank;
-    size_t j = 0;
-    for (; j < r4; j += 4) {
-      const __m256d prod = _mm256_mul_pd(vx, _mm256_loadu_pd(y + j));
-      _mm256_storeu_pd(row + j,
-                       _mm256_add_pd(_mm256_loadu_pd(row + j), prod));
+/// One tile of gram_rows: output rows i0 .. i0+tile_rows-1 (at most 4) by
+/// kVecs 4-column vectors from j0, masked past `rank`. Each accumulator
+/// holds its output elements' partials in a register across the whole row
+/// list, adding one row's products at a time in list order.
+template <size_t kVecs>
+void GramTileAvx2(const double* x, const double* y, const uint64_t* rows,
+                  size_t num_rows, size_t rank, size_t i0, size_t tile_rows,
+                  size_t j0, double* out) {
+  __m256i mask[kVecs];
+  for (size_t v = 0; v < kVecs; ++v) {
+    const size_t left = rank - std::min(rank, j0 + 4 * v);
+    mask[v] = _mm256_setr_epi64x(left > 0 ? -1 : 0, left > 1 ? -1 : 0,
+                                 left > 2 ? -1 : 0, left > 3 ? -1 : 0);
+  }
+  __m256d acc[4][kVecs];
+#pragma GCC unroll 4
+  for (size_t t = 0; t < 4; ++t) {
+    for (size_t v = 0; v < kVecs; ++v) {
+      acc[t][v] = t < tile_rows
+                      ? _mm256_maskload_pd(out + (i0 + t) * rank + j0 + 4 * v,
+                                           mask[v])
+                      : _mm256_setzero_pd();
     }
-    for (; j < rank; ++j) row[j] += xi * y[j];
+  }
+  for (size_t k = 0; k < num_rows; ++k) {
+    const size_t base = static_cast<size_t>(rows[k]) * rank;
+    const double* xr = x + base + i0;
+    __m256d yv[kVecs];
+    for (size_t v = 0; v < kVecs; ++v) {
+      yv[v] = _mm256_maskload_pd(y + base + j0 + 4 * v, mask[v]);
+    }
+#pragma GCC unroll 4
+    for (size_t t = 0; t < 4; ++t) {
+      if (t < tile_rows) {
+        const __m256d xt = _mm256_set1_pd(xr[t]);
+        for (size_t v = 0; v < kVecs; ++v) {
+          acc[t][v] = _mm256_add_pd(acc[t][v], _mm256_mul_pd(xt, yv[v]));
+        }
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t t = 0; t < 4; ++t) {
+    if (t < tile_rows) {
+      for (size_t v = 0; v < kVecs; ++v) {
+        _mm256_maskstore_pd(out + (i0 + t) * rank + j0 + 4 * v, mask[v],
+                            acc[t][v]);
+      }
+    }
+  }
+}
+
+void GramRowsAvx2(const double* x, const double* y, const uint64_t* rows,
+                  size_t num_rows, size_t rank, double* out) {
+  for (size_t j0 = 0; j0 < rank; j0 += 12) {
+    const size_t width = std::min<size_t>(12, rank - j0);
+    for (size_t i0 = 0; i0 < rank; i0 += 4) {
+      const size_t tile_rows = std::min<size_t>(4, rank - i0);
+      if (width > 8) {
+        GramTileAvx2<3>(x, y, rows, num_rows, rank, i0, tile_rows, j0, out);
+      } else if (width > 4) {
+        GramTileAvx2<2>(x, y, rows, num_rows, rank, i0, tile_rows, j0, out);
+      } else {
+        GramTileAvx2<1>(x, y, rows, num_rows, rank, i0, tile_rows, j0, out);
+      }
+    }
+  }
+}
+
+/// Two ymm per element of each of kBlocks lane blocks (lanes 0-3 and 4-7
+/// of block[i * kLanes ..]); the blocks' serial substitution chains are
+/// independent, so running them side by side overlaps their division
+/// latencies.
+template <size_t kBlocks>
+void CholeskySolveBlocksAvx2(const double* lower, size_t n, double* blocks) {
+  const size_t stride = n * kLanes;
+  for (size_t i = 0; i < n; ++i) {
+    __m256d lo[kBlocks], hi[kBlocks];
+    for (size_t b = 0; b < kBlocks; ++b) {
+      lo[b] = _mm256_loadu_pd(blocks + b * stride + i * kLanes);
+      hi[b] = _mm256_loadu_pd(blocks + b * stride + i * kLanes + 4);
+    }
+    for (size_t k = 0; k < i; ++k) {
+      const __m256d lik = _mm256_set1_pd(lower[i * n + k]);
+      for (size_t b = 0; b < kBlocks; ++b) {
+        const double* yk = blocks + b * stride + k * kLanes;
+        lo[b] = _mm256_sub_pd(lo[b], _mm256_mul_pd(lik, _mm256_loadu_pd(yk)));
+        hi[b] = _mm256_sub_pd(hi[b],
+                              _mm256_mul_pd(lik, _mm256_loadu_pd(yk + 4)));
+      }
+    }
+    const __m256d diag = _mm256_set1_pd(lower[i * n + i]);
+    for (size_t b = 0; b < kBlocks; ++b) {
+      double* bi = blocks + b * stride + i * kLanes;
+      _mm256_storeu_pd(bi, _mm256_div_pd(lo[b], diag));
+      _mm256_storeu_pd(bi + 4, _mm256_div_pd(hi[b], diag));
+    }
+  }
+  for (size_t i = n; i-- > 0;) {
+    __m256d lo[kBlocks], hi[kBlocks];
+    for (size_t b = 0; b < kBlocks; ++b) {
+      lo[b] = _mm256_loadu_pd(blocks + b * stride + i * kLanes);
+      hi[b] = _mm256_loadu_pd(blocks + b * stride + i * kLanes + 4);
+    }
+    for (size_t k = i + 1; k < n; ++k) {
+      const __m256d lki = _mm256_set1_pd(lower[k * n + i]);
+      for (size_t b = 0; b < kBlocks; ++b) {
+        const double* zk = blocks + b * stride + k * kLanes;
+        lo[b] = _mm256_sub_pd(lo[b], _mm256_mul_pd(lki, _mm256_loadu_pd(zk)));
+        hi[b] = _mm256_sub_pd(hi[b],
+                              _mm256_mul_pd(lki, _mm256_loadu_pd(zk + 4)));
+      }
+    }
+    const __m256d diag = _mm256_set1_pd(lower[i * n + i]);
+    for (size_t b = 0; b < kBlocks; ++b) {
+      double* bi = blocks + b * stride + i * kLanes;
+      _mm256_storeu_pd(bi, _mm256_div_pd(lo[b], diag));
+      _mm256_storeu_pd(bi + 4, _mm256_div_pd(hi[b], diag));
+    }
+  }
+}
+
+void CholeskySolveLanesAvx2(const double* lower, size_t n, double* blocks,
+                            size_t num_blocks) {
+  const size_t stride = n * kLanes;
+  size_t q = 0;
+  for (; q + 2 <= num_blocks; q += 2) {
+    CholeskySolveBlocksAvx2<2>(lower, n, blocks + q * stride);
+  }
+  if (q < num_blocks) {
+    CholeskySolveBlocksAvx2<1>(lower, n, blocks + q * stride);
+  }
+}
+
+/// Partial k of four lanes' blocked-8 dots lives in one ymm; the block's
+/// two lane halves run one after the other so the 8 partials of a half
+/// stay in registers. Element i lands in partial i mod 8.
+void DtdNumeratorLanesAvx2(const double* prev_block, const double* weights_t,
+                           size_t rank, double mu, double* block) {
+  const __m256d vmu = _mm256_set1_pd(mu);
+  for (size_t half = 0; half < kLanes; half += 4) {
+    for (size_t c = 0; c < rank; ++c) {
+      const double* w = weights_t + c * rank;
+      __m256d p[8];
+#pragma GCC unroll 8
+      for (size_t k = 0; k < 8; ++k) p[k] = _mm256_setzero_pd();
+      for (size_t i0 = 0; i0 < rank; i0 += 8) {
+#pragma GCC unroll 8
+        for (size_t k = 0; k < 8; ++k) {
+          if (i0 + k < rank) {
+            p[k] = _mm256_add_pd(
+                p[k], _mm256_mul_pd(_mm256_set1_pd(w[i0 + k]),
+                                    _mm256_loadu_pd(prev_block +
+                                                    (i0 + k) * kLanes +
+                                                    half)));
+          }
+        }
+      }
+      const __m256d q0 = _mm256_add_pd(p[0], p[4]);
+      const __m256d q1 = _mm256_add_pd(p[1], p[5]);
+      const __m256d q2 = _mm256_add_pd(p[2], p[6]);
+      const __m256d q3 = _mm256_add_pd(p[3], p[7]);
+      const __m256d dot =
+          _mm256_add_pd(_mm256_add_pd(q0, q2), _mm256_add_pd(q1, q3));
+      double* out = block + c * kLanes + half;
+      _mm256_storeu_pd(out, _mm256_add_pd(_mm256_mul_pd(vmu, dot),
+                                          _mm256_loadu_pd(out)));
+    }
   }
 }
 
@@ -229,7 +385,9 @@ const KernelTable& Avx2Kernels() {
     t.backend = Backend::kAvx2;
     t.mttkrp_row = MttkrpRowAvx2;
     t.hadamard_combine = HadamardCombineAvx2;
-    t.gram_rank_update = GramRankUpdateAvx2;
+    t.gram_rows = GramRowsAvx2;
+    t.cholesky_solve_lanes = CholeskySolveLanesAvx2;
+    t.dtd_numerator_lanes = DtdNumeratorLanesAvx2;
     t.dot_strided = DotStridedAvx2;
     t.topk_score_block = TopKScoreBlockAvx2;
     t.f64_to_bf16 = F64ToBf16Plain;

@@ -10,6 +10,8 @@
 #if defined(__AVX512F__)
 #include <immintrin.h>
 
+#include <algorithm>
+
 namespace dismastd {
 namespace kernels {
 namespace {
@@ -64,20 +66,171 @@ void HadamardCombineAvx512(const double* const* rows, size_t num_rows,
   }
 }
 
-void GramRankUpdateAvx512(const double* x, const double* y, size_t rank,
-                          double* out) {
-  const size_t r8 = rank & ~static_cast<size_t>(7);
-  for (size_t i = 0; i < rank; ++i) {
-    const double xi = x[i];
-    const __m512d vx = _mm512_set1_pd(xi);
-    double* row = out + i * rank;
-    size_t j = 0;
-    for (; j < r8; j += 8) {
-      const __m512d prod = _mm512_mul_pd(vx, _mm512_loadu_pd(y + j));
-      _mm512_storeu_pd(row + j,
-                       _mm512_add_pd(_mm512_loadu_pd(row + j), prod));
+/// Output rows per gram_rows tile: 12 rows x 2 vectors = 24 accumulators,
+/// which with a row's two y vectors and one broadcast still fit the 32 zmm
+/// registers, so R = 10 takes a single pass over the row list.
+constexpr size_t kGramTileRows = 12;
+
+/// One tile of gram_rows: output rows i0 .. i0+tile_rows-1 (at most
+/// kGramTileRows) by kVecs 8-column vectors from j0, masked past `rank`.
+/// Each accumulator holds its output elements' partials in a register
+/// across the whole row list, adding one row's products at a time in list
+/// order.
+template <size_t kVecs>
+void GramTileAvx512(const double* x, const double* y, const uint64_t* rows,
+                    size_t num_rows, size_t rank, size_t i0, size_t tile_rows,
+                    size_t j0, double* out) {
+  __mmask8 mask[kVecs];
+  for (size_t v = 0; v < kVecs; ++v) {
+    const size_t left = rank - std::min(rank, j0 + 8 * v);
+    mask[v] = static_cast<__mmask8>(left >= 8 ? 0xFF : (1u << left) - 1u);
+  }
+  __m512d acc[kGramTileRows][kVecs];
+#pragma GCC unroll 12
+  for (size_t t = 0; t < kGramTileRows; ++t) {
+    for (size_t v = 0; v < kVecs; ++v) {
+      acc[t][v] = t < tile_rows ? _mm512_maskz_loadu_pd(
+                                      mask[v], out + (i0 + t) * rank + j0 +
+                                                   8 * v)
+                                : _mm512_setzero_pd();
     }
-    for (; j < rank; ++j) row[j] += xi * y[j];
+  }
+  for (size_t k = 0; k < num_rows; ++k) {
+    const size_t base = static_cast<size_t>(rows[k]) * rank;
+    const double* xr = x + base + i0;
+    __m512d yv[kVecs];
+    for (size_t v = 0; v < kVecs; ++v) {
+      yv[v] = _mm512_maskz_loadu_pd(mask[v], y + base + j0 + 8 * v);
+    }
+#pragma GCC unroll 12
+    for (size_t t = 0; t < kGramTileRows; ++t) {
+      if (t < tile_rows) {
+        const __m512d xt = _mm512_set1_pd(xr[t]);
+        for (size_t v = 0; v < kVecs; ++v) {
+          acc[t][v] = _mm512_add_pd(acc[t][v], _mm512_mul_pd(xt, yv[v]));
+        }
+      }
+    }
+  }
+#pragma GCC unroll 12
+  for (size_t t = 0; t < kGramTileRows; ++t) {
+    if (t < tile_rows) {
+      for (size_t v = 0; v < kVecs; ++v) {
+        _mm512_mask_storeu_pd(out + (i0 + t) * rank + j0 + 8 * v, mask[v],
+                              acc[t][v]);
+      }
+    }
+  }
+}
+
+void GramRowsAvx512(const double* x, const double* y, const uint64_t* rows,
+                    size_t num_rows, size_t rank, double* out) {
+  for (size_t j0 = 0; j0 < rank; j0 += 16) {
+    for (size_t i0 = 0; i0 < rank; i0 += kGramTileRows) {
+      const size_t tile_rows = std::min(kGramTileRows, rank - i0);
+      if (rank - j0 > 8) {
+        GramTileAvx512<2>(x, y, rows, num_rows, rank, i0, tile_rows, j0, out);
+      } else {
+        GramTileAvx512<1>(x, y, rows, num_rows, rank, i0, tile_rows, j0, out);
+      }
+    }
+  }
+}
+
+/// One zmm per element of each of kBlocks lane blocks (lane l of
+/// block[i * kLanes ..] is row l's element i); the blocks' serial
+/// substitution chains are independent, so running them side by side
+/// overlaps their division latencies. One substitution step (load,
+/// multiply, subtract, divide) outlasts the divider time of two zmm
+/// divisions, so up to four blocks run together.
+template <size_t kBlocks>
+void CholeskySolveBlocksAvx512(const double* lower, size_t n, double* blocks) {
+  const size_t stride = n * kLanes;
+  for (size_t i = 0; i < n; ++i) {
+    __m512d acc[kBlocks];
+    for (size_t b = 0; b < kBlocks; ++b) {
+      acc[b] = _mm512_loadu_pd(blocks + b * stride + i * kLanes);
+    }
+    for (size_t k = 0; k < i; ++k) {
+      const __m512d lik = _mm512_set1_pd(lower[i * n + k]);
+      for (size_t b = 0; b < kBlocks; ++b) {
+        acc[b] = _mm512_sub_pd(
+            acc[b], _mm512_mul_pd(lik, _mm512_loadu_pd(blocks + b * stride +
+                                                       k * kLanes)));
+      }
+    }
+    const __m512d diag = _mm512_set1_pd(lower[i * n + i]);
+    for (size_t b = 0; b < kBlocks; ++b) {
+      _mm512_storeu_pd(blocks + b * stride + i * kLanes,
+                       _mm512_div_pd(acc[b], diag));
+    }
+  }
+  for (size_t i = n; i-- > 0;) {
+    __m512d acc[kBlocks];
+    for (size_t b = 0; b < kBlocks; ++b) {
+      acc[b] = _mm512_loadu_pd(blocks + b * stride + i * kLanes);
+    }
+    for (size_t k = i + 1; k < n; ++k) {
+      const __m512d lki = _mm512_set1_pd(lower[k * n + i]);
+      for (size_t b = 0; b < kBlocks; ++b) {
+        acc[b] = _mm512_sub_pd(
+            acc[b], _mm512_mul_pd(lki, _mm512_loadu_pd(blocks + b * stride +
+                                                       k * kLanes)));
+      }
+    }
+    const __m512d diag = _mm512_set1_pd(lower[i * n + i]);
+    for (size_t b = 0; b < kBlocks; ++b) {
+      _mm512_storeu_pd(blocks + b * stride + i * kLanes,
+                       _mm512_div_pd(acc[b], diag));
+    }
+  }
+}
+
+void CholeskySolveLanesAvx512(const double* lower, size_t n, double* blocks,
+                              size_t num_blocks) {
+  const size_t stride = n * kLanes;
+  size_t q = 0;
+  for (; q + 4 <= num_blocks; q += 4) {
+    CholeskySolveBlocksAvx512<4>(lower, n, blocks + q * stride);
+  }
+  for (; q + 2 <= num_blocks; q += 2) {
+    CholeskySolveBlocksAvx512<2>(lower, n, blocks + q * stride);
+  }
+  if (q < num_blocks) {
+    CholeskySolveBlocksAvx512<1>(lower, n, blocks + q * stride);
+  }
+}
+
+/// Partial k of all 8 lanes' blocked-8 dots lives in one zmm; element i of
+/// the rows lands in partial i mod 8, so the tail folds as in the contract.
+void DtdNumeratorLanesAvx512(const double* prev_block, const double* weights_t,
+                             size_t rank, double mu, double* block) {
+  const __m512d vmu = _mm512_set1_pd(mu);
+  for (size_t c = 0; c < rank; ++c) {
+    const double* w = weights_t + c * rank;
+    __m512d p[8];
+#pragma GCC unroll 8
+    for (size_t k = 0; k < 8; ++k) p[k] = _mm512_setzero_pd();
+    for (size_t i0 = 0; i0 < rank; i0 += 8) {
+#pragma GCC unroll 8
+      for (size_t k = 0; k < 8; ++k) {
+        if (i0 + k < rank) {
+          p[k] = _mm512_add_pd(
+              p[k], _mm512_mul_pd(_mm512_set1_pd(w[i0 + k]),
+                                  _mm512_loadu_pd(prev_block +
+                                                  (i0 + k) * kLanes)));
+        }
+      }
+    }
+    const __m512d q0 = _mm512_add_pd(p[0], p[4]);
+    const __m512d q1 = _mm512_add_pd(p[1], p[5]);
+    const __m512d q2 = _mm512_add_pd(p[2], p[6]);
+    const __m512d q3 = _mm512_add_pd(p[3], p[7]);
+    const __m512d dot =
+        _mm512_add_pd(_mm512_add_pd(q0, q2), _mm512_add_pd(q1, q3));
+    double* out = block + c * kLanes;
+    _mm512_storeu_pd(out, _mm512_add_pd(_mm512_mul_pd(vmu, dot),
+                                        _mm512_loadu_pd(out)));
   }
 }
 
@@ -205,7 +358,9 @@ const KernelTable& Avx512Kernels() {
     t.backend = Backend::kAvx512;
     t.mttkrp_row = MttkrpRowAvx512;
     t.hadamard_combine = HadamardCombineAvx512;
-    t.gram_rank_update = GramRankUpdateAvx512;
+    t.gram_rows = GramRowsAvx512;
+    t.cholesky_solve_lanes = CholeskySolveLanesAvx512;
+    t.dtd_numerator_lanes = DtdNumeratorLanesAvx512;
     t.dot_strided = DotStridedAvx512;
     t.topk_score_block = TopKScoreBlockAvx512;
     t.f64_to_bf16 = F64ToBf16Plain;

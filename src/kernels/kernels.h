@@ -28,20 +28,50 @@ inline constexpr size_t kNumBackends = 3;
 const char* BackendName(Backend backend);
 Result<Backend> ParseBackend(const std::string& text);
 
+/// Rows per lane block. The lane entries of the table (cholesky_solve_lanes,
+/// dtd_numerator_lanes) work on kLanes factor rows at once, stored
+/// transposed: element i of the block's row l sits at block[i * kLanes + l],
+/// so every step of a row's recurrence is one independent operation across
+/// the block's rows (one zmm, or two ymm).
+inline constexpr size_t kLanes = 8;
+
+/// Copies rows[l][0..rank) into lane l of `block` for l < count (<= kLanes)
+/// and zero-fills the remaining lanes, which every lane entry keeps finite.
+inline void GatherLanes(const double* const* rows, size_t count, size_t rank,
+                        double* block) {
+  for (size_t l = 0; l < count; ++l) {
+    for (size_t i = 0; i < rank; ++i) block[i * kLanes + l] = rows[l][i];
+  }
+  for (size_t l = count; l < kLanes; ++l) {
+    for (size_t i = 0; i < rank; ++i) block[i * kLanes + l] = 0.0;
+  }
+}
+
+/// Copies lane l of `block` to rows[l][0..rank) for l < count.
+inline void ScatterLanes(const double* block, size_t count, size_t rank,
+                         double* const* rows) {
+  for (size_t l = 0; l < count; ++l) {
+    for (size_t i = 0; i < rank; ++i) rows[l][i] = block[i * kLanes + l];
+  }
+}
+
 /// One table of function pointers per backend — the single place where a
 /// flop happens on a factor row. Callers fetch the dispatched table once
 /// (kernels::Get()) and call through it; they never branch on CPU features
 /// themselves.
 ///
 /// Determinism contract (fp64 kernels): element-wise kernels (mttkrp_row,
-/// hadamard_combine, gram_rank_update) perform the same scalar operations
-/// in the same order in every backend, lane-parallel over independent
-/// outputs, so they are bit-exact across backends by construction.
-/// Reductions (dot_strided, topk_score_block) share a fixed blocking: 8
-/// independent partial sums, lane l accumulating elements l, l+8, l+16, ...
-/// with the tail element i folded into lane i mod 8, combined as
-/// ((p0+p4)+(p2+p6)) + ((p1+p5)+(p3+p7)) — exactly the tree an 8-lane
-/// vector reduction produces. No FMA contraction anywhere (backends are
+/// hadamard_combine) perform the same scalar operations in the same order
+/// in every backend, lane-parallel over independent outputs, so they are
+/// bit-exact across backends by construction. Reductions (dot_strided,
+/// topk_score_block) share a fixed blocking: 8 independent partial sums,
+/// lane l accumulating elements l, l+8, l+16, ... with the tail element i
+/// folded into lane i mod 8, combined as ((p0+p4)+(p2+p6)) +
+/// ((p1+p5)+(p3+p7)) — exactly the tree an 8-lane vector reduction
+/// produces. Lane-block entries run one row's scalar recurrence per lane
+/// (a row's reduction keeps the blocked-8 contract inside its lane), and
+/// row-list reductions (gram_rows) add each output element's terms in the
+/// order the rows are listed. No FMA contraction anywhere (backends are
 /// compiled with -ffp-contract=off and use separate mul/add intrinsics),
 /// so fp64 results are bit-identical across scalar, AVX2 and AVX-512.
 ///
@@ -63,10 +93,37 @@ struct KernelTable {
   void (*hadamard_combine)(const double* const* rows, size_t num_rows,
                            size_t rank, double* out);
 
-  /// out[i*rank + j] += x[i] * y[j] for i, j in [0, rank). One rank-1
-  /// update of a Gram (y == x) or cross-Gram partial.
-  void (*gram_rank_update)(const double* x, const double* y, size_t rank,
-                           double* out);
+  /// out[i*rank + j] += Σ_k x_k[i] * y_k[j] for i, j in [0, rank), where
+  /// x_k = x + rows[k]*rank and y_k = y + rows[k]*rank are rows of two
+  /// row-major rank-column matrices. Each output element adds its terms
+  /// one at a time in list order (k = 0, 1, ...), exactly as num_rows
+  /// successive rank-1 updates would; rows may repeat or come unsorted.
+  /// The Gram (y == x) or cross-Gram partial of a partition's rows.
+  void (*gram_rows)(const double* x, const double* y, const uint64_t* rows,
+                    size_t num_rows, size_t rank, double* out);
+
+  /// Solves z·A = b in place for every row of `num_blocks` consecutive
+  /// lane blocks (block q starts at blocks + q*rank*kLanes), given A's
+  /// Cholesky factor `lower` (rank x rank row-major, lower triangle read):
+  /// forward substitution y_i = (b_i - Σ_{k<i} L_ik·y_k) / L_ii, then back
+  /// substitution z_i = (y_i - Σ_{k>i} L_ki·z_k) / L_ii, each sum
+  /// subtracted term by term in k order with a true division. Each lane's
+  /// result equals its row solved alone. A row's recurrence is one serial
+  /// chain of divisions, so SIMD bodies run several blocks' chains side by
+  /// side (as many as keep the divider busy: two for AVX2, four for
+  /// AVX-512).
+  void (*cholesky_solve_lanes)(const double* lower, size_t rank,
+                               double* blocks, size_t num_blocks);
+
+  /// Eq. 5's old-row numerator on a lane block. On entry `block` holds the
+  /// rows' MTTKRP results Â; on exit block[c*kLanes + l] =
+  /// mu * s + Â[c*kLanes + l], where s is the blocked-8 dot of lane l of
+  /// `prev_block` (the rows of Ã) with row c of `weights_t` (had_hᵀ, rank x
+  /// rank) — bit for bit mu * topk_score_block(weights_t, rank, rank,
+  /// Ã row)[c] + Â[c] per row, including the dot's 0 + x·y start.
+  void (*dtd_numerator_lanes)(const double* prev_block,
+                              const double* weights_t, size_t rank, double mu,
+                              double* block);
 
   /// Strided dot product sum_i x[i*incx] * y[i*incy] under the blocked-8
   /// reduction contract. incx/incy may be 0 (broadcast) or any stride.

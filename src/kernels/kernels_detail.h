@@ -61,15 +61,6 @@ inline void HadamardCombineScalar(const double* const* rows, size_t num_rows,
   }
 }
 
-inline void GramRankUpdateScalar(const double* x, const double* y,
-                                 size_t rank, double* out) {
-  for (size_t i = 0; i < rank; ++i) {
-    const double xi = x[i];
-    double* row = out + i * rank;
-    for (size_t j = 0; j < rank; ++j) row[j] += xi * y[j];
-  }
-}
-
 /// float64 -> bf16 with round-to-nearest-even (via float32); NaN payloads
 /// are quieted so a NaN never rounds into an infinity.
 inline Bf16 F64ToBf16(double v) {

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "kernels/kernels.h"
-#include "la/matrix.h"
 
 namespace dismastd {
 namespace kernels {
@@ -53,17 +52,19 @@ struct Int8Matrix {
   const int8_t* RowPtr(size_t r) const { return data.data() + r * cols; }
 };
 
-/// Quantizes `source` to bf16 through the dispatched conversion kernel and
-/// measures the exact per-column max absolute error.
-Bf16Matrix QuantizeBf16(const Matrix& source);
+/// Quantizes the row-major rows x cols fp64 block `source` to bf16
+/// through the dispatched conversion kernel and measures the exact
+/// per-column max absolute error.
+Bf16Matrix QuantizeBf16(const double* source, size_t rows, size_t cols);
 
-/// Quantizes `source` to int8 with per-column scales and exact per-column
-/// max absolute error.
-Int8Matrix QuantizeInt8(const Matrix& source);
+/// Quantizes the row-major rows x cols fp64 block `source` to int8 with
+/// per-column scales and exact per-column max absolute error.
+Int8Matrix QuantizeInt8(const double* source, size_t rows, size_t cols);
 
-/// Decodes back to fp64 (for tests and round-trip error measurement).
-Matrix Dequantize(const Bf16Matrix& q);
-Matrix Dequantize(const Int8Matrix& q);
+/// Decodes back to row-major fp64 (for tests and round-trip error
+/// measurement).
+std::vector<double> Dequantize(const Bf16Matrix& q);
+std::vector<double> Dequantize(const Int8Matrix& q);
 
 }  // namespace kernels
 }  // namespace dismastd

@@ -114,4 +114,11 @@ double SumAll(const Matrix& a) {
   return sum;
 }
 
+double HadamardSum(const std::vector<Matrix>& mats) {
+  DISMASTD_CHECK(!mats.empty());
+  Matrix acc = mats[0];
+  for (size_t m = 1; m < mats.size(); ++m) HadamardInPlace(acc, mats[m]);
+  return SumAll(acc);
+}
+
 }  // namespace dismastd

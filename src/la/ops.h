@@ -1,6 +1,8 @@
 #ifndef DISMASTD_LA_OPS_H_
 #define DISMASTD_LA_OPS_H_
 
+#include <vector>
+
 #include "la/matrix.h"
 
 namespace dismastd {
@@ -42,6 +44,12 @@ double DotAll(const Matrix& a, const Matrix& b);
 
 /// Sum of all elements.
 double SumAll(const Matrix& a);
+
+/// Sum of all elements of M_0 * M_1 * ... (Hadamard, applied left to
+/// right): the Gram-product evaluation of Kruskal norms and inner products
+/// (‖[[A_1..A_N]]‖² from the Grams A_nᵀA_n). Needs at least one matrix;
+/// shapes must match.
+double HadamardSum(const std::vector<Matrix>& mats);
 
 }  // namespace dismastd
 

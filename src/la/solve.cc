@@ -4,6 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "kernels/kernels.h"
+
 namespace dismastd {
 
 Status CholeskyFactor(const Matrix& a, Matrix* lower) {
@@ -32,50 +34,31 @@ Matrix CholeskySolveRows(const Matrix& lower, const Matrix& rhs_rows) {
   const size_t n = lower.rows();
   DISMASTD_CHECK(lower.cols() == n && rhs_rows.cols() == n);
   const size_t m = rhs_rows.rows();
+  const kernels::KernelTable& kern = kernels::Get();
+  constexpr size_t kLanes = kernels::kLanes;
+  // Lane blocks per solve call: enough for the kernels to interleave the
+  // blocks' substitution chains, small enough to stay in L1.
+  constexpr size_t kChunkBlocks = 4;
   Matrix x(m, n);
-  // Rows are solved kBlock at a time, lane-parallel: block[i * kBlock + l]
-  // holds element i of the block's row l, so each substitution step is one
-  // independent operation across the block's rows, which the compiler
-  // vectorizes. Each row runs exactly the per-row recurrences below, in the
-  // same order and with a true division (no reciprocal), so each result is
-  // bit-identical to solving that row alone. A partial last block is padded
-  // with zero rows, which stay zero.
-  constexpr size_t kBlock = 8;
-  std::vector<double> block(n * kBlock);
-  for (size_t r0 = 0; r0 < m; r0 += kBlock) {
-    const size_t rows = std::min(kBlock, m - r0);
-    if (rows < kBlock) std::fill(block.begin(), block.end(), 0.0);
-    for (size_t l = 0; l < rows; ++l) {
-      const double* b = rhs_rows.RowPtr(r0 + l);
-      for (size_t i = 0; i < n; ++i) block[i * kBlock + l] = b[i];
-    }
-    // Forward substitution L y = b: y_i = (b_i - Σ_{k<i} L_ik y_k) / L_ii.
-    for (size_t i = 0; i < n; ++i) {
-      double acc[kBlock];
-      std::copy_n(&block[i * kBlock], kBlock, acc);
-      for (size_t k = 0; k < i; ++k) {
-        const double lik = lower(i, k);
-        const double* yk = &block[k * kBlock];
-        for (size_t l = 0; l < kBlock; ++l) acc[l] -= lik * yk[l];
+  const size_t chunk_blocks = std::min(kChunkBlocks, (m + kLanes - 1) / kLanes);
+  std::vector<double> blocks(chunk_blocks * n * kLanes);
+  const double* in[kLanes];
+  double* out[kLanes];
+  for (size_t r0 = 0; r0 < m; r0 += kChunkBlocks * kLanes) {
+    const size_t count = std::min(kChunkBlocks * kLanes, m - r0);
+    const size_t num_blocks = (count + kLanes - 1) / kLanes;
+    for (size_t q = 0; q < num_blocks; ++q) {
+      const size_t rows = std::min(kLanes, count - q * kLanes);
+      for (size_t l = 0; l < rows; ++l) {
+        in[l] = rhs_rows.RowPtr(r0 + q * kLanes + l);
       }
-      const double diag = lower(i, i);
-      for (size_t l = 0; l < kBlock; ++l) block[i * kBlock + l] = acc[l] / diag;
+      kernels::GatherLanes(in, rows, n, blocks.data() + q * n * kLanes);
     }
-    // Back substitution Lᵀ z = y: z_i = (y_i - Σ_{k>i} L_ki z_k) / L_ii.
-    for (size_t i = n; i-- > 0;) {
-      double acc[kBlock];
-      std::copy_n(&block[i * kBlock], kBlock, acc);
-      for (size_t k = i + 1; k < n; ++k) {
-        const double lki = lower(k, i);
-        const double* zk = &block[k * kBlock];
-        for (size_t l = 0; l < kBlock; ++l) acc[l] -= lki * zk[l];
-      }
-      const double diag = lower(i, i);
-      for (size_t l = 0; l < kBlock; ++l) block[i * kBlock + l] = acc[l] / diag;
-    }
-    for (size_t l = 0; l < rows; ++l) {
-      double* out = x.RowPtr(r0 + l);
-      for (size_t i = 0; i < n; ++i) out[i] = block[i * kBlock + l];
+    kern.cholesky_solve_lanes(lower.data(), n, blocks.data(), num_blocks);
+    for (size_t q = 0; q < num_blocks; ++q) {
+      const size_t rows = std::min(kLanes, count - q * kLanes);
+      for (size_t l = 0; l < rows; ++l) out[l] = x.RowPtr(r0 + q * kLanes + l);
+      kernels::ScatterLanes(blocks.data() + q * n * kLanes, rows, n, out);
     }
   }
   return x;

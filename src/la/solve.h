@@ -14,7 +14,8 @@ Status CholeskyFactor(const Matrix& a, Matrix* lower);
 /// for every row of `rhs_rows` laid out as rows: solves Xᵀ where
 /// A · Xᵀ = RHSᵀ, i.e. computes RHS · A⁻¹ row-wise. `rhs_rows` is M x R,
 /// A is R x R; result is M x R. Rows are solved 8 at a time, lane-parallel
-/// across rows; each row's result is bit-identical to solving it alone.
+/// across rows, by the dispatched kernel table's cholesky_solve_lanes; each
+/// row's result is bit-identical to solving it alone.
 Matrix CholeskySolveRows(const Matrix& lower, const Matrix& rhs_rows);
 
 /// The factorization half of SolveNormalEquationsRows: the Cholesky factor

@@ -147,7 +147,9 @@ ServableModel::ServableModel(KruskalTensor factors, uint64_t version,
   if (options.publish_bf16) {
     bf16_factors_.reserve(n);
     for (size_t mode = 0; mode < n; ++mode) {
-      bf16_factors_.push_back(kernels::QuantizeBf16(factors_.factor(mode)));
+      const Matrix& f = factors_.factor(mode);
+      bf16_factors_.push_back(
+          kernels::QuantizeBf16(f.data(), f.rows(), f.cols()));
     }
     has_bf16_ = true;
   } else {
@@ -156,7 +158,9 @@ ServableModel::ServableModel(KruskalTensor factors, uint64_t version,
   if (options.publish_int8) {
     int8_factors_.reserve(n);
     for (size_t mode = 0; mode < n; ++mode) {
-      int8_factors_.push_back(kernels::QuantizeInt8(factors_.factor(mode)));
+      const Matrix& f = factors_.factor(mode);
+      int8_factors_.push_back(
+          kernels::QuantizeInt8(f.data(), f.rows(), f.cols()));
     }
     has_int8_ = true;
   } else {

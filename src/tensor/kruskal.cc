@@ -91,11 +91,10 @@ double KruskalTensor::ValueAt(const uint64_t* index) const {
 double KruskalTensor::NormSquaredViaGrams() const {
   // ‖[[A_1..A_N]]‖² = Σ_{f,g} Π_n (A_nᵀA_n)[f,g]: the sum of all elements
   // of the Hadamard product of the Grams.
-  Matrix acc = TransposeTimes(factors_[0], factors_[0]);
-  for (size_t m = 1; m < order(); ++m) {
-    HadamardInPlace(acc, TransposeTimes(factors_[m], factors_[m]));
-  }
-  return SumAll(acc);
+  std::vector<Matrix> grams;
+  grams.reserve(order());
+  for (const Matrix& f : factors_) grams.push_back(TransposeTimes(f, f));
+  return HadamardSum(grams);
 }
 
 double KruskalTensor::InnerWithSparse(const SparseTensor& x) const {
@@ -129,11 +128,12 @@ double KruskalTensor::Fit(const SparseTensor& x) const {
 
 double KruskalInner(const KruskalTensor& a, const KruskalTensor& b) {
   DISMASTD_CHECK(a.order() == b.order());
-  Matrix acc = TransposeTimes(a.factor(0), b.factor(0));
-  for (size_t m = 1; m < a.order(); ++m) {
-    HadamardInPlace(acc, TransposeTimes(a.factor(m), b.factor(m)));
+  std::vector<Matrix> cross;
+  cross.reserve(a.order());
+  for (size_t m = 0; m < a.order(); ++m) {
+    cross.push_back(TransposeTimes(a.factor(m), b.factor(m)));
   }
-  return SumAll(acc);
+  return HadamardSum(cross);
 }
 
 }  // namespace dismastd

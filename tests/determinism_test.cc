@@ -211,9 +211,12 @@ uint64_t FingerprintStep(const DistributedResult& r, uint64_t hash) {
 
 TEST(DeterminismTest, ChainedStepsMatchGoldenFingerprint) {
   // A cold step and two chained delta steps at the paper's R = 10, with
-  // more partitions than workers. The golden value comes from the per-row
-  // numerators and substitution, so it pins the blocked row update to
-  // their bits; any hot-path change that moves one bit changes it.
+  // more partitions than workers, on every backend this host supports
+  // (R = 10 reaches the 8-wide vectors' tails). The golden value comes
+  // from the per-row numerators, substitution and rank-1 Gram updates, so
+  // it pins the lane-blocked row update and the row-list Gram to their
+  // bits; any hot-path change that moves one bit, on any backend, changes
+  // it.
   constexpr uint64_t kGolden = 0x86037D91EDA21AE2ULL;
   GeneratorOptions gen;
   gen.dims = {60, 45, 30};
@@ -225,27 +228,34 @@ TEST(DeterminismTest, ChainedStepsMatchGoldenFingerprint) {
   const StreamingTensorSequence seq(
       GenerateSparseTensor(gen).tensor,
       {{40, 30, 20}, {50, 38, 25}, {60, 45, 30}});
-  for (size_t threads : {1u, 4u}) {
-    DistributedOptions o;
-    o.als.rank = 10;
-    o.als.max_iterations = 5;
-    o.partitioner = PartitionerKind::kMaxMin;
-    o.num_workers = 3;
-    o.parts_per_mode = 7;
-    o.execution.num_threads = threads;
-    uint64_t hash = 0xCBF29CE484222325ULL;
-    KruskalTensor prev;
-    std::vector<uint64_t> old_dims(3, 0);
-    for (size_t t = 0; t < seq.num_steps(); ++t) {
-      DistributedResult r =
-          DisMastdDecompose(seq.DeltaAt(t), old_dims, prev, o);
-      hash = FingerprintStep(r, hash);
-      prev = std::move(r.als.factors);
-      old_dims = seq.DimsAt(t);
+  for (size_t b = 0; b < kernels::kNumBackends; ++b) {
+    const auto backend = static_cast<kernels::Backend>(b);
+    if (!kernels::Supported(backend)) continue;
+    ASSERT_TRUE(kernels::ForceBackend(backend).ok());
+    for (size_t threads : {1u, 4u}) {
+      DistributedOptions o;
+      o.als.rank = 10;
+      o.als.max_iterations = 5;
+      o.partitioner = PartitionerKind::kMaxMin;
+      o.num_workers = 3;
+      o.parts_per_mode = 7;
+      o.execution.num_threads = threads;
+      uint64_t hash = 0xCBF29CE484222325ULL;
+      KruskalTensor prev;
+      std::vector<uint64_t> old_dims(3, 0);
+      for (size_t t = 0; t < seq.num_steps(); ++t) {
+        DistributedResult r =
+            DisMastdDecompose(seq.DeltaAt(t), old_dims, prev, o);
+        hash = FingerprintStep(r, hash);
+        prev = std::move(r.als.factors);
+        old_dims = seq.DimsAt(t);
+      }
+      EXPECT_EQ(hash, kGolden)
+          << kernels::BackendName(backend) << " threads=" << threads
+          << " got 0x" << std::hex << hash;
     }
-    EXPECT_EQ(hash, kGolden) << "threads=" << threads << " got 0x" << std::hex
-                             << hash;
   }
+  kernels::ResetDispatch();
 }
 
 TEST(DeterminismTest, MoreThreadsThanWorkersIsClamped) {

@@ -5,14 +5,19 @@
 // and land within the documented error model of quantized.h.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "kernels/kernels.h"
 #include "kernels/quantized.h"
 #include "la/matrix.h"
+#include "test_util.h"
 
 namespace dismastd {
 namespace kernels {
@@ -128,28 +133,6 @@ TEST(KernelsParityTest, HadamardCombineBitExactIncludingEmptyProduct) {
   }
 }
 
-TEST(KernelsParityTest, GramRankUpdateBitExactForGramAndCrossGram) {
-  Rng rng(3);
-  for (size_t rank : kLengths) {
-    const std::vector<double> x = RandomVector(rank, rng);
-    const std::vector<double> y = RandomVector(rank, rng);
-    const std::vector<double> seed = RandomVector(rank * rank, rng);
-    for (const double* second : {x.data(), y.data()}) {
-      std::vector<double> want = seed;
-      Get(Backend::kScalar)
-          .gram_rank_update(x.data(), second, rank, want.data());
-      for (Backend backend : SupportedBackends()) {
-        std::vector<double> got = seed;
-        Get(backend).gram_rank_update(x.data(), second, rank, got.data());
-        for (size_t i = 0; i < rank * rank; ++i) {
-          ASSERT_EQ(want[i], got[i])
-              << BackendName(backend) << " rank=" << rank << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
 TEST(KernelsParityTest, DotStridedBitExactAcrossStridesAndLengths) {
   Rng rng(4);
   const size_t strides[] = {0, 1, 3, 17};
@@ -216,6 +199,208 @@ TEST(KernelsParityTest, TopKScoreBlockMatchesDotStridedBitExactly) {
   }
 }
 
+// The row-update shapes: ranks around the 8-wide vectors and masked tails,
+// row counts around the 8-row lane block (none, a lone padded row, partial,
+// exact and overflowing blocks).
+const size_t kRowRanks[] = {1, 2, 7, 8, 9, 10, 16, 17};
+const size_t kRowCounts[] = {0, 1, 7, 8, 9, 65};
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// A pool of rows to index into: Gaussian, except that row 0 is all -0.0,
+/// so a kernel that starts a sum from its first product instead of from
+/// 0 + x·y, or drops a -0.0 term, shows in the sign bit.
+Matrix RowPool(size_t rank, Rng& rng) {
+  Matrix pool = Matrix::RandomGaussian(23, rank, rng);
+  for (size_t i = 0; i < rank; ++i) pool(0, i) = -0.0;
+  return pool;
+}
+
+/// `count` unsorted pool row indices that repeat: the -0.0 row first, then
+/// random rows, with the first index listed again at the end.
+std::vector<uint64_t> RowList(size_t count, Rng& rng) {
+  std::vector<uint64_t> rows(count);
+  for (size_t k = 1; k < count; ++k) rows[k] = rng.NextBounded(23);
+  if (count > 1) rows[count - 1] = rows[0];
+  return rows;
+}
+
+/// Gathers the listed pool rows into consecutive lane blocks (the way the
+/// row update streams them), runs `lane_op(blocks, num_blocks)` and checks
+/// every lane against row k of `want` bit for bit.
+template <typename LaneOp>
+void ExpectLaneBlocksMatch(const std::vector<uint64_t>& rows,
+                           const Matrix& pool, const Matrix& want,
+                           LaneOp&& lane_op, const std::string& what) {
+  const size_t rank = pool.cols();
+  const size_t num_blocks = (rows.size() + kLanes - 1) / kLanes;
+  std::vector<double> blocks(num_blocks * rank * kLanes);
+  for (size_t q = 0; q < num_blocks; ++q) {
+    const size_t lanes = std::min(kLanes, rows.size() - q * kLanes);
+    const double* in[kLanes];
+    for (size_t l = 0; l < lanes; ++l) {
+      in[l] = pool.RowPtr(rows[q * kLanes + l]);
+    }
+    GatherLanes(in, lanes, rank, blocks.data() + q * rank * kLanes);
+  }
+  lane_op(blocks.data(), num_blocks);
+  for (size_t k = 0; k < rows.size(); ++k) {
+    const double* block = blocks.data() + k / kLanes * rank * kLanes;
+    for (size_t i = 0; i < rank; ++i) {
+      ASSERT_EQ(Bits(block[i * kLanes + k % kLanes]), Bits(want(k, i)))
+          << what << " rank=" << rank << " rows=" << rows.size()
+          << " row=" << k << " i=" << i;
+    }
+  }
+}
+
+TEST(KernelsLaneTest, CholeskySolveLanesMatchPerRowOracle) {
+  for (size_t rank : kRowRanks) {
+    Rng rng(10 + rank);
+    const Matrix basis = Matrix::Random(rank + 2, rank, rng);
+    Matrix spd(rank, rank);
+    for (size_t i = 0; i < rank; ++i) {
+      for (size_t j = 0; j < rank; ++j) {
+        for (size_t r = 0; r < basis.rows(); ++r) {
+          spd(i, j) += basis(r, i) * basis(r, j);
+        }
+      }
+      spd(i, i) += 0.1;
+    }
+    Matrix lower(rank, rank);
+    for (size_t j = 0; j < rank; ++j) {
+      double diag = spd(j, j);
+      for (size_t k = 0; k < j; ++k) diag -= lower(j, k) * lower(j, k);
+      lower(j, j) = std::sqrt(diag);
+      for (size_t i = j + 1; i < rank; ++i) {
+        double sum = spd(i, j);
+        for (size_t k = 0; k < j; ++k) sum -= lower(i, k) * lower(j, k);
+        lower(i, j) = sum / lower(j, j);
+      }
+    }
+    const Matrix pool = RowPool(rank, rng);
+    for (size_t count : kRowCounts) {
+      const std::vector<uint64_t> rows = RowList(count, rng);
+      Matrix rhs(count, rank);
+      for (size_t k = 0; k < count; ++k) {
+        std::copy_n(pool.RowPtr(rows[k]), rank, rhs.RowPtr(k));
+      }
+      const Matrix want = test::SolveRowByRow(lower, rhs);
+      for (Backend backend : SupportedBackends()) {
+        const KernelTable& kern = Get(backend);
+        // Every block in one call, so SIMD bodies pair blocks, plus the
+        // odd last block of an uneven count.
+        ExpectLaneBlocksMatch(
+            rows, pool, want,
+            [&](double* blocks, size_t num_blocks) {
+              kern.cholesky_solve_lanes(lower.data(), rank, blocks,
+                                        num_blocks);
+            },
+            BackendName(backend));
+      }
+    }
+  }
+}
+
+TEST(KernelsLaneTest, DtdNumeratorLanesMatchScaledTopKScorePlusMttkrp) {
+  for (size_t rank : kRowRanks) {
+    Rng rng(20 + rank);
+    const Matrix prev = RowPool(rank, rng);
+    Matrix weights_t = Matrix::RandomGaussian(rank, rank, rng);
+    // Positive weights make every product of score 0 with the -0.0 row a
+    // -0.0: only a 0 + x·y start turns the partials, hence the sum, to +0.0.
+    for (size_t i = 0; i < rank; ++i) {
+      weights_t(0, i) = std::abs(weights_t(0, i));
+    }
+    const double mu = 0.8;
+    for (size_t count : kRowCounts) {
+      const std::vector<uint64_t> rows = RowList(count, rng);
+      // Â rows, one per listed row; the -0.0 pool row gets a -0.0 Â row.
+      Matrix mttkrp = Matrix::RandomGaussian(count, rank, rng);
+      Matrix want(count, rank);
+      std::vector<double> scores(rank);
+      for (size_t k = 0; k < count; ++k) {
+        if (rows[k] == 0) {
+          for (size_t c = 0; c < rank; ++c) mttkrp(k, c) = -0.0;
+        }
+        Get(Backend::kScalar)
+            .topk_score_block(weights_t.data(), rank, rank,
+                              prev.RowPtr(rows[k]), scores.data());
+        for (size_t c = 0; c < rank; ++c) {
+          want(k, c) = mu * scores[c] + mttkrp(k, c);
+        }
+      }
+      for (Backend backend : SupportedBackends()) {
+        const KernelTable& kern = Get(backend);
+        // The blocks hold Ã rows; each block's numerator replaces it.
+        ExpectLaneBlocksMatch(
+            rows, prev, want,
+            [&](double* blocks, size_t num_blocks) {
+              std::vector<double> block(rank * kLanes);
+              for (size_t q = 0; q < num_blocks; ++q) {
+                const size_t lanes = std::min(kLanes, count - q * kLanes);
+                const double* in[kLanes];
+                for (size_t l = 0; l < lanes; ++l) {
+                  in[l] = mttkrp.RowPtr(q * kLanes + l);
+                }
+                GatherLanes(in, lanes, rank, block.data());
+                double* prev_block = blocks + q * rank * kLanes;
+                kern.dtd_numerator_lanes(prev_block, weights_t.data(), rank,
+                                         mu, block.data());
+                std::copy(block.begin(), block.end(), prev_block);
+              }
+            },
+            BackendName(backend));
+      }
+    }
+  }
+}
+
+TEST(KernelsParityTest, GramRowsMatchPerRowRankOneOracle) {
+  // The row-update ranks plus every remainder length, which reach the
+  // third column and row tiles of the SIMD bodies.
+  std::vector<size_t> ranks(std::begin(kRowRanks), std::end(kRowRanks));
+  ranks.insert(ranks.end(), std::begin(kLengths), std::end(kLengths));
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+  for (size_t rank : ranks) {
+    Rng rng(30 + rank);
+    const Matrix x = RowPool(rank, rng);
+    const Matrix y = Matrix::RandomGaussian(23, rank, rng);
+    Matrix seed = Matrix::RandomGaussian(rank, rank, rng);
+    seed(0, 0) = -0.0;
+    for (size_t count : kRowCounts) {
+      const std::vector<uint64_t> rows = RowList(count, rng);
+      for (const Matrix* second : {&x, &y}) {
+        // The oracle: one rank-1 update per listed row, in list order.
+        Matrix want = seed;
+        for (uint64_t r : rows) {
+          for (size_t i = 0; i < rank; ++i) {
+            for (size_t j = 0; j < rank; ++j) {
+              want(i, j) += x(r, i) * (*second)(r, j);
+            }
+          }
+        }
+        for (Backend backend : SupportedBackends()) {
+          Matrix got = seed;
+          Get(backend).gram_rows(x.data(), second->data(), rows.data(),
+                                 rows.size(), rank, got.data());
+          for (size_t e = 0; e < rank * rank; ++e) {
+            ASSERT_EQ(Bits(got.data()[e]), Bits(want.data()[e]))
+                << BackendName(backend) << " rank=" << rank
+                << " rows=" << count << " cross=" << (second == &y)
+                << " e=" << e;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelsQuantizedTest, Bf16RoundTripWithinDocumentedRelativeBound) {
   Rng rng(6);
   for (size_t n : kLengths) {
@@ -272,25 +457,27 @@ TEST(KernelsQuantizedTest, QuantizeRecordsExactColumnErrorBounds) {
   Rng rng(8);
   const Matrix source = Matrix::RandomGaussian(41, 13, rng);
 
-  const Bf16Matrix bf16 = QuantizeBf16(source);
-  const Matrix bf16_back = Dequantize(bf16);
+  const Bf16Matrix bf16 =
+      QuantizeBf16(source.data(), source.rows(), source.cols());
+  const std::vector<double> bf16_back = Dequantize(bf16);
   for (size_t c = 0; c < source.cols(); ++c) {
     double observed = 0.0;
     for (size_t r = 0; r < source.rows(); ++r) {
       observed = std::max(observed, std::abs(source.At(r, c) -
-                                             bf16_back.At(r, c)));
+                                             bf16_back[r * source.cols() + c]));
     }
     // Recorded bound is the exact max, so equality must hold.
     EXPECT_EQ(observed, bf16.col_max_abs_err[c]) << "col " << c;
   }
 
-  const Int8Matrix i8 = QuantizeInt8(source);
-  const Matrix i8_back = Dequantize(i8);
+  const Int8Matrix i8 =
+      QuantizeInt8(source.data(), source.rows(), source.cols());
+  const std::vector<double> i8_back = Dequantize(i8);
   for (size_t c = 0; c < source.cols(); ++c) {
     double observed = 0.0;
     for (size_t r = 0; r < source.rows(); ++r) {
-      observed =
-          std::max(observed, std::abs(source.At(r, c) - i8_back.At(r, c)));
+      observed = std::max(observed, std::abs(source.At(r, c) -
+                                             i8_back[r * source.cols() + c]));
     }
     EXPECT_EQ(observed, i8.col_max_abs_err[c]) << "col " << c;
     // And by construction the error is at most half a quantization step.
@@ -302,15 +489,14 @@ TEST(KernelsQuantizedTest, QuantizeRecordsExactColumnErrorBounds) {
 TEST(KernelsQuantizedTest, ZeroColumnsQuantizeExactlyInInt8) {
   Matrix source(9, 3);
   source.Fill(0.0);
-  const Int8Matrix q = QuantizeInt8(source);
+  const Int8Matrix q = QuantizeInt8(source.data(), 9, 3);
   for (size_t c = 0; c < 3; ++c) {
     EXPECT_EQ(q.col_scale[c], 0.0);
     EXPECT_EQ(q.col_max_abs_err[c], 0.0);
   }
-  const Matrix back = Dequantize(q);
-  for (size_t r = 0; r < 9; ++r) {
-    for (size_t c = 0; c < 3; ++c) EXPECT_EQ(back.At(r, c), 0.0);
-  }
+  const std::vector<double> back = Dequantize(q);
+  ASSERT_EQ(back.size(), 27u);
+  for (double v : back) EXPECT_EQ(v, 0.0);
 }
 
 TEST(KernelsQuantizedTest, QuantizedScanErrorWithinPerQueryBound) {
@@ -318,8 +504,8 @@ TEST(KernelsQuantizedTest, QuantizedScanErrorWithinPerQueryBound) {
   const size_t rank = 12;
   const size_t num_rows = 101;
   const Matrix cand = Matrix::RandomGaussian(num_rows, rank, rng);
-  const Bf16Matrix bf16 = QuantizeBf16(cand);
-  const Int8Matrix i8 = QuantizeInt8(cand);
+  const Bf16Matrix bf16 = QuantizeBf16(cand.data(), num_rows, rank);
+  const Int8Matrix i8 = QuantizeInt8(cand.data(), num_rows, rank);
   const std::vector<double> weights = RandomVector(rank, rng);
 
   double bf16_bound = 0.0;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "la/ops.h"
+#include "test_util.h"
 
 namespace dismastd {
 namespace {
@@ -50,29 +51,6 @@ TEST(CholeskySolveRowsTest, SolvesRowSystems) {
   EXPECT_TRUE(x.AllClose(x_true, 1e-8));
 }
 
-/// The per-row forward and back substitution CholeskySolveRows used to run:
-/// the oracle its row-interleaved blocks must match bit for bit.
-Matrix SolveRowByRow(const Matrix& lower, const Matrix& rhs_rows) {
-  const size_t n = lower.rows();
-  Matrix x(rhs_rows.rows(), n);
-  std::vector<double> y(n);
-  for (size_t r = 0; r < rhs_rows.rows(); ++r) {
-    const double* b = rhs_rows.RowPtr(r);
-    for (size_t i = 0; i < n; ++i) {
-      double sum = b[i];
-      for (size_t k = 0; k < i; ++k) sum -= lower(i, k) * y[k];
-      y[i] = sum / lower(i, i);
-    }
-    double* out = x.RowPtr(r);
-    for (size_t ii = n; ii-- > 0;) {
-      double sum = y[ii];
-      for (size_t k = ii + 1; k < n; ++k) sum -= lower(k, ii) * out[k];
-      out[ii] = sum / lower(ii, ii);
-    }
-  }
-  return x;
-}
-
 TEST(CholeskySolveRowsTest, BlockedMatchesPerRowOracleBitForBit) {
   // Ranks around the 8-lane width and row counts around the 8-row block:
   // empty, a lone padded row, partial, exact and overflowing blocks.
@@ -83,7 +61,8 @@ TEST(CholeskySolveRowsTest, BlockedMatchesPerRowOracleBitForBit) {
       Rng rng(43 + 100 * n + m);
       const Matrix rhs = Matrix::RandomGaussian(m, n, rng);
       const Matrix x = CholeskySolveRows(lower, rhs);
-      EXPECT_TRUE(x == SolveRowByRow(lower, rhs)) << "R=" << n << " rows=" << m;
+      EXPECT_TRUE(x == test::SolveRowByRow(lower, rhs))
+          << "R=" << n << " rows=" << m;
     }
   }
 }

@@ -27,6 +27,30 @@ inline DenseLowRank MakeDenseLowRank(const std::vector<uint64_t>& dims,
   return DenseLowRank{std::move(g.tensor), std::move(g.ground_truth)};
 }
 
+/// The per-row forward and back substitution of X · LLᵀ = RHS: the oracle
+/// the lane-blocked solve (CholeskySolveRows, cholesky_solve_lanes) must
+/// match bit for bit.
+inline Matrix SolveRowByRow(const Matrix& lower, const Matrix& rhs_rows) {
+  const size_t n = lower.rows();
+  Matrix x(rhs_rows.rows(), n);
+  std::vector<double> y(n);
+  for (size_t r = 0; r < rhs_rows.rows(); ++r) {
+    const double* b = rhs_rows.RowPtr(r);
+    for (size_t i = 0; i < n; ++i) {
+      double sum = b[i];
+      for (size_t k = 0; k < i; ++k) sum -= lower(i, k) * y[k];
+      y[i] = sum / lower(i, i);
+    }
+    double* out = x.RowPtr(r);
+    for (size_t ii = n; ii-- > 0;) {
+      double sum = y[ii];
+      for (size_t k = ii + 1; k < n; ++k) sum -= lower(k, ii) * out[k];
+      out[ii] = sum / lower(ii, ii);
+    }
+  }
+  return x;
+}
+
 }  // namespace test
 }  // namespace dismastd
 
