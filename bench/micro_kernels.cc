@@ -11,8 +11,8 @@
 //   --kernel scalar|avx2|avx512   force the dispatched backend for the
 //                                 google-benchmark suite
 //   --kernel-sweep=FILE           run the backend x precision sweep
-//                                 (MTTKRP, lane-block solve and row-list
-//                                 Gram fp64, top-K fp64/bf16/int8 on
+//                                 (COO MTTKRP, row-list solve and
+//                                 row-list Gram fp64, top-K fp64/bf16/int8 on
 //                                 every supported backend) and append CSV
 //                                 rows op,backend,precision,rank,items,
 //                                 seconds,rows_per_s,gb_per_s to FILE
@@ -252,8 +252,9 @@ BENCHMARK(BM_DisMastdStep)->Arg(8)->Unit(benchmark::kMillisecond);
 // Times the kernel-table entry points directly — no engine or partial-sort
 // overhead — on every backend this host supports, and appends CSV rows
 //   op,backend,precision,rank,items,seconds,rows_per_s,gb_per_s
-// to FILE. "mttkrp", "solve" (the Eq. 5 substitution over lane blocks) and
-// "gram" (the row-list Gram update) rows cover fp64 (the decomposition path
+// to FILE. "mttkrp" (the COO MTTKRP over one non-zero list), "solve" (the
+// row-list Eq. 5 solve, old-row numerators included) and "gram" (the
+// row-list Gram update) rows cover fp64 (the decomposition path
 // is fp64-only by the determinism contract); "topk" rows cover fp64, bf16
 // and int8 candidate scans. CI greps this CSV to assert the vectorized
 // backends actually ran.
@@ -299,31 +300,33 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
   report.AddMetric("gb_per_s", "GB/s", "info");
   Rng rng(99);
 
-  // MTTKRP inputs: one synthetic 3-mode non-zero stream — two non-target
-  // factor rows and one accumulator row per element.
+  // MTTKRP inputs: one synthetic 3-mode COO list — an accumulator row and
+  // two non-target factor rows per non-zero, target mode 0.
   constexpr size_t kMttkrpItems = 1 << 20;
   constexpr size_t kSideRows = 4096;
   const Matrix fa = Matrix::Random(kSideRows, kRank, rng);
   const Matrix fb = Matrix::Random(kSideRows, kRank, rng);
   Matrix out(kSideRows, kRank);
-  std::vector<std::array<const double*, 2>> nnz_rows(kMttkrpItems);
-  std::vector<const double*> out_rows(kMttkrpItems);
+  std::vector<uint64_t> nnz_indices(3 * kMttkrpItems);
   std::vector<double> nnz_values(kMttkrpItems);
   for (size_t i = 0; i < kMttkrpItems; ++i) {
-    nnz_rows[i] = {fa.RowPtr(rng.NextBounded(kSideRows)),
-                   fb.RowPtr(rng.NextBounded(kSideRows))};
-    out_rows[i] = out.RowPtr(rng.NextBounded(kSideRows));
+    for (size_t m = 0; m < 3; ++m) {
+      nnz_indices[3 * i + m] = rng.NextBounded(kSideRows);
+    }
     nnz_values[i] = rng.NextDouble(-1.0, 1.0);
   }
+  const double* mttkrp_factors[3] = {nullptr, fa.data(), fb.data()};
 
-  // Row-update inputs: one R x R Cholesky factor, right-hand sides already
-  // in lane blocks (restored before every timed solve, which works in
-  // place), and a random row list over the MTTKRP side matrix for the Gram.
-  constexpr size_t kSolveBlocks = 1024;
+  // Row-update inputs: one R x R Cholesky factor, the transposed weights of
+  // the old-row numerator, MTTKRP and previous-factor rows, and a random
+  // row list over the MTTKRP side matrix for the solve and the Gram.
+  constexpr size_t kSolveRows = 1 << 13;
   const Matrix basis = Matrix::Random(2 * kRank, kRank, rng);
   const Matrix lower = FactorNormalEquations(TransposeTimes(basis, basis));
-  const Matrix rhs = Matrix::Random(kSolveBlocks * kernels::kLanes, kRank, rng);
-  std::vector<double> lane_blocks(rhs.size());
+  const Matrix weights_t = Matrix::Random(kRank, kRank, rng);
+  Matrix solved(kSideRows, kRank);
+  std::vector<uint64_t> solve_rows(kSolveRows);
+  for (uint64_t& r : solve_rows) r = rng.NextBounded(kSideRows);
   constexpr size_t kGramRows = 1 << 16;
   std::vector<uint64_t> gram_rows(kGramRows);
   for (uint64_t& r : gram_rows) r = rng.NextBounded(kSideRows);
@@ -357,11 +360,10 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
       out.Fill(0.0);
       constexpr size_t kReps = 4;
       const double secs = TimeSeconds(kReps, [&] {
-        for (size_t i = 0; i < kMttkrpItems; ++i) {
-          kern.mttkrp_row(nnz_values[i], nnz_rows[i].data(), 2, kRank,
-                          const_cast<double*>(out_rows[i]));
-        }
+        kern.mttkrp_coo(nnz_indices.data(), nnz_values.data(), kMttkrpItems,
+                        3, 0, mttkrp_factors, kRank, out.data());
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
       });
       const double items = static_cast<double>(kMttkrpItems) * kReps;
       // Two factor-row reads plus an accumulator read-modify-write.
@@ -371,19 +373,16 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
 
     {
       constexpr size_t kReps = 16;
-      double secs = 0.0;
-      for (size_t r = 0; r < kReps; ++r) {
-        std::copy(rhs.data(), rhs.data() + rhs.size(), lane_blocks.data());
-        secs += TimeSeconds(1, [&] {
-          kern.cholesky_solve_lanes(lower.data(), kRank, lane_blocks.data(),
-                                    kSolveBlocks);
-          benchmark::DoNotOptimize(lane_blocks.data());
-        });
-      }
-      const double items =
-          static_cast<double>(kSolveBlocks * kernels::kLanes) * kReps;
-      // Each row is read and written once.
-      const double bytes = items * 2.0 * kRank * sizeof(double);
+      const double secs = TimeSeconds(kReps, [&] {
+        kern.solve_rows(lower.data(), kRank, fa.data(), fb.data(),
+                        weights_t.data(), 0.8, solve_rows.data(), kSolveRows,
+                        solved.data());
+        benchmark::DoNotOptimize(solved.data());
+        benchmark::ClobberMemory();
+      });
+      const double items = static_cast<double>(kSolveRows) * kReps;
+      // Each row reads its MTTKRP and previous-factor rows and writes one.
+      const double bytes = items * 3.0 * kRank * sizeof(double);
       EmitSweepRow(csv, &report, "solve", backend, "f64", kRank, items, secs,
                    bytes);
     }

@@ -21,7 +21,9 @@ Status ByteReader::ReadDoubleVec(std::vector<double>* out) {
     return Status::OutOfRange("ByteReader: double span exceeds buffer");
   }
   out->resize(count);
-  std::memcpy(out->data(), data_ + pos_, count * sizeof(double));
+  if (count > 0) {
+    std::memcpy(out->data(), data_ + pos_, count * sizeof(double));
+  }
   pos_ += count * sizeof(double);
   return Status::OK();
 }
@@ -33,7 +35,9 @@ Status ByteReader::ReadU64Vec(std::vector<uint64_t>* out) {
     return Status::OutOfRange("ByteReader: u64 span exceeds buffer");
   }
   out->resize(count);
-  std::memcpy(out->data(), data_ + pos_, count * sizeof(uint64_t));
+  if (count > 0) {
+    std::memcpy(out->data(), data_ + pos_, count * sizeof(uint64_t));
+  }
   pos_ += count * sizeof(uint64_t);
   return Status::OK();
 }

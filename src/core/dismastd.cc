@@ -443,16 +443,21 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
       // worker rewrites only the factor rows its partitions own. The two
       // R x R systems are replicated and shared by every row of the mode,
       // so the driver builds and factors them once; workers stream their
-      // rows through lane blocks (old rows precede new rows in each
-      // ascending partition row list).
+      // rows through the row-list solve (old rows precede new rows in each
+      // ascending partition row list) and add each solved chunk to their
+      // Gram partials for superstep B while its rows are still in cache.
       const DtdModeSystems sys = FactorDtdModeSystems(g0, g1, h, n, mu);
       const Matrix* prev_factor = old_rows > 0 ? &prev.factor(n) : nullptr;
+      std::vector<Matrix> p_g0(workers, Matrix(rank, rank));
+      std::vector<Matrix> p_g1(workers, Matrix(rank, rank));
+      std::vector<Matrix> p_h(workers, Matrix(rank, rank));
       exec.Run(&acct, [&](uint32_t w, SuperstepAccounting& shard) {
+        const DtdGramPartials partials{&p_g0[w], &p_h[w], &p_g1[w]};
         for (uint32_t q = w; q < parts; q += workers) {
           const auto& rows = rows_of_part[n][q];
           if (rows.empty()) continue;
           DtdUpdateRows(kern, sys, prev_factor, mttkrp, old_rows, rows.data(),
-                        rows.size(), &factors[n]);
+                        rows.size(), &factors[n], &partials);
           // Simulated cost is per partition: on a real cluster each owner
           // factors and solves its own copy of the replicated system.
           shard.AddTask(w, rows.size() * 4 * rank * rank +
@@ -467,12 +472,10 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
       }
 
       // --- Superstep B: all-to-all reduction of the Gram products. ---
+      // The simulated cluster still charges the partials here, where the
+      // paper computes them: 2R² per old row (g0 and h), R² per new row.
       SuperstepAccounting reduce_acct = cluster.NewSuperstep();
-      std::vector<Matrix> p_g0(workers, Matrix(rank, rank));
-      std::vector<Matrix> p_g1(workers, Matrix(rank, rank));
-      std::vector<Matrix> p_h(workers, Matrix(rank, rank));
       exec.Run(&reduce_acct, [&](uint32_t w, SuperstepAccounting& shard) {
-        const double* a = factors[n].data();
         for (uint32_t q = w; q < parts; q += workers) {
           // Ascending rows: the old-range rows form the list's prefix.
           const auto& rows = rows_of_part[n][q];
@@ -481,13 +484,6 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
                                static_cast<uint64_t>(old_rows)) -
               rows.begin());
           const size_t num_new = rows.size() - num_old;
-          if (num_old > 0) {
-            kern.gram_rows(a, a, rows.data(), num_old, rank, p_g0[w].data());
-            kern.gram_rows(prev_factor->data(), a, rows.data(), num_old, rank,
-                           p_h[w].data());
-          }
-          kern.gram_rows(a, a, rows.data() + num_old, num_new, rank,
-                         p_g1[w].data());
           shard.AddTask(w, (2 * num_old + num_new) * rank * rank);
         }
       });

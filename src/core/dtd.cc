@@ -67,57 +67,36 @@ DtdModeSystems FactorDtdModeSystems(const std::vector<Matrix>& g0,
 
 void DtdUpdateRows(const kernels::KernelTable& kern, const DtdModeSystems& sys,
                    const Matrix* prev, const Matrix& mttkrp, size_t old_rows,
-                   const uint64_t* rows, size_t num_rows, Matrix* factor) {
-  constexpr size_t kLanes = kernels::kLanes;
-  // Rows per solve call: four lane blocks, enough for the kernels to
-  // interleave the blocks' substitution chains.
-  constexpr size_t kChunkRows = 4 * kLanes;
+                   const uint64_t* rows, size_t num_rows, Matrix* factor,
+                   const DtdGramPartials* partials) {
+  // Rows per solve call: enough for the kernels to interleave four lane
+  // blocks' substitution chains, few enough that the Gram pass finds the
+  // chunk's rows still in L1.
+  constexpr size_t kChunkRows = 32;
   const size_t rank = factor->cols();
-  const size_t block_size = rank * kLanes;
   const uint64_t* const end = rows + num_rows;
   const uint64_t* const first_new =
       std::lower_bound(rows, end, static_cast<uint64_t>(old_rows));
-  std::vector<double> blocks(kChunkRows * rank);
-  std::vector<double> prev_block(block_size);
-  const double* in[kLanes];
-  double* out[kChunkRows];
-  const uint64_t* b = rows;
-  while (b < end) {
+  double* a = factor->data();
+  for (const uint64_t* b = rows; b < end;) {
     const bool old = b < first_new;
-    const uint64_t* const run_end = old ? first_new : end;
-    const size_t count = std::min(kChunkRows, static_cast<size_t>(run_end - b));
-    const size_t num_blocks = (count + kLanes - 1) / kLanes;
-    for (size_t k = 0; k < count; ++k) {
-      out[k] = factor->RowPtr(static_cast<size_t>(b[k]));
-    }
+    const size_t count = std::min(
+        kChunkRows, static_cast<size_t>((old ? first_new : end) - b));
     const Matrix& lower = old ? sys.lower_old : sys.lower_new;
     if (lower.empty()) {
-      for (size_t k = 0; k < count; ++k) std::fill(out[k], out[k] + rank, 0.0);
-      b += count;
-      continue;
-    }
-    for (size_t q = 0; q < num_blocks; ++q) {
-      const uint64_t* block_rows = b + q * kLanes;
-      const size_t lanes = std::min(kLanes, count - q * kLanes);
-      double* block = blocks.data() + q * block_size;
-      for (size_t l = 0; l < lanes; ++l) {
-        in[l] = mttkrp.RowPtr(static_cast<size_t>(block_rows[l]));
+      for (size_t k = 0; k < count; ++k) {
+        std::fill_n(factor->RowPtr(static_cast<size_t>(b[k])), rank, 0.0);
       }
-      kernels::GatherLanes(in, lanes, rank, block);
-      if (old) {
-        for (size_t l = 0; l < lanes; ++l) {
-          in[l] = prev->RowPtr(static_cast<size_t>(block_rows[l]));
-        }
-        kernels::GatherLanes(in, lanes, rank, prev_block.data());
-        kern.dtd_numerator_lanes(prev_block.data(), sys.had_h_t.data(), rank,
-                                 sys.mu, block);
-      }
+    } else {
+      kern.solve_rows(lower.data(), rank, mttkrp.data(),
+                      old ? prev->data() : nullptr, sys.had_h_t.data(),
+                      sys.mu, b, count, a);
     }
-    kern.cholesky_solve_lanes(lower.data(), rank, blocks.data(), num_blocks);
-    for (size_t q = 0; q < num_blocks; ++q) {
-      kernels::ScatterLanes(blocks.data() + q * block_size,
-                            std::min(kLanes, count - q * kLanes), rank,
-                            out + q * kLanes);
+    if (partials != nullptr && old) {
+      kern.gram_rows(a, a, b, count, rank, partials->g0->data());
+      kern.gram_rows(prev->data(), a, b, count, rank, partials->h->data());
+    } else if (partials != nullptr) {
+      kern.gram_rows(a, a, b, count, rank, partials->g1->data());
     }
     b += count;
   }
@@ -198,7 +177,7 @@ AlsResult DynamicTensorDecomposition(const SparseTensor& delta,
       const DtdModeSystems sys = FactorDtdModeSystems(g0, g1, h, n, mu);
       DtdUpdateRows(kern, sys, old_rows > 0 ? &prev.factor(n) : nullptr,
                     mttkrp, old_rows, all_rows[n].data(), all_rows[n].size(),
-                    &factors[n]);
+                    &factors[n], /*partials=*/nullptr);
       refresh_products(n);
       if (n + 1 == order) mttkrp_last = std::move(mttkrp);
     }

@@ -68,18 +68,32 @@ DtdModeSystems FactorDtdModeSystems(const std::vector<Matrix>& g0,
                                     const std::vector<Matrix>& h, size_t n,
                                     double mu);
 
+/// Running Gram partials over the rows DtdUpdateRows writes (§IV-B3):
+/// g0 += A_n[r]ᵀA_n[r] and h += Ã_n[r]ᵀA_n[r] over old-range rows, g1 +=
+/// A_n[r]ᵀA_n[r] over new rows, each R x R.
+struct DtdGramPartials {
+  Matrix* g0 = nullptr;
+  Matrix* h = nullptr;
+  Matrix* g1 = nullptr;
+};
+
 /// Eq. 5 for the rows of one mode listed in `rows`, which must be
-/// ascending, so the old-range rows (index < old_rows) come first. Rows
-/// stream through lane blocks of kernels::kLanes: gather Â = mttkrp rows
-/// (and Ã = prev rows), build old rows' numerators μ·Ã[r,:]·had_h + Â[r,:],
-/// solve against the mode's system, and scatter into `factor`. A block
-/// never mixes old and new rows. An empty factor (every ridge retry
-/// failed) gives the zero update. `prev` is Ã_n and may be null when
-/// old_rows == 0. Each row's result is bit-identical to its per-row
-/// numerator (topk_score_block against had_hᵀ) and per-row substitution.
+/// ascending, so the old-range rows (index < old_rows) come first. Rows go
+/// to the kernel table's solve_rows in chunks of at most 32 that never mix
+/// old and new rows: old rows with their numerators μ·Ã[r,:]·had_h +
+/// Â[r,:] against the old-row system, new rows with Â[r,:] against the
+/// new-row system, the result written into `factor`. An empty factor
+/// (every ridge retry failed) gives the zero update. `prev` is Ã_n and may
+/// be null when old_rows == 0. With `partials`, each chunk's updated rows
+/// are added to them by gram_rows right after the chunk is solved, while
+/// they are still in cache; the partials then equal one gram_rows call
+/// over the old rows (g0, h) and one over the new rows (g1). Each row's
+/// result is bit-identical to its per-row numerator (topk_score_block
+/// against had_hᵀ) and per-row substitution.
 void DtdUpdateRows(const kernels::KernelTable& kern, const DtdModeSystems& sys,
                    const Matrix* prev, const Matrix& mttkrp, size_t old_rows,
-                   const uint64_t* rows, size_t num_rows, Matrix* factor);
+                   const uint64_t* rows, size_t num_rows, Matrix* factor,
+                   const DtdGramPartials* partials);
 
 }  // namespace dismastd
 

@@ -12,26 +12,89 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <vector>
 
 namespace dismastd {
 namespace kernels {
 namespace {
 
-void MttkrpRowAvx2(double value, const double* const* rows, size_t num_rows,
-                   size_t rank, double* out) {
-  const size_t r4 = rank & ~static_cast<size_t>(3);
-  size_t f = 0;
-  for (; f < r4; f += 4) {
-    __m256d v = _mm256_set1_pd(value);
-    for (size_t m = 0; m < num_rows; ++m) {
-      v = _mm256_mul_pd(v, _mm256_loadu_pd(rows[m] + f));
-    }
-    _mm256_storeu_pd(out + f, _mm256_add_pd(_mm256_loadu_pd(out + f), v));
+using detail::kLanes;
+
+/// Lanes [0, width) of a 4-lane maskload/maskstore mask.
+inline __m256i ColumnMask(size_t width) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(width)),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+/// mttkrp_coo over output columns [j0, j0 + 4·kVecs), masked past `rank`.
+/// Each lane runs the scalar entry's products in ascending mode order and
+/// one add. While consecutive entries share an output row, its partial
+/// stays in registers and is stored once the row changes — the same adds
+/// in the same order, without a store-to-load round trip per entry (sorted
+/// COO lists repeat output rows).
+template <size_t kVecs>
+void MttkrpPanelAvx2(const uint64_t* indices, const double* values,
+                     size_t nnz, size_t order, size_t mode,
+                     const size_t* other_modes, const double* const* factors,
+                     size_t rank, size_t j0, double* out) {
+  __m256i mask[kVecs];
+  for (size_t v = 0; v < kVecs; ++v) {
+    mask[v] = ColumnMask(rank - std::min(rank, j0 + 4 * v));
   }
-  for (; f < rank; ++f) {
-    double v = value;
-    for (size_t m = 0; m < num_rows; ++m) v *= rows[m][f];
-    out[f] += v;
+  const size_t num_other = order - 1;
+  __m256d acc[kVecs];
+  for (size_t v = 0; v < kVecs; ++v) acc[v] = _mm256_setzero_pd();
+  double* row_out = nullptr;
+  for (size_t e = 0; e < nnz; ++e) {
+    const uint64_t* idx = indices + e * order;
+    double* o = out + idx[mode] * rank + j0;
+    if (o != row_out) {
+      for (size_t v = 0; row_out != nullptr && v < kVecs; ++v) {
+        _mm256_maskstore_pd(row_out + 4 * v, mask[v], acc[v]);
+      }
+      row_out = o;
+      for (size_t v = 0; v < kVecs; ++v) {
+        acc[v] = _mm256_maskload_pd(o + 4 * v, mask[v]);
+      }
+    }
+    const __m256d value = _mm256_set1_pd(values[e]);
+    __m256d prod[kVecs];
+    for (size_t v = 0; v < kVecs; ++v) prod[v] = value;
+    for (size_t k = 0; k < num_other; ++k) {
+      const size_t m = other_modes[k];
+      const double* row = factors[m] + idx[m] * rank + j0;
+      for (size_t v = 0; v < kVecs; ++v) {
+        prod[v] = _mm256_mul_pd(prod[v],
+                                _mm256_maskload_pd(row + 4 * v, mask[v]));
+      }
+    }
+    for (size_t v = 0; v < kVecs; ++v) acc[v] = _mm256_add_pd(acc[v], prod[v]);
+  }
+  for (size_t v = 0; row_out != nullptr && v < kVecs; ++v) {
+    _mm256_maskstore_pd(row_out + 4 * v, mask[v], acc[v]);
+  }
+}
+
+/// Panels of up to 12 output columns, each a pass over the entry list.
+void MttkrpCooAvx2(const uint64_t* indices, const double* values, size_t nnz,
+                   size_t order, size_t mode, const double* const* factors,
+                   size_t rank, double* out) {
+  std::vector<size_t> other_modes;
+  for (size_t m = 0; m < order; ++m) {
+    if (m != mode) other_modes.push_back(m);
+  }
+  for (size_t j0 = 0; j0 < rank; j0 += 12) {
+    const size_t width = std::min<size_t>(12, rank - j0);
+    if (width > 8) {
+      MttkrpPanelAvx2<3>(indices, values, nnz, order, mode,
+                         other_modes.data(), factors, rank, j0, out);
+    } else if (width > 4) {
+      MttkrpPanelAvx2<2>(indices, values, nnz, order, mode,
+                         other_modes.data(), factors, rank, j0, out);
+    } else {
+      MttkrpPanelAvx2<1>(indices, values, nnz, order, mode,
+                         other_modes.data(), factors, rank, j0, out);
+    }
   }
 }
 
@@ -63,9 +126,7 @@ void GramTileAvx2(const double* x, const double* y, const uint64_t* rows,
                   size_t j0, double* out) {
   __m256i mask[kVecs];
   for (size_t v = 0; v < kVecs; ++v) {
-    const size_t left = rank - std::min(rank, j0 + 4 * v);
-    mask[v] = _mm256_setr_epi64x(left > 0 ? -1 : 0, left > 1 ? -1 : 0,
-                                 left > 2 ? -1 : 0, left > 3 ? -1 : 0);
+    mask[v] = ColumnMask(rank - std::min(rank, j0 + 4 * v));
   }
   __m256d acc[4][kVecs];
 #pragma GCC unroll 4
@@ -175,18 +236,6 @@ void CholeskySolveBlocksAvx2(const double* lower, size_t n, double* blocks) {
   }
 }
 
-void CholeskySolveLanesAvx2(const double* lower, size_t n, double* blocks,
-                            size_t num_blocks) {
-  const size_t stride = n * kLanes;
-  size_t q = 0;
-  for (; q + 2 <= num_blocks; q += 2) {
-    CholeskySolveBlocksAvx2<2>(lower, n, blocks + q * stride);
-  }
-  if (q < num_blocks) {
-    CholeskySolveBlocksAvx2<1>(lower, n, blocks + q * stride);
-  }
-}
-
 /// Partial k of four lanes' blocked-8 dots lives in one ymm; the block's
 /// two lane halves run one after the other so the 8 partials of a half
 /// stay in registers. Element i lands in partial i mod 8.
@@ -220,6 +269,114 @@ void DtdNumeratorLanesAvx2(const double* prev_block, const double* weights_t,
       double* out = block + c * kLanes + half;
       _mm256_storeu_pd(out, _mm256_add_pd(_mm256_mul_pd(vmu, dot),
                                           _mm256_loadu_pd(out)));
+    }
+  }
+}
+
+/// In-register 4x4 transpose: on exit v[j] lane l holds what v[l] lane j
+/// held on entry.
+inline void Transpose4x4(__m256d v[4]) {
+  const __m256d t0 = _mm256_unpacklo_pd(v[0], v[1]);
+  const __m256d t1 = _mm256_unpackhi_pd(v[0], v[1]);
+  const __m256d t2 = _mm256_unpacklo_pd(v[2], v[3]);
+  const __m256d t3 = _mm256_unpackhi_pd(v[2], v[3]);
+  v[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+  v[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+  v[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+  v[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+/// Moves the `count` (<= kLanes) listed rows of row-major `m` into the lanes
+/// of `block` by 4x4 transposes, one lane half at a time; the rank mod 4
+/// tail and missing lanes are zero.
+void GatherLanesAvx2(const double* m, const uint64_t* rows, size_t count,
+                     size_t rank, double* block) {
+  for (size_t half = 0; half < kLanes; half += 4) {
+    for (size_t j0 = 0; j0 < rank; j0 += 4) {
+      const size_t width = std::min<size_t>(4, rank - j0);
+      const __m256i mask = ColumnMask(width);
+      __m256d v[4];
+#pragma GCC unroll 4
+      for (size_t l = 0; l < 4; ++l) {
+        if (half + l >= count) {
+          v[l] = _mm256_setzero_pd();
+          continue;
+        }
+        const double* row = m + rows[half + l] * rank + j0;
+        v[l] = width == 4 ? _mm256_loadu_pd(row)
+                          : _mm256_maskload_pd(row, mask);
+      }
+      Transpose4x4(v);
+#pragma GCC unroll 4
+      for (size_t j = 0; j < 4; ++j) {
+        if (j < width) _mm256_storeu_pd(block + (j0 + j) * kLanes + half, v[j]);
+      }
+    }
+  }
+}
+
+/// Moves lane l of `block` to listed row l of row-major `m`, l < count.
+void ScatterLanesAvx2(const double* block, const uint64_t* rows, size_t count,
+                      size_t rank, double* m) {
+  for (size_t half = 0; half < count; half += 4) {
+    for (size_t j0 = 0; j0 < rank; j0 += 4) {
+      const size_t width = std::min<size_t>(4, rank - j0);
+      const __m256i mask = ColumnMask(width);
+      __m256d v[4];
+#pragma GCC unroll 4
+      for (size_t j = 0; j < 4; ++j) {
+        v[j] = j < width ? _mm256_loadu_pd(block + (j0 + j) * kLanes + half)
+                         : _mm256_setzero_pd();
+      }
+      Transpose4x4(v);
+#pragma GCC unroll 4
+      for (size_t l = 0; l < 4; ++l) {
+        if (half + l < count) {
+          double* row = m + rows[half + l] * rank + j0;
+          if (width == 4) {
+            _mm256_storeu_pd(row, v[l]);
+          } else {
+            _mm256_maskstore_pd(row, mask, v[l]);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Blocks solved side by side per group.
+constexpr size_t kSolveGroup = 2;
+
+/// Up to kSolveGroup lane blocks at a time: transpose the rows in (and
+/// form their numerators right after), solve the group's blocks side by
+/// side, transpose them out.
+void SolveRowsAvx2(const double* lower, size_t rank, const double* rhs,
+                   const double* prev, const double* weights_t, double mu,
+                   const uint64_t* rows, size_t num_rows, double* out) {
+  const size_t stride = rank * kLanes;
+  double* blocks = detail::LaneBuffer((kSolveGroup + 1) * stride);
+  double* prev_block = blocks + kSolveGroup * stride;
+  for (size_t r0 = 0; r0 < num_rows; r0 += kSolveGroup * kLanes) {
+    const size_t count = std::min(kSolveGroup * kLanes, num_rows - r0);
+    const size_t num_blocks = (count + kLanes - 1) / kLanes;
+    for (size_t q = 0; q < num_blocks; ++q) {
+      const uint64_t* block_rows = rows + r0 + q * kLanes;
+      const size_t lanes = std::min(kLanes, count - q * kLanes);
+      double* block = blocks + q * stride;
+      GatherLanesAvx2(rhs, block_rows, lanes, rank, block);
+      if (prev != nullptr) {
+        GatherLanesAvx2(prev, block_rows, lanes, rank, prev_block);
+        DtdNumeratorLanesAvx2(prev_block, weights_t, rank, mu, block);
+      }
+    }
+    if (num_blocks == 2) {
+      CholeskySolveBlocksAvx2<2>(lower, rank, blocks);
+    } else {
+      CholeskySolveBlocksAvx2<1>(lower, rank, blocks);
+    }
+    for (size_t q = 0; q < num_blocks; ++q) {
+      ScatterLanesAvx2(blocks + q * stride, rows + r0 + q * kLanes,
+                       std::min(kLanes, count - q * kLanes), rank, out);
     }
   }
 }
@@ -383,11 +540,10 @@ const KernelTable& Avx2Kernels() {
   static const KernelTable table = [] {
     KernelTable t;
     t.backend = Backend::kAvx2;
-    t.mttkrp_row = MttkrpRowAvx2;
+    t.mttkrp_coo = MttkrpCooAvx2;
     t.hadamard_combine = HadamardCombineAvx2;
     t.gram_rows = GramRowsAvx2;
-    t.cholesky_solve_lanes = CholeskySolveLanesAvx2;
-    t.dtd_numerator_lanes = DtdNumeratorLanesAvx2;
+    t.solve_rows = SolveRowsAvx2;
     t.dot_strided = DotStridedAvx2;
     t.topk_score_block = TopKScoreBlockAvx2;
     t.f64_to_bf16 = F64ToBf16Plain;

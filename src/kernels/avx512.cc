@@ -11,10 +11,13 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <vector>
 
 namespace dismastd {
 namespace kernels {
 namespace {
+
+using detail::kLanes;
 
 /// Reduces an 8-lane accumulator plus a scalar tail. The lanes of `acc`
 /// are the blocked-8 partials p0..p7; spilling and reusing
@@ -30,21 +33,76 @@ inline double ReduceWithTail(__m512d acc, const double* x, size_t incx,
   return detail::CombinePartials8(p);
 }
 
-void MttkrpRowAvx512(double value, const double* const* rows, size_t num_rows,
-                     size_t rank, double* out) {
-  const size_t r8 = rank & ~static_cast<size_t>(7);
-  size_t f = 0;
-  for (; f < r8; f += 8) {
-    __m512d v = _mm512_set1_pd(value);
-    for (size_t m = 0; m < num_rows; ++m) {
-      v = _mm512_mul_pd(v, _mm512_loadu_pd(rows[m] + f));
-    }
-    _mm512_storeu_pd(out + f, _mm512_add_pd(_mm512_loadu_pd(out + f), v));
+/// Lanes [0, min(width, 8)) of a zmm mask.
+inline __mmask8 ColumnMask(size_t width) {
+  return static_cast<__mmask8>(width >= 8 ? 0xFF : (1u << width) - 1u);
+}
+
+/// mttkrp_coo over output columns [j0, j0 + 8·kVecs), masked past `rank`.
+/// Each lane runs the scalar entry's products in ascending mode order and
+/// one add. While consecutive entries share an output row, its partial
+/// stays in registers and is stored once the row changes — the same adds
+/// in the same order, without a store-to-load round trip per entry (sorted
+/// COO lists repeat output rows).
+template <size_t kVecs>
+void MttkrpPanelAvx512(const uint64_t* indices, const double* values,
+                       size_t nnz, size_t order, size_t mode,
+                       const size_t* other_modes, const double* const* factors,
+                       size_t rank, size_t j0, double* out) {
+  __mmask8 mask[kVecs];
+  for (size_t v = 0; v < kVecs; ++v) {
+    mask[v] = ColumnMask(rank - std::min(rank, j0 + 8 * v));
   }
-  for (; f < rank; ++f) {
-    double v = value;
-    for (size_t m = 0; m < num_rows; ++m) v *= rows[m][f];
-    out[f] += v;
+  const size_t num_other = order - 1;
+  __m512d acc[kVecs];
+  for (size_t v = 0; v < kVecs; ++v) acc[v] = _mm512_setzero_pd();
+  double* row_out = nullptr;
+  for (size_t e = 0; e < nnz; ++e) {
+    const uint64_t* idx = indices + e * order;
+    double* o = out + idx[mode] * rank + j0;
+    if (o != row_out) {
+      for (size_t v = 0; row_out != nullptr && v < kVecs; ++v) {
+        _mm512_mask_storeu_pd(row_out + 8 * v, mask[v], acc[v]);
+      }
+      row_out = o;
+      for (size_t v = 0; v < kVecs; ++v) {
+        acc[v] = _mm512_maskz_loadu_pd(mask[v], o + 8 * v);
+      }
+    }
+    const __m512d value = _mm512_set1_pd(values[e]);
+    __m512d prod[kVecs];
+    for (size_t v = 0; v < kVecs; ++v) prod[v] = value;
+    for (size_t k = 0; k < num_other; ++k) {
+      const size_t m = other_modes[k];
+      const double* row = factors[m] + idx[m] * rank + j0;
+      for (size_t v = 0; v < kVecs; ++v) {
+        prod[v] = _mm512_mul_pd(prod[v],
+                                _mm512_maskz_loadu_pd(mask[v], row + 8 * v));
+      }
+    }
+    for (size_t v = 0; v < kVecs; ++v) acc[v] = _mm512_add_pd(acc[v], prod[v]);
+  }
+  for (size_t v = 0; row_out != nullptr && v < kVecs; ++v) {
+    _mm512_mask_storeu_pd(row_out + 8 * v, mask[v], acc[v]);
+  }
+}
+
+/// Panels of up to 16 output columns, each a pass over the entry list.
+void MttkrpCooAvx512(const uint64_t* indices, const double* values,
+                     size_t nnz, size_t order, size_t mode,
+                     const double* const* factors, size_t rank, double* out) {
+  std::vector<size_t> other_modes;
+  for (size_t m = 0; m < order; ++m) {
+    if (m != mode) other_modes.push_back(m);
+  }
+  for (size_t j0 = 0; j0 < rank; j0 += 16) {
+    if (rank - j0 > 8) {
+      MttkrpPanelAvx512<2>(indices, values, nnz, order, mode,
+                           other_modes.data(), factors, rank, j0, out);
+    } else {
+      MttkrpPanelAvx512<1>(indices, values, nnz, order, mode,
+                           other_modes.data(), factors, rank, j0, out);
+    }
   }
 }
 
@@ -82,8 +140,7 @@ void GramTileAvx512(const double* x, const double* y, const uint64_t* rows,
                     size_t j0, double* out) {
   __mmask8 mask[kVecs];
   for (size_t v = 0; v < kVecs; ++v) {
-    const size_t left = rank - std::min(rank, j0 + 8 * v);
-    mask[v] = static_cast<__mmask8>(left >= 8 ? 0xFF : (1u << left) - 1u);
+    mask[v] = ColumnMask(rank - std::min(rank, j0 + 8 * v));
   }
   __m512d acc[kGramTileRows][kVecs];
 #pragma GCC unroll 12
@@ -234,6 +291,112 @@ void DtdNumeratorLanesAvx512(const double* prev_block, const double* weights_t,
   }
 }
 
+/// In-register 8x8 transpose: on exit v[j] lane l holds what v[l] lane j
+/// held on entry.
+inline void Transpose8x8(__m512d v[8]) {
+  const __m512d t0 = _mm512_unpacklo_pd(v[0], v[1]);
+  const __m512d t1 = _mm512_unpackhi_pd(v[0], v[1]);
+  const __m512d t2 = _mm512_unpacklo_pd(v[2], v[3]);
+  const __m512d t3 = _mm512_unpackhi_pd(v[2], v[3]);
+  const __m512d t4 = _mm512_unpacklo_pd(v[4], v[5]);
+  const __m512d t5 = _mm512_unpackhi_pd(v[4], v[5]);
+  const __m512d t6 = _mm512_unpacklo_pd(v[6], v[7]);
+  const __m512d t7 = _mm512_unpackhi_pd(v[6], v[7]);
+  // u holds 128-bit pairs of columns {0,4}, {2,6}, {1,5}, {3,7} for rows
+  // 0-3 (u0..u3) and rows 4-7 (u4..u7).
+  const __m512d u0 = _mm512_shuffle_f64x2(t0, t2, 0x88);
+  const __m512d u1 = _mm512_shuffle_f64x2(t0, t2, 0xDD);
+  const __m512d u2 = _mm512_shuffle_f64x2(t1, t3, 0x88);
+  const __m512d u3 = _mm512_shuffle_f64x2(t1, t3, 0xDD);
+  const __m512d u4 = _mm512_shuffle_f64x2(t4, t6, 0x88);
+  const __m512d u5 = _mm512_shuffle_f64x2(t4, t6, 0xDD);
+  const __m512d u6 = _mm512_shuffle_f64x2(t5, t7, 0x88);
+  const __m512d u7 = _mm512_shuffle_f64x2(t5, t7, 0xDD);
+  v[0] = _mm512_shuffle_f64x2(u0, u4, 0x88);
+  v[4] = _mm512_shuffle_f64x2(u0, u4, 0xDD);
+  v[2] = _mm512_shuffle_f64x2(u1, u5, 0x88);
+  v[6] = _mm512_shuffle_f64x2(u1, u5, 0xDD);
+  v[1] = _mm512_shuffle_f64x2(u2, u6, 0x88);
+  v[5] = _mm512_shuffle_f64x2(u2, u6, 0xDD);
+  v[3] = _mm512_shuffle_f64x2(u3, u7, 0x88);
+  v[7] = _mm512_shuffle_f64x2(u3, u7, 0xDD);
+}
+
+/// Moves the `count` (<= kLanes) listed rows of row-major `m` into the lanes
+/// of `block` by 8x8 transposes, the rank mod 8 tail and missing lanes
+/// zero.
+void GatherLanesAvx512(const double* m, const uint64_t* rows, size_t count,
+                       size_t rank, double* block) {
+  for (size_t j0 = 0; j0 < rank; j0 += 8) {
+    const size_t width = std::min<size_t>(8, rank - j0);
+    const __mmask8 mask = ColumnMask(width);
+    __m512d v[8];
+#pragma GCC unroll 8
+    for (size_t l = 0; l < 8; ++l) {
+      v[l] = l < count ? _mm512_maskz_loadu_pd(mask, m + rows[l] * rank + j0)
+                       : _mm512_setzero_pd();
+    }
+    Transpose8x8(v);
+#pragma GCC unroll 8
+    for (size_t j = 0; j < 8; ++j) {
+      if (j < width) _mm512_storeu_pd(block + (j0 + j) * kLanes, v[j]);
+    }
+  }
+}
+
+/// Moves lane l of `block` to listed row l of row-major `m`, l < count.
+void ScatterLanesAvx512(const double* block, const uint64_t* rows,
+                        size_t count, size_t rank, double* m) {
+  for (size_t j0 = 0; j0 < rank; j0 += 8) {
+    const size_t width = std::min<size_t>(8, rank - j0);
+    const __mmask8 mask = ColumnMask(width);
+    __m512d v[8];
+#pragma GCC unroll 8
+    for (size_t j = 0; j < 8; ++j) {
+      v[j] = j < width ? _mm512_loadu_pd(block + (j0 + j) * kLanes)
+                       : _mm512_setzero_pd();
+    }
+    Transpose8x8(v);
+#pragma GCC unroll 8
+    for (size_t l = 0; l < 8; ++l) {
+      if (l < count) _mm512_mask_storeu_pd(m + rows[l] * rank + j0, mask, v[l]);
+    }
+  }
+}
+
+/// Blocks solved side by side per group.
+constexpr size_t kSolveGroup = 4;
+
+/// Up to kSolveGroup lane blocks at a time: transpose the rows in (and
+/// form their numerators right after), solve the group's blocks side by
+/// side, transpose them out.
+void SolveRowsAvx512(const double* lower, size_t rank, const double* rhs,
+                     const double* prev, const double* weights_t, double mu,
+                     const uint64_t* rows, size_t num_rows, double* out) {
+  const size_t stride = rank * kLanes;
+  double* blocks = detail::LaneBuffer((kSolveGroup + 1) * stride);
+  double* prev_block = blocks + kSolveGroup * stride;
+  for (size_t r0 = 0; r0 < num_rows; r0 += kSolveGroup * kLanes) {
+    const size_t count = std::min(kSolveGroup * kLanes, num_rows - r0);
+    const size_t num_blocks = (count + kLanes - 1) / kLanes;
+    for (size_t q = 0; q < num_blocks; ++q) {
+      const uint64_t* block_rows = rows + r0 + q * kLanes;
+      const size_t lanes = std::min(kLanes, count - q * kLanes);
+      double* block = blocks + q * stride;
+      GatherLanesAvx512(rhs, block_rows, lanes, rank, block);
+      if (prev != nullptr) {
+        GatherLanesAvx512(prev, block_rows, lanes, rank, prev_block);
+        DtdNumeratorLanesAvx512(prev_block, weights_t, rank, mu, block);
+      }
+    }
+    CholeskySolveLanesAvx512(lower, rank, blocks, num_blocks);
+    for (size_t q = 0; q < num_blocks; ++q) {
+      ScatterLanesAvx512(blocks + q * stride, rows + r0 + q * kLanes,
+                         std::min(kLanes, count - q * kLanes), rank, out);
+    }
+  }
+}
+
 double DotContiguousAvx512(const double* x, const double* y, size_t n) {
   __m512d acc = _mm512_setzero_pd();
   const size_t n8 = n & ~static_cast<size_t>(7);
@@ -356,11 +519,10 @@ const KernelTable& Avx512Kernels() {
   static const KernelTable table = [] {
     KernelTable t;
     t.backend = Backend::kAvx512;
-    t.mttkrp_row = MttkrpRowAvx512;
+    t.mttkrp_coo = MttkrpCooAvx512;
     t.hadamard_combine = HadamardCombineAvx512;
     t.gram_rows = GramRowsAvx512;
-    t.cholesky_solve_lanes = CholeskySolveLanesAvx512;
-    t.dtd_numerator_lanes = DtdNumeratorLanesAvx512;
+    t.solve_rows = SolveRowsAvx512;
     t.dot_strided = DotStridedAvx512;
     t.topk_score_block = TopKScoreBlockAvx512;
     t.f64_to_bf16 = F64ToBf16Plain;

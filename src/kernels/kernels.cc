@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <mutex>
+#include <vector>
 
 #include "kernels/kernels_detail.h"
 
@@ -225,6 +226,16 @@ std::string DispatchExplanation() {
   EnsureDispatchedLocked();
   return g_state.why;
 }
+
+namespace detail {
+
+double* LaneBuffer(size_t n) {
+  thread_local std::vector<double> buffer;
+  if (buffer.size() < n) buffer.resize(n);
+  return buffer.data();
+}
+
+}  // namespace detail
 
 }  // namespace kernels
 }  // namespace dismastd

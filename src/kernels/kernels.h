@@ -28,39 +28,12 @@ inline constexpr size_t kNumBackends = 3;
 const char* BackendName(Backend backend);
 Result<Backend> ParseBackend(const std::string& text);
 
-/// Rows per lane block. The lane entries of the table (cholesky_solve_lanes,
-/// dtd_numerator_lanes) work on kLanes factor rows at once, stored
-/// transposed: element i of the block's row l sits at block[i * kLanes + l],
-/// so every step of a row's recurrence is one independent operation across
-/// the block's rows (one zmm, or two ymm).
-inline constexpr size_t kLanes = 8;
-
-/// Copies rows[l][0..rank) into lane l of `block` for l < count (<= kLanes)
-/// and zero-fills the remaining lanes, which every lane entry keeps finite.
-inline void GatherLanes(const double* const* rows, size_t count, size_t rank,
-                        double* block) {
-  for (size_t l = 0; l < count; ++l) {
-    for (size_t i = 0; i < rank; ++i) block[i * kLanes + l] = rows[l][i];
-  }
-  for (size_t l = count; l < kLanes; ++l) {
-    for (size_t i = 0; i < rank; ++i) block[i * kLanes + l] = 0.0;
-  }
-}
-
-/// Copies lane l of `block` to rows[l][0..rank) for l < count.
-inline void ScatterLanes(const double* block, size_t count, size_t rank,
-                         double* const* rows) {
-  for (size_t l = 0; l < count; ++l) {
-    for (size_t i = 0; i < rank; ++i) rows[l][i] = block[i * kLanes + l];
-  }
-}
-
 /// One table of function pointers per backend — the single place where a
 /// flop happens on a factor row. Callers fetch the dispatched table once
 /// (kernels::Get()) and call through it; they never branch on CPU features
 /// themselves.
 ///
-/// Determinism contract (fp64 kernels): element-wise kernels (mttkrp_row,
+/// Determinism contract (fp64 kernels): element-wise kernels (mttkrp_coo,
 /// hadamard_combine) perform the same scalar operations in the same order
 /// in every backend, lane-parallel over independent outputs, so they are
 /// bit-exact across backends by construction. Reductions (dot_strided,
@@ -68,12 +41,14 @@ inline void ScatterLanes(const double* block, size_t count, size_t rank,
 /// lane l accumulating elements l, l+8, l+16, ... with the tail element i
 /// folded into lane i mod 8, combined as ((p0+p4)+(p2+p6)) +
 /// ((p1+p5)+(p3+p7)) — exactly the tree an 8-lane vector reduction
-/// produces. Lane-block entries run one row's scalar recurrence per lane
-/// (a row's reduction keeps the blocked-8 contract inside its lane), and
-/// row-list reductions (gram_rows) add each output element's terms in the
-/// order the rows are listed. No FMA contraction anywhere (backends are
-/// compiled with -ffp-contract=off and use separate mul/add intrinsics),
-/// so fp64 results are bit-identical across scalar, AVX2 and AVX-512.
+/// produces. Row-list entries give each listed row exactly the result it
+/// would get alone (solve_rows runs one row's scalar recurrence, its
+/// numerator dot under the blocked-8 contract), or add each output
+/// element's terms in the order the rows are listed (gram_rows,
+/// mttkrp_coo's repeated output rows). No FMA contraction anywhere
+/// (backends are compiled with -ffp-contract=off and use separate mul/add
+/// intrinsics), so fp64 results are bit-identical across scalar, AVX2 and
+/// AVX-512.
 ///
 /// Quantized kernels (bf16/int8) follow the same blocking, so their scores
 /// are also backend-invariant, but they are *not* bit-exact against the
@@ -82,11 +57,19 @@ inline void ScatterLanes(const double* block, size_t count, size_t rank,
 struct KernelTable {
   Backend backend = Backend::kScalar;
 
-  /// out[f] += value * prod_m rows[m][f] for f in [0, rank). The row-wise
-  /// sparse MTTKRP step (Eq. 6): `rows` are the (order-1) factor rows of
-  /// one non-zero's non-target modes.
-  void (*mttkrp_row)(double value, const double* const* rows,
-                     size_t num_rows, size_t rank, double* out);
+  /// The sparse MTTKRP (Eq. 6) over a COO list. For e = 0, 1, ..., nnz-1
+  /// in order, with i = indices + e*order the entry's index tuple and
+  /// f in [0, rank):
+  ///   out[i[mode]][f] += values[e] · Π_{m≠mode} factors[m][i[m]][f],
+  /// the product formed from values[e] over the non-target modes in
+  /// ascending m, then added once. `factors[m]` and `out` are row-major
+  /// rank-column matrices; factors[mode] is not read. Entries that share
+  /// an output row add in list order (a sorted list repeats rows; SIMD
+  /// bodies keep such a run's partial in registers). One call covers a
+  /// whole tensor or partition.
+  void (*mttkrp_coo)(const uint64_t* indices, const double* values,
+                     size_t nnz, size_t order, size_t mode,
+                     const double* const* factors, size_t rank, double* out);
 
   /// out[f] = prod_m rows[m][f] (empty product = 1.0). The combination
   /// weights w[f] = prod_n A_n[i_n, f] of point predictions and top-K.
@@ -102,28 +85,24 @@ struct KernelTable {
   void (*gram_rows)(const double* x, const double* y, const uint64_t* rows,
                     size_t num_rows, size_t rank, double* out);
 
-  /// Solves z·A = b in place for every row of `num_blocks` consecutive
-  /// lane blocks (block q starts at blocks + q*rank*kLanes), given A's
-  /// Cholesky factor `lower` (rank x rank row-major, lower triangle read):
-  /// forward substitution y_i = (b_i - Σ_{k<i} L_ik·y_k) / L_ii, then back
-  /// substitution z_i = (y_i - Σ_{k>i} L_ki·z_k) / L_ii, each sum
-  /// subtracted term by term in k order with a true division. Each lane's
-  /// result equals its row solved alone. A row's recurrence is one serial
-  /// chain of divisions, so SIMD bodies run several blocks' chains side by
-  /// side (as many as keep the divider busy: two for AVX2, four for
-  /// AVX-512).
-  void (*cholesky_solve_lanes)(const double* lower, size_t rank,
-                               double* blocks, size_t num_blocks);
-
-  /// Eq. 5's old-row numerator on a lane block. On entry `block` holds the
-  /// rows' MTTKRP results Â; on exit block[c*kLanes + l] =
-  /// mu * s + Â[c*kLanes + l], where s is the blocked-8 dot of lane l of
-  /// `prev_block` (the rows of Ã) with row c of `weights_t` (had_hᵀ, rank x
-  /// rank) — bit for bit mu * topk_score_block(weights_t, rank, rank,
-  /// Ã row)[c] + Â[c] per row, including the dot's 0 + x·y start.
-  void (*dtd_numerator_lanes)(const double* prev_block,
-                              const double* weights_t, size_t rank, double mu,
-                              double* block);
+  /// Eq. 5's row solve over a row list, given A's Cholesky factor `lower`
+  /// (rank x rank row-major, lower triangle read). For each listed row r:
+  /// b = rhs[r]; when `prev` is non-null, b[c] = mu * s_c + b[c], where
+  /// s_c is the blocked-8 dot of prev[r] with row c of `weights_t` (had_hᵀ,
+  /// rank x rank) — bit for bit mu * topk_score_block(weights_t, rank,
+  /// rank, prev[r])[c] + b[c], including the dot's 0 + x·y start. Then
+  /// z·A = b is solved by forward substitution y_i = (b_i - Σ_{k<i}
+  /// L_ik·y_k) / L_ii and back substitution z_i = (y_i - Σ_{k>i} L_ki·z_k)
+  /// / L_ii, each sum subtracted term by term in k order with a true
+  /// division, and z is written to out[r]. rhs, prev and out are row-major
+  /// rank-column matrices indexed by the listed rows; `out` must not
+  /// overlap `rhs` or `prev`. Rows may come unsorted or repeat; each gets
+  /// exactly the result it would get alone. Bodies transpose 8 rows at a
+  /// time into lanes and run several blocks' serial division chains side
+  /// by side (the layout is private to the kernels, kernels_detail.h).
+  void (*solve_rows)(const double* lower, size_t rank, const double* rhs,
+                     const double* prev, const double* weights_t, double mu,
+                     const uint64_t* rows, size_t num_rows, double* out);
 
   /// Strided dot product sum_i x[i*incx] * y[i*incy] under the blocked-8
   /// reduction contract. incx/incy may be 0 (broadcast) or any stride.

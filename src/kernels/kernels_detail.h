@@ -2,11 +2,12 @@
 #define DISMASTD_KERNELS_KERNELS_DETAIL_H_
 
 // Shared pieces of the kernel backends: the blocked-8 fp64 reduction
-// contract, the bf16 <-> float conversions, and the scalar reference
-// implementations the SIMD backends fall back to for strided inputs and
-// remainder lanes. Everything here must stay free of FMA contraction —
-// backend translation units are compiled with -ffp-contract=off so that
-// these helpers round identically everywhere.
+// contract, the lane layout of the row-list solve, the bf16 <-> float
+// conversions, and the scalar reference implementations the SIMD backends
+// fall back to for strided inputs and remainder lanes. Everything here
+// must stay free of FMA contraction — backend translation units are
+// compiled with -ffp-contract=off so that these helpers round identically
+// everywhere.
 
 #include <cstdint>
 #include <cstring>
@@ -16,6 +17,18 @@
 namespace dismastd {
 namespace kernels {
 namespace detail {
+
+/// Rows per lane block of solve_rows. Each body moves kLanes listed rows
+/// at a time into a block stored transposed — element i of the block's
+/// row l at block[i * kLanes + l] — so every step of a row's recurrence is
+/// one independent operation across the block's rows (one zmm, or two
+/// ymm), and each lane runs exactly its own row's scalar sequence. A
+/// partial block's missing lanes are zero, which every step keeps finite.
+inline constexpr size_t kLanes = 8;
+
+/// This thread's lane-block buffer, at least `n` doubles. Reused across
+/// calls, so the row pass allocates nothing per chunk.
+double* LaneBuffer(size_t n);
 
 /// Combine tree of the blocked-8 reduction: exactly what an 8-lane vector
 /// accumulator yields when reduced 512 -> 256 -> 128 -> 64 bits.
@@ -41,15 +54,6 @@ inline double DotBlocked(const double* x, size_t incx, const double* y,
   }
   for (; i < n; ++i) p[i - n8] += x[i * incx] * y[i * incy];
   return CombinePartials8(p);
-}
-
-inline void MttkrpRowScalar(double value, const double* const* rows,
-                            size_t num_rows, size_t rank, double* out) {
-  for (size_t f = 0; f < rank; ++f) {
-    double v = value;
-    for (size_t m = 0; m < num_rows; ++m) v *= rows[m][f];
-    out[f] += v;
-  }
 }
 
 inline void HadamardCombineScalar(const double* const* rows, size_t num_rows,

@@ -4,12 +4,15 @@
 // and remainder lanes.
 
 #include <algorithm>
+#include <vector>
 
 #include "kernels/kernels_detail.h"
 
 namespace dismastd {
 namespace kernels {
 namespace {
+
+using detail::kLanes;
 
 /// Output row i of the Gram in 8-column chunks, each chunk's partial held
 /// in a local accumulator across the whole row list.
@@ -29,6 +32,49 @@ void GramRowsScalar(const double* x, const double* y, const uint64_t* rows,
       }
       std::copy_n(acc, width, o);
     }
+  }
+}
+
+/// Element-wise MTTKRP per entry: the value times the non-target rows in
+/// ascending mode order, one add into the output row.
+void MttkrpCooScalar(const uint64_t* indices, const double* values,
+                     size_t nnz, size_t order, size_t mode,
+                     const double* const* factors, size_t rank, double* out) {
+  std::vector<const double*> rows(order);
+  for (size_t e = 0; e < nnz; ++e) {
+    const uint64_t* idx = indices + e * order;
+    size_t num_rows = 0;
+    for (size_t m = 0; m < order; ++m) {
+      if (m != mode) rows[num_rows++] = factors[m] + idx[m] * rank;
+    }
+    double* o = out + idx[mode] * rank;
+    for (size_t f = 0; f < rank; ++f) {
+      double v = values[e];
+      for (size_t k = 0; k < num_rows; ++k) v *= rows[k][f];
+      o[f] += v;
+    }
+  }
+}
+
+/// Copies the `count` (<= kLanes) listed rows of row-major `m` into lanes
+/// of `block` and zero-fills the remaining lanes.
+void GatherLanes(const double* m, const uint64_t* rows, size_t count,
+                 size_t rank, double* block) {
+  for (size_t l = 0; l < count; ++l) {
+    const double* row = m + rows[l] * rank;
+    for (size_t i = 0; i < rank; ++i) block[i * kLanes + l] = row[i];
+  }
+  for (size_t l = count; l < kLanes; ++l) {
+    for (size_t i = 0; i < rank; ++i) block[i * kLanes + l] = 0.0;
+  }
+}
+
+/// Copies lane l of `block` to listed row l of row-major `m`, l < count.
+void ScatterLanes(const double* block, const uint64_t* rows, size_t count,
+                  size_t rank, double* m) {
+  for (size_t l = 0; l < count; ++l) {
+    double* row = m + rows[l] * rank;
+    for (size_t i = 0; i < rank; ++i) row[i] = block[i * kLanes + l];
   }
 }
 
@@ -61,13 +107,9 @@ void CholeskySolveBlockScalar(const double* lower, size_t n, double* block) {
   }
 }
 
-void CholeskySolveLanesScalar(const double* lower, size_t n, double* blocks,
-                              size_t num_blocks) {
-  for (size_t q = 0; q < num_blocks; ++q) {
-    CholeskySolveBlockScalar(lower, n, blocks + q * n * kLanes);
-  }
-}
-
+/// Eq. 5's old-row numerator on a lane block: block[c*kLanes + l] =
+/// mu * s + block[c*kLanes + l], s the blocked-8 dot of lane l of
+/// `prev_block` with row c of `weights_t`.
 void DtdNumeratorLanesScalar(const double* prev_block, const double* weights_t,
                              size_t rank, double mu, double* block) {
   for (size_t c = 0; c < rank; ++c) {
@@ -87,6 +129,24 @@ void DtdNumeratorLanesScalar(const double* prev_block, const double* weights_t,
                               p[4][l], p[5][l], p[6][l], p[7][l]};
       out[l] = mu * detail::CombinePartials8(lane) + out[l];
     }
+  }
+}
+
+/// One lane block at a time: gather, numerator, solve, scatter.
+void SolveRowsScalar(const double* lower, size_t rank, const double* rhs,
+                     const double* prev, const double* weights_t, double mu,
+                     const uint64_t* rows, size_t num_rows, double* out) {
+  double* block = detail::LaneBuffer(2 * rank * kLanes);
+  double* prev_block = block + rank * kLanes;
+  for (size_t r0 = 0; r0 < num_rows; r0 += kLanes) {
+    const size_t count = std::min(kLanes, num_rows - r0);
+    GatherLanes(rhs, rows + r0, count, rank, block);
+    if (prev != nullptr) {
+      GatherLanes(prev, rows + r0, count, rank, prev_block);
+      DtdNumeratorLanesScalar(prev_block, weights_t, rank, mu, block);
+    }
+    CholeskySolveBlockScalar(lower, rank, block);
+    ScatterLanes(block, rows + r0, count, rank, out);
   }
 }
 
@@ -125,11 +185,10 @@ const KernelTable& ScalarKernels() {
   static const KernelTable table = [] {
     KernelTable t;
     t.backend = Backend::kScalar;
-    t.mttkrp_row = detail::MttkrpRowScalar;
+    t.mttkrp_coo = MttkrpCooScalar;
     t.hadamard_combine = detail::HadamardCombineScalar;
     t.gram_rows = GramRowsScalar;
-    t.cholesky_solve_lanes = CholeskySolveLanesScalar;
-    t.dtd_numerator_lanes = DtdNumeratorLanesScalar;
+    t.solve_rows = SolveRowsScalar;
     t.dot_strided = detail::DotBlocked;
     t.topk_score_block = TopKScoreBlockScalar;
     t.f64_to_bf16 = F64ToBf16Scalar;

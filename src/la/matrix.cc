@@ -52,8 +52,10 @@ void Matrix::ResizeZero(size_t rows, size_t cols) {
 Matrix Matrix::RowSlice(size_t begin, size_t end) const {
   DISMASTD_CHECK(begin <= end && end <= rows_);
   Matrix out(end - begin, cols_);
-  std::memcpy(out.data(), data_.data() + begin * cols_,
-              (end - begin) * cols_ * sizeof(double));
+  if (out.size() > 0) {
+    std::memcpy(out.data(), data_.data() + begin * cols_,
+                out.size() * sizeof(double));
+  }
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "kernels/kernels.h"
@@ -34,33 +35,11 @@ Matrix CholeskySolveRows(const Matrix& lower, const Matrix& rhs_rows) {
   const size_t n = lower.rows();
   DISMASTD_CHECK(lower.cols() == n && rhs_rows.cols() == n);
   const size_t m = rhs_rows.rows();
-  const kernels::KernelTable& kern = kernels::Get();
-  constexpr size_t kLanes = kernels::kLanes;
-  // Lane blocks per solve call: enough for the kernels to interleave the
-  // blocks' substitution chains, small enough to stay in L1.
-  constexpr size_t kChunkBlocks = 4;
   Matrix x(m, n);
-  const size_t chunk_blocks = std::min(kChunkBlocks, (m + kLanes - 1) / kLanes);
-  std::vector<double> blocks(chunk_blocks * n * kLanes);
-  const double* in[kLanes];
-  double* out[kLanes];
-  for (size_t r0 = 0; r0 < m; r0 += kChunkBlocks * kLanes) {
-    const size_t count = std::min(kChunkBlocks * kLanes, m - r0);
-    const size_t num_blocks = (count + kLanes - 1) / kLanes;
-    for (size_t q = 0; q < num_blocks; ++q) {
-      const size_t rows = std::min(kLanes, count - q * kLanes);
-      for (size_t l = 0; l < rows; ++l) {
-        in[l] = rhs_rows.RowPtr(r0 + q * kLanes + l);
-      }
-      kernels::GatherLanes(in, rows, n, blocks.data() + q * n * kLanes);
-    }
-    kern.cholesky_solve_lanes(lower.data(), n, blocks.data(), num_blocks);
-    for (size_t q = 0; q < num_blocks; ++q) {
-      const size_t rows = std::min(kLanes, count - q * kLanes);
-      for (size_t l = 0; l < rows; ++l) out[l] = x.RowPtr(r0 + q * kLanes + l);
-      kernels::ScatterLanes(blocks.data() + q * n * kLanes, rows, n, out);
-    }
-  }
+  std::vector<uint64_t> rows(m);
+  std::iota(rows.begin(), rows.end(), uint64_t{0});
+  kernels::Get().solve_rows(lower.data(), n, rhs_rows.data(), nullptr,
+                            nullptr, 0.0, rows.data(), m, x.data());
   return x;
 }
 

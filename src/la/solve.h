@@ -13,9 +13,9 @@ Status CholeskyFactor(const Matrix& a, Matrix* lower);
 /// Solves A x = b given the Cholesky factor L (forward + back substitution)
 /// for every row of `rhs_rows` laid out as rows: solves Xᵀ where
 /// A · Xᵀ = RHSᵀ, i.e. computes RHS · A⁻¹ row-wise. `rhs_rows` is M x R,
-/// A is R x R; result is M x R. Rows are solved 8 at a time, lane-parallel
-/// across rows, by the dispatched kernel table's cholesky_solve_lanes; each
-/// row's result is bit-identical to solving it alone.
+/// A is R x R; result is M x R. Every row goes through one call of the
+/// dispatched kernel table's solve_rows; each row's result is
+/// bit-identical to solving it alone.
 Matrix CholeskySolveRows(const Matrix& lower, const Matrix& rhs_rows);
 
 /// The factorization half of SolveNormalEquationsRows: the Cholesky factor

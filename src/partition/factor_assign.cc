@@ -12,28 +12,50 @@ ModePartitionData BuildModePartitionData(
   DISMASTD_CHECK(mode < order);
   const ModePartition& mode_partition = partitioning.modes[mode];
   const uint32_t parts = mode_partition.num_parts;
+  const uint64_t* indices = tensor.IndexData();
+  const size_t nnz = tensor.nnz();
 
+  const auto part_of = [&](size_t e) {
+    return mode_partition.slice_to_part[indices[e * order + mode]];
+  };
+
+  // Count each part's entries, so every part's storage is reserved exactly
+  // before the entries are appended in order.
+  std::vector<size_t> part_nnz(parts, 0);
+  for (size_t e = 0; e < nnz; ++e) ++part_nnz[part_of(e)];
   ModePartitionData data;
   data.mode = mode;
   data.part_tensors.assign(parts, SparseTensor(tensor.dims()));
-  data.needed_rows.assign(
-      parts, std::vector<std::vector<uint64_t>>(order));
-
-  for (size_t e = 0; e < tensor.nnz(); ++e) {
-    const uint64_t* idx = tensor.IndexTuple(e);
-    const uint32_t part = mode_partition.slice_to_part[idx[mode]];
-    data.part_tensors[part].AddRaw(idx, tensor.Value(e));
-    for (size_t k = 0; k < order; ++k) {
-      if (k == mode) continue;
-      data.needed_rows[part][k].push_back(idx[k]);
-    }
-  }
-  // Deduplicate access sets.
   for (uint32_t q = 0; q < parts; ++q) {
-    for (size_t k = 0; k < order; ++k) {
-      auto& rows = data.needed_rows[q][k];
+    data.part_tensors[q].Reserve(part_nnz[q]);
+  }
+  for (size_t e = 0; e < nnz; ++e) {
+    data.part_tensors[part_of(e)].AddRaw(indices + e * order, tensor.Value(e));
+  }
+
+  // Access sets, one part at a time: a factor row enters part q's set the
+  // first time one of q's entries touches it (stamp[k][row] == q + 1), so
+  // only the distinct rows are kept and sorted.
+  data.needed_rows.assign(parts, std::vector<std::vector<uint64_t>>(order));
+  std::vector<std::vector<uint32_t>> stamp(order);
+  for (size_t k = 0; k < order; ++k) {
+    if (k != mode) stamp[k].assign(static_cast<size_t>(tensor.dim(k)), 0);
+  }
+  for (uint32_t q = 0; q < parts; ++q) {
+    const SparseTensor& part = data.part_tensors[q];
+    const uint64_t* part_indices = part.IndexData();
+    for (size_t e = 0; e < part.nnz(); ++e) {
+      for (size_t k = 0; k < order; ++k) {
+        if (k == mode) continue;
+        const uint64_t row = part_indices[e * order + k];
+        uint32_t& seen = stamp[k][static_cast<size_t>(row)];
+        if (seen == q + 1) continue;
+        seen = q + 1;
+        data.needed_rows[q][k].push_back(row);
+      }
+    }
+    for (std::vector<uint64_t>& rows : data.needed_rows[q]) {
       std::sort(rows.begin(), rows.end());
-      rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
     }
   }
   return data;

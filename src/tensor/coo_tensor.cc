@@ -22,6 +22,11 @@ void SparseTensor::AddRaw(const uint64_t* index, double value) {
   values_.push_back(value);
 }
 
+void SparseTensor::Reserve(size_t nnz) {
+  indices_.reserve(nnz * order());
+  values_.reserve(nnz);
+}
+
 void SparseTensor::SortLexicographic() {
   const size_t n = order();
   std::vector<size_t> perm(nnz());

@@ -44,6 +44,14 @@ class SparseTensor {
   double Value(size_t e) const { return values_[e]; }
   double& MutableValue(size_t e) { return values_[e]; }
 
+  /// The raw storage: nnz() * order() indices, entry e's tuple at
+  /// IndexData() + e * order(), and nnz() values.
+  const uint64_t* IndexData() const { return indices_.data(); }
+  const double* ValueData() const { return values_.data(); }
+
+  /// Reserves room for `nnz` entries in total.
+  void Reserve(size_t nnz);
+
   /// Lexicographically sorts entries by index tuple. Deterministic.
   void SortLexicographic();
 

@@ -28,18 +28,10 @@ size_t MttkrpAccumulate(const SparseTensor& x,
   }
   DISMASTD_CHECK(out->rows() >= x.dim(mode) && out->cols() == rank);
 
-  const kernels::KernelTable& kern = kernels::Get();
-  std::vector<const double*> rows(order > 0 ? order - 1 : 0);
-  for (size_t e = 0; e < x.nnz(); ++e) {
-    const uint64_t* idx = x.IndexTuple(e);
-    size_t nr = 0;
-    for (size_t m = 0; m < order; ++m) {
-      if (m == mode) continue;
-      rows[nr++] = factors[m]->RowPtr(static_cast<size_t>(idx[m]));
-    }
-    kern.mttkrp_row(x.Value(e), rows.data(), nr, rank,
-                    out->RowPtr(static_cast<size_t>(idx[mode])));
-  }
+  std::vector<const double*> factor_data(order);
+  for (size_t m = 0; m < order; ++m) factor_data[m] = factors[m]->data();
+  kernels::Get().mttkrp_coo(x.IndexData(), x.ValueData(), x.nnz(), order,
+                            mode, factor_data.data(), rank, out->data());
   return x.nnz();
 }
 

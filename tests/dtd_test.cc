@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "common/random.h"
+#include "la/ops.h"
+#include "la/solve.h"
 #include "stream/generator.h"
 #include "stream/snapshot.h"
 #include "test_util.h"
@@ -186,6 +190,72 @@ TEST(DtdTest, ToleranceStopsEarly) {
   const AlsResult result =
       DynamicTensorDecomposition(fx.delta, fx.old_dims, prev, options);
   EXPECT_LT(result.iterations, 50u);
+}
+
+TEST(DtdUpdateRowsTest, ChunkFusedGramPartialsEqualOneCallPerPartition) {
+  constexpr size_t kRank = 10;
+  constexpr size_t kRows = 120;
+  constexpr size_t kOldRows = 70;
+  Rng rng(21);
+  const Matrix prev = Matrix::RandomGaussian(kOldRows, kRank, rng);
+  const Matrix mttkrp = Matrix::RandomGaussian(kRows, kRank, rng);
+  const Matrix start = Matrix::RandomGaussian(kRows, kRank, rng);
+  // A partition's ascending rows with gaps: 47 old rows (a full 32-row
+  // chunk and a partial one), then 33 new rows (likewise).
+  std::vector<uint64_t> rows;
+  for (uint64_t r = 0; r < kRows; ++r) {
+    if (r % 3 != 1) rows.push_back(r);
+  }
+  const size_t num_old = static_cast<size_t>(
+      std::lower_bound(rows.begin(), rows.end(), uint64_t{kOldRows}) -
+      rows.begin());
+  ASSERT_EQ(num_old, 47u);
+  // The partials already hold another partition's rows.
+  const Matrix seed_g0 = Matrix::RandomGaussian(kRank, kRank, rng);
+  const Matrix seed_h = Matrix::RandomGaussian(kRank, kRank, rng);
+  const Matrix seed_g1 = Matrix::RandomGaussian(kRank, kRank, rng);
+  DtdModeSystems sys;
+  sys.mu = 0.8;
+  sys.had_h_t = Matrix::RandomGaussian(kRank, kRank, rng);
+  for (Matrix* lower : {&sys.lower_old, &sys.lower_new}) {
+    const Matrix basis = Matrix::Random(2 * kRank, kRank, rng);
+    *lower = FactorNormalEquations(TransposeTimes(basis, basis));
+  }
+  // Second round: the new-row system failed, so new rows get the zero
+  // update, whose Gram terms still count.
+  for (bool new_system_failed : {false, true}) {
+    if (new_system_failed) sys.lower_new = Matrix();
+    for (size_t b = 0; b < kernels::kNumBackends; ++b) {
+      const auto backend = static_cast<kernels::Backend>(b);
+      if (!kernels::Supported(backend)) continue;
+      const kernels::KernelTable& kern = kernels::Get(backend);
+      Matrix fused = start;
+      Matrix g0 = seed_g0, h = seed_h, g1 = seed_g1;
+      const DtdGramPartials partials{&g0, &h, &g1};
+      DtdUpdateRows(kern, sys, &prev, mttkrp, kOldRows, rows.data(),
+                    rows.size(), &fused, &partials);
+      Matrix plain = start;
+      DtdUpdateRows(kern, sys, &prev, mttkrp, kOldRows, rows.data(),
+                    rows.size(), &plain, nullptr);
+      EXPECT_TRUE(fused == plain) << kernels::BackendName(backend);
+      // One gram_rows call per partition and product, after the update.
+      Matrix want_g0 = seed_g0, want_h = seed_h, want_g1 = seed_g1;
+      kern.gram_rows(plain.data(), plain.data(), rows.data(), num_old, kRank,
+                     want_g0.data());
+      kern.gram_rows(prev.data(), plain.data(), rows.data(), num_old, kRank,
+                     want_h.data());
+      kern.gram_rows(plain.data(), plain.data(), rows.data() + num_old,
+                     rows.size() - num_old, kRank, want_g1.data());
+      for (size_t e = 0; e < kRank * kRank; ++e) {
+        ASSERT_EQ(test::Bits(g0.data()[e]), test::Bits(want_g0.data()[e]))
+            << kernels::BackendName(backend) << " g0 e=" << e;
+        ASSERT_EQ(test::Bits(h.data()[e]), test::Bits(want_h.data()[e]))
+            << kernels::BackendName(backend) << " h e=" << e;
+        ASSERT_EQ(test::Bits(g1.data()[e]), test::Bits(want_g1.data()[e]))
+            << kernels::BackendName(backend) << " g1 e=" << e;
+      }
+    }
+  }
 }
 
 }  // namespace

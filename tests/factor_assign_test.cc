@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 #include "partition/mtp.h"
 
@@ -71,6 +73,56 @@ TEST(FactorAssignTest, NeededRowsAreExactAccessSets) {
         EXPECT_TRUE(std::binary_search(rows.begin(), rows.end(),
                                        part.Index(e, k)));
       }
+    }
+  }
+}
+
+TEST(FactorAssignTest, SplitMatchesPerEntryOracle) {
+  // Repeated rows: 60 entries over a 7 x 5 x 3 box. Empty parts: mode 0's
+  // slices map to parts {0, 2, 4} only, and part 5 of mode 2 gets none.
+  SparseTensor t({7, 5, 3});
+  Rng rng(17);
+  for (int e = 0; e < 60; ++e) {
+    t.Add({rng.NextBounded(7), rng.NextBounded(5), rng.NextBounded(3)},
+          rng.NextGaussian());
+  }
+  TensorPartitioning tp;
+  tp.modes.resize(3);
+  tp.modes[0].num_parts = 6;
+  tp.modes[0].slice_to_part = {4, 0, 2, 2, 0, 4, 4};
+  tp.modes[1].num_parts = 6;
+  tp.modes[1].slice_to_part = {1, 0, 3, 5, 2};
+  tp.modes[2].num_parts = 6;
+  tp.modes[2].slice_to_part = {3, 0, 3};
+  for (size_t mode = 0; mode < t.order(); ++mode) {
+    const ModePartition& mp = tp.modes[mode];
+    // The oracle: each entry appended to its part in order; every access
+    // recorded, then sorted and deduplicated.
+    std::vector<SparseTensor> want_parts(mp.num_parts,
+                                         SparseTensor(t.dims()));
+    std::vector<std::vector<std::vector<uint64_t>>> want_rows(
+        mp.num_parts, std::vector<std::vector<uint64_t>>(t.order()));
+    for (size_t e = 0; e < t.nnz(); ++e) {
+      const uint32_t q = mp.slice_to_part[t.Index(e, mode)];
+      want_parts[q].AddRaw(t.IndexTuple(e), t.Value(e));
+      for (size_t k = 0; k < t.order(); ++k) {
+        if (k != mode) want_rows[q][k].push_back(t.Index(e, k));
+      }
+    }
+    for (auto& part_rows : want_rows) {
+      for (auto& rows : part_rows) {
+        std::sort(rows.begin(), rows.end());
+        rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+      }
+    }
+    const ModePartitionData data = BuildModePartitionData(t, tp, mode);
+    EXPECT_EQ(data.mode, mode);
+    ASSERT_EQ(data.part_tensors.size(), mp.num_parts);
+    for (uint32_t q = 0; q < mp.num_parts; ++q) {
+      EXPECT_TRUE(data.part_tensors[q] == want_parts[q])
+          << "mode " << mode << " part " << q;
+      EXPECT_EQ(data.needed_rows[q], want_rows[q])
+          << "mode " << mode << " part " << q;
     }
   }
 }

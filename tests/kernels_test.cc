@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -71,36 +70,6 @@ TEST(KernelsDispatchTest, ForceBackendRoutesGetAndResetRestoresAuto) {
   // best; with it set, dispatch still resolves to something supported.
   EXPECT_TRUE(Supported(Dispatched()));
   EXPECT_FALSE(DispatchExplanation().empty());
-}
-
-TEST(KernelsParityTest, MttkrpRowBitExactAcrossBackends) {
-  Rng rng(1);
-  for (size_t rank : kLengths) {
-    for (size_t num_rows : {1u, 2u, 3u, 5u}) {
-      std::vector<std::vector<double>> rows_storage;
-      std::vector<const double*> rows;
-      for (size_t m = 0; m < num_rows; ++m) {
-        rows_storage.push_back(RandomVector(rank, rng));
-        rows.push_back(rows_storage.back().data());
-      }
-      const double value = rng.NextGaussian();
-      const std::vector<double> seed = RandomVector(rank, rng);
-
-      std::vector<double> want = seed;
-      Get(Backend::kScalar)
-          .mttkrp_row(value, rows.data(), num_rows, rank, want.data());
-      for (Backend backend : SupportedBackends()) {
-        std::vector<double> got = seed;
-        Get(backend).mttkrp_row(value, rows.data(), num_rows, rank,
-                                got.data());
-        for (size_t f = 0; f < rank; ++f) {
-          ASSERT_EQ(want[f], got[f])
-              << BackendName(backend) << " rank=" << rank
-              << " num_rows=" << num_rows << " f=" << f;
-        }
-      }
-    }
-  }
 }
 
 TEST(KernelsParityTest, HadamardCombineBitExactIncludingEmptyProduct) {
@@ -200,22 +169,22 @@ TEST(KernelsParityTest, TopKScoreBlockMatchesDotStridedBitExactly) {
 }
 
 // The row-update shapes: ranks around the 8-wide vectors and masked tails,
-// row counts around the 8-row lane block (none, a lone padded row, partial,
-// exact and overflowing blocks).
+// row counts around the 8-row lane block and the 32-row, four-block group
+// (none, a lone padded row, partial, exact and overflowing blocks and
+// groups).
 const size_t kRowRanks[] = {1, 2, 7, 8, 9, 10, 16, 17};
-const size_t kRowCounts[] = {0, 1, 7, 8, 9, 65};
+const size_t kRowCounts[] = {0, 1, 7, 8, 9, 31, 32, 33, 65};
 
-uint64_t Bits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
+/// Rows of a row pool; lists index it unsorted and with repeats.
+constexpr size_t kPoolRows = 23;
+
+using test::Bits;
 
 /// A pool of rows to index into: Gaussian, except that row 0 is all -0.0,
 /// so a kernel that starts a sum from its first product instead of from
 /// 0 + x·y, or drops a -0.0 term, shows in the sign bit.
 Matrix RowPool(size_t rank, Rng& rng) {
-  Matrix pool = Matrix::RandomGaussian(23, rank, rng);
+  Matrix pool = Matrix::RandomGaussian(kPoolRows, rank, rng);
   for (size_t i = 0; i < rank; ++i) pool(0, i) = -0.0;
   return pool;
 }
@@ -224,64 +193,67 @@ Matrix RowPool(size_t rank, Rng& rng) {
 /// random rows, with the first index listed again at the end.
 std::vector<uint64_t> RowList(size_t count, Rng& rng) {
   std::vector<uint64_t> rows(count);
-  for (size_t k = 1; k < count; ++k) rows[k] = rng.NextBounded(23);
+  for (size_t k = 1; k < count; ++k) rows[k] = rng.NextBounded(kPoolRows);
   if (count > 1) rows[count - 1] = rows[0];
   return rows;
 }
 
-/// Gathers the listed pool rows into consecutive lane blocks (the way the
-/// row update streams them), runs `lane_op(blocks, num_blocks)` and checks
-/// every lane against row k of `want` bit for bit.
-template <typename LaneOp>
-void ExpectLaneBlocksMatch(const std::vector<uint64_t>& rows,
-                           const Matrix& pool, const Matrix& want,
-                           LaneOp&& lane_op, const std::string& what) {
-  const size_t rank = pool.cols();
-  const size_t num_blocks = (rows.size() + kLanes - 1) / kLanes;
-  std::vector<double> blocks(num_blocks * rank * kLanes);
-  for (size_t q = 0; q < num_blocks; ++q) {
-    const size_t lanes = std::min(kLanes, rows.size() - q * kLanes);
-    const double* in[kLanes];
-    for (size_t l = 0; l < lanes; ++l) {
-      in[l] = pool.RowPtr(rows[q * kLanes + l]);
+/// The Cholesky factors the solve tests use: a random SPD system's, and
+/// the identity's. Under the identity the all -0.0 row's result keeps a
+/// -0.0 exactly when its right-hand side was -0.0, so a numerator that
+/// starts from its first product cannot hide behind the substitution.
+std::vector<Matrix> SolveLowers(size_t rank, Rng& rng) {
+  const Matrix basis = Matrix::Random(rank + 2, rank, rng);
+  Matrix spd(rank, rank);
+  for (size_t i = 0; i < rank; ++i) {
+    for (size_t j = 0; j < rank; ++j) {
+      for (size_t r = 0; r < basis.rows(); ++r) {
+        spd(i, j) += basis(r, i) * basis(r, j);
+      }
     }
-    GatherLanes(in, lanes, rank, blocks.data() + q * rank * kLanes);
+    spd(i, i) += 0.1;
   }
-  lane_op(blocks.data(), num_blocks);
-  for (size_t k = 0; k < rows.size(); ++k) {
-    const double* block = blocks.data() + k / kLanes * rank * kLanes;
-    for (size_t i = 0; i < rank; ++i) {
-      ASSERT_EQ(Bits(block[i * kLanes + k % kLanes]), Bits(want(k, i)))
-          << what << " rank=" << rank << " rows=" << rows.size()
-          << " row=" << k << " i=" << i;
+  Matrix lower(rank, rank);
+  for (size_t j = 0; j < rank; ++j) {
+    double diag = spd(j, j);
+    for (size_t k = 0; k < j; ++k) diag -= lower(j, k) * lower(j, k);
+    lower(j, j) = std::sqrt(diag);
+    for (size_t i = j + 1; i < rank; ++i) {
+      double sum = spd(i, j);
+      for (size_t k = 0; k < j; ++k) sum -= lower(i, k) * lower(j, k);
+      lower(i, j) = sum / lower(j, j);
+    }
+  }
+  return {lower, Matrix::Identity(rank)};
+}
+
+/// Runs solve_rows over `rows` on every supported backend and checks each
+/// listed row of the output against row k of `want` bit for bit.
+void ExpectSolveRowsMatch(const Matrix& lower, const Matrix& rhs,
+                          const Matrix* prev, const Matrix& weights_t,
+                          double mu, const std::vector<uint64_t>& rows,
+                          const Matrix& want, const std::string& what) {
+  const size_t rank = lower.rows();
+  for (Backend backend : SupportedBackends()) {
+    Matrix out(kPoolRows, rank);
+    Get(backend).solve_rows(lower.data(), rank, rhs.data(),
+                            prev != nullptr ? prev->data() : nullptr,
+                            weights_t.data(), mu, rows.data(), rows.size(),
+                            out.data());
+    for (size_t k = 0; k < rows.size(); ++k) {
+      for (size_t i = 0; i < rank; ++i) {
+        ASSERT_EQ(Bits(out(rows[k], i)), Bits(want(k, i)))
+            << BackendName(backend) << " " << what << " rank=" << rank
+            << " rows=" << rows.size() << " row=" << k << " i=" << i;
+      }
     }
   }
 }
 
-TEST(KernelsLaneTest, CholeskySolveLanesMatchPerRowOracle) {
+TEST(KernelsRowListTest, SolveRowsMatchPerRowOracle) {
   for (size_t rank : kRowRanks) {
     Rng rng(10 + rank);
-    const Matrix basis = Matrix::Random(rank + 2, rank, rng);
-    Matrix spd(rank, rank);
-    for (size_t i = 0; i < rank; ++i) {
-      for (size_t j = 0; j < rank; ++j) {
-        for (size_t r = 0; r < basis.rows(); ++r) {
-          spd(i, j) += basis(r, i) * basis(r, j);
-        }
-      }
-      spd(i, i) += 0.1;
-    }
-    Matrix lower(rank, rank);
-    for (size_t j = 0; j < rank; ++j) {
-      double diag = spd(j, j);
-      for (size_t k = 0; k < j; ++k) diag -= lower(j, k) * lower(j, k);
-      lower(j, j) = std::sqrt(diag);
-      for (size_t i = j + 1; i < rank; ++i) {
-        double sum = spd(i, j);
-        for (size_t k = 0; k < j; ++k) sum -= lower(i, k) * lower(j, k);
-        lower(i, j) = sum / lower(j, j);
-      }
-    }
+    const std::vector<Matrix> lowers = SolveLowers(rank, rng);
     const Matrix pool = RowPool(rank, rng);
     for (size_t count : kRowCounts) {
       const std::vector<uint64_t> rows = RowList(count, rng);
@@ -289,27 +261,21 @@ TEST(KernelsLaneTest, CholeskySolveLanesMatchPerRowOracle) {
       for (size_t k = 0; k < count; ++k) {
         std::copy_n(pool.RowPtr(rows[k]), rank, rhs.RowPtr(k));
       }
-      const Matrix want = test::SolveRowByRow(lower, rhs);
-      for (Backend backend : SupportedBackends()) {
-        const KernelTable& kern = Get(backend);
-        // Every block in one call, so SIMD bodies pair blocks, plus the
-        // odd last block of an uneven count.
-        ExpectLaneBlocksMatch(
-            rows, pool, want,
-            [&](double* blocks, size_t num_blocks) {
-              kern.cholesky_solve_lanes(lower.data(), rank, blocks,
-                                        num_blocks);
-            },
-            BackendName(backend));
+      for (const Matrix& lower : lowers) {
+        ExpectSolveRowsMatch(lower, pool, nullptr, Matrix(), 0.0, rows,
+                             test::SolveRowByRow(lower, rhs), "solve");
       }
     }
   }
 }
 
-TEST(KernelsLaneTest, DtdNumeratorLanesMatchScaledTopKScorePlusMttkrp) {
+TEST(KernelsRowListTest, SolveRowsWithPrevMatchScaledTopKScorePlusRhs) {
   for (size_t rank : kRowRanks) {
     Rng rng(20 + rank);
+    const std::vector<Matrix> lowers = SolveLowers(rank, rng);
     const Matrix prev = RowPool(rank, rng);
+    // Â rows; the -0.0 pool row gets a -0.0 Â row.
+    const Matrix mttkrp = RowPool(rank, rng);
     Matrix weights_t = Matrix::RandomGaussian(rank, rank, rng);
     // Positive weights make every product of score 0 with the -0.0 row a
     // -0.0: only a 0 + x·y start turns the partials, hence the sum, to +0.0.
@@ -319,42 +285,76 @@ TEST(KernelsLaneTest, DtdNumeratorLanesMatchScaledTopKScorePlusMttkrp) {
     const double mu = 0.8;
     for (size_t count : kRowCounts) {
       const std::vector<uint64_t> rows = RowList(count, rng);
-      // Â rows, one per listed row; the -0.0 pool row gets a -0.0 Â row.
-      Matrix mttkrp = Matrix::RandomGaussian(count, rank, rng);
-      Matrix want(count, rank);
+      // The oracle's right-hand sides: μ·topk_score_block + Â per row.
+      Matrix numerators(count, rank);
       std::vector<double> scores(rank);
       for (size_t k = 0; k < count; ++k) {
-        if (rows[k] == 0) {
-          for (size_t c = 0; c < rank; ++c) mttkrp(k, c) = -0.0;
-        }
         Get(Backend::kScalar)
             .topk_score_block(weights_t.data(), rank, rank,
                               prev.RowPtr(rows[k]), scores.data());
         for (size_t c = 0; c < rank; ++c) {
-          want(k, c) = mu * scores[c] + mttkrp(k, c);
+          numerators(k, c) = mu * scores[c] + mttkrp(rows[k], c);
         }
       }
-      for (Backend backend : SupportedBackends()) {
-        const KernelTable& kern = Get(backend);
-        // The blocks hold Ã rows; each block's numerator replaces it.
-        ExpectLaneBlocksMatch(
-            rows, prev, want,
-            [&](double* blocks, size_t num_blocks) {
-              std::vector<double> block(rank * kLanes);
-              for (size_t q = 0; q < num_blocks; ++q) {
-                const size_t lanes = std::min(kLanes, count - q * kLanes);
-                const double* in[kLanes];
-                for (size_t l = 0; l < lanes; ++l) {
-                  in[l] = mttkrp.RowPtr(q * kLanes + l);
-                }
-                GatherLanes(in, lanes, rank, block.data());
-                double* prev_block = blocks + q * rank * kLanes;
-                kern.dtd_numerator_lanes(prev_block, weights_t.data(), rank,
-                                         mu, block.data());
-                std::copy(block.begin(), block.end(), prev_block);
-              }
-            },
-            BackendName(backend));
+      for (const Matrix& lower : lowers) {
+        ExpectSolveRowsMatch(lower, mttkrp, &prev, weights_t, mu, rows,
+                             test::SolveRowByRow(lower, numerators),
+                             "numerator+solve");
+      }
+    }
+  }
+}
+
+TEST(KernelsRowListTest, MttkrpCooMatchesPerEntryOracle) {
+  for (size_t order : {1u, 2u, 3u, 4u, 6u}) {
+    for (size_t rank : kLengths) {
+      Rng rng(40 + order * 100 + rank);
+      std::vector<Matrix> factors;
+      std::vector<const double*> factor_data;
+      for (size_t m = 0; m < order; ++m) {
+        factors.push_back(RowPool(rank, rng));
+        factor_data.push_back(factors.back().data());
+      }
+      // 50 entries over the pools: output rows repeat, often in runs (half
+      // the entries repeat the previous index tuple, as in a sorted list),
+      // and row 0 multiplies in -0.0 factors.
+      constexpr size_t kNnz = 50;
+      std::vector<uint64_t> indices(kNnz * order);
+      std::vector<double> values(kNnz);
+      for (size_t e = 0; e < kNnz; ++e) {
+        const bool run = e > 0 && rng.NextBounded(2) == 0;
+        for (size_t m = 0; m < order; ++m) {
+          indices[e * order + m] = run ? indices[(e - 1) * order + m]
+                                       : rng.NextBounded(kPoolRows);
+        }
+        values[e] = rng.NextGaussian();
+      }
+      Matrix seed = Matrix::RandomGaussian(kPoolRows, rank, rng);
+      seed(0, 0) = -0.0;
+      for (size_t mode = 0; mode < order; ++mode) {
+        // The oracle: per entry, the value times the non-target rows in
+        // ascending mode order, one add into the output row.
+        Matrix want = seed;
+        for (size_t e = 0; e < kNnz; ++e) {
+          const uint64_t* idx = indices.data() + e * order;
+          for (size_t f = 0; f < rank; ++f) {
+            double v = values[e];
+            for (size_t m = 0; m < order; ++m) {
+              if (m != mode) v *= factors[m](idx[m], f);
+            }
+            want(idx[mode], f) += v;
+          }
+        }
+        for (Backend backend : SupportedBackends()) {
+          Matrix got = seed;
+          Get(backend).mttkrp_coo(indices.data(), values.data(), kNnz, order,
+                                  mode, factor_data.data(), rank, got.data());
+          for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(Bits(got.data()[i]), Bits(want.data()[i]))
+                << BackendName(backend) << " order=" << order
+                << " rank=" << rank << " mode=" << mode << " i=" << i;
+          }
+        }
       }
     }
   }
@@ -370,7 +370,7 @@ TEST(KernelsParityTest, GramRowsMatchPerRowRankOneOracle) {
   for (size_t rank : ranks) {
     Rng rng(30 + rank);
     const Matrix x = RowPool(rank, rng);
-    const Matrix y = Matrix::RandomGaussian(23, rank, rng);
+    const Matrix y = Matrix::RandomGaussian(kPoolRows, rank, rng);
     Matrix seed = Matrix::RandomGaussian(rank, rank, rng);
     seed(0, 0) = -0.0;
     for (size_t count : kRowCounts) {

@@ -1,6 +1,8 @@
 #ifndef DISMASTD_TESTS_TEST_UTIL_H_
 #define DISMASTD_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "stream/generator.h"
@@ -27,9 +29,17 @@ inline DenseLowRank MakeDenseLowRank(const std::vector<uint64_t>& dims,
   return DenseLowRank{std::move(g.tensor), std::move(g.ground_truth)};
 }
 
+/// The bit pattern of `v`: bit-exactness checks compare these, so a -0.0
+/// never passes for a +0.0.
+inline uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
 /// The per-row forward and back substitution of X · LLᵀ = RHS: the oracle
-/// the lane-blocked solve (CholeskySolveRows, cholesky_solve_lanes) must
-/// match bit for bit.
+/// the row-list solve (CholeskySolveRows, solve_rows) must match bit for
+/// bit.
 inline Matrix SolveRowByRow(const Matrix& lower, const Matrix& rhs_rows) {
   const size_t n = lower.rows();
   Matrix x(rhs_rows.rows(), n);
