@@ -48,6 +48,21 @@ class ByteWriter {
   std::vector<uint8_t> bytes_;
 };
 
+/// FNV-1a offset basis: the fingerprint of no bytes, where a chain starts.
+inline constexpr uint64_t kFnvOffset = 14695981039346656037ull;
+
+/// 64-bit FNV-1a over `size` bytes at `data`, chained from `hash`. Doubles
+/// are hashed by representation, so a fingerprint is exact, not
+/// tolerance-based.
+inline uint64_t Fnv1a(const void* data, size_t size, uint64_t hash) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    hash ^= p[i];
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
 /// Sequential reader over a byte span produced by ByteWriter. All reads are
 /// bounds-checked and return Status on underflow.
 class ByteReader {

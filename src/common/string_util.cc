@@ -50,6 +50,31 @@ Status ParseU64(std::string_view input, uint64_t* out) {
   return Status::OK();
 }
 
+Status ParseI64(std::string_view input, int64_t* out) {
+  input = TrimWhitespace(input);
+  const bool negative = !input.empty() && input[0] == '-';
+  const std::string_view digits = negative ? input.substr(1) : input;
+  if (digits.empty() || digits[0] < '0' || digits[0] > '9') {
+    return Status::InvalidArgument("invalid integer: " + std::string(input));
+  }
+  uint64_t magnitude = 0;
+  const Status parsed = ParseU64(digits, &magnitude);
+  if (!parsed.ok()) {
+    return parsed.code() == StatusCode::kOutOfRange
+               ? Status::OutOfRange("integer overflow: " + std::string(input))
+               : Status::InvalidArgument("invalid integer: " +
+                                         std::string(input));
+  }
+  const uint64_t limit =
+      static_cast<uint64_t>(INT64_MAX) + (negative ? 1 : 0);
+  if (magnitude > limit) {
+    return Status::OutOfRange("integer overflow: " + std::string(input));
+  }
+  *out = negative ? static_cast<int64_t>(0 - magnitude)
+                  : static_cast<int64_t>(magnitude);
+  return Status::OK();
+}
+
 Status ParseDouble(std::string_view input, double* out) {
   input = TrimWhitespace(input);
   if (input.empty()) return Status::InvalidArgument("empty double");
@@ -62,6 +87,14 @@ Status ParseDouble(std::string_view input, double* out) {
   }
   *out = value;
   return Status::OK();
+}
+
+std::string AsciiLower(std::string_view text) {
+  std::string out(text);
+  for (char& c : out) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
+  return out;
 }
 
 std::string FormatWithCommas(uint64_t value) {

@@ -19,8 +19,16 @@ std::string_view TrimWhitespace(std::string_view input);
 /// Parses a non-negative integer; fails on garbage or overflow.
 Status ParseU64(std::string_view input, uint64_t* out);
 
+/// Parses a signed integer (optional leading '-'); fails on garbage,
+/// fractions and values outside int64_t.
+Status ParseI64(std::string_view input, int64_t* out);
+
 /// Parses a double; fails on garbage.
 Status ParseDouble(std::string_view input, double* out);
+
+/// ASCII-only lower-casing (locale-independent), for case-insensitive
+/// option and name matching.
+std::string AsciiLower(std::string_view text);
 
 /// Formats with thousands separators, e.g. 1234567 -> "1,234,567".
 std::string FormatWithCommas(uint64_t value);

@@ -7,20 +7,13 @@
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "la/solve.h"
 
 namespace dismastd {
 namespace cwin {
 
 namespace {
-
-std::string AsciiLower(const std::string& text) {
-  std::string out = text;
-  for (char& c : out) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  return out;
-}
 
 /// Stable per-row seed stream: a row's initializer depends only on the
 /// model seed and the (mode, row) pair, never on arrival interleaving.

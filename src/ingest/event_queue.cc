@@ -1,7 +1,8 @@
 #include "ingest/event_queue.h"
 
 #include <algorithm>
-#include <cctype>
+
+#include "common/string_util.h"
 
 namespace dismastd {
 namespace ingest {
@@ -19,10 +20,7 @@ const char* BackpressurePolicyName(BackpressurePolicy policy) {
 }
 
 Result<BackpressurePolicy> ParseBackpressurePolicy(const std::string& text) {
-  std::string token = text;
-  std::transform(token.begin(), token.end(), token.begin(), [](char c) {
-    return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  });
+  const std::string token = AsciiLower(text);
   if (token == "block") return BackpressurePolicy::kBlock;
   if (token == "drop-oldest" || token == "dropoldest" || token == "drop") {
     return BackpressurePolicy::kDropOldest;

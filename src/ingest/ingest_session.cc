@@ -1,16 +1,8 @@
 #include "ingest/ingest_session.h"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <map>
-#include <memory>
-#include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "common/serialization.h"
-#include "common/timer.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -19,17 +11,6 @@ namespace dismastd {
 namespace ingest {
 
 namespace {
-
-inline constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-inline constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t Fnv1a(const std::vector<uint8_t>& bytes, uint64_t hash) {
-  for (uint8_t b : bytes) {
-    hash ^= b;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 /// Canonical bytes of one closed batch; what the determinism contract
 /// ("byte-identical batch sequence") is defined over.
@@ -50,9 +31,6 @@ std::vector<uint8_t> SerializeBatch(const MicroBatchDelta& batch) {
   return writer.TakeBytes();
 }
 
-/// Sentinel progress value of a finished producer.
-inline constexpr uint64_t kProducerDone = ~0ull;
-
 }  // namespace
 
 Result<IngestSessionResult> RunIngestSession(
@@ -61,84 +39,26 @@ Result<IngestSessionResult> RunIngestSession(
   const Status valid = options.decompose.Validate();
   if (!valid.ok()) return valid;
   const size_t order = log.order();
-  const size_t num_producers = std::max<size_t>(1, options.num_producers);
-  const size_t num_slots = log.num_slots();
 
   obs::Tracer* tracer = options.decompose.tracer;
   if (obs::Active(tracer)) tracer->RegisterWallLane("ingest");
   obs::MetricRegistry* metrics = options.decompose.metrics;
-  obs::Gauge* depth_gauge =
-      metrics != nullptr
-          ? metrics->GetGauge("dismastd_ingest_queue_depth", {},
-                              "Tokens queued between producers and consumer")
-          : nullptr;
-
-  WallTimer epoch;
-  EventQueue queue(options.queue_capacity, options.backpressure);
+  OrderedReplay replay(log, options, metrics);
   DeltaBuilder builder(order, options.builder);
   IngestSessionResult result;
-  result.event_to_publish_nanos = std::make_shared<obs::Pow2Histogram>();
 
-  // Per-producer replay progress: the next slot the producer will attempt.
-  // Updated with release after each Push so that once the consumer reads
-  // (acquire) a progress value, every earlier slot of that shard is either
-  // in the queue already or was shed by the queue itself — the consumer may
-  // then process all buffered tokens below min(progress) in slot order.
-  std::vector<std::atomic<uint64_t>> progress(num_producers);
-  for (size_t p = 0; p < num_producers; ++p) progress[p].store(p);
-  std::atomic<size_t> producers_active{num_producers};
-
-  // Aggregate rate limit split evenly across producers.
-  const double per_producer_rate =
-      options.max_events_per_second > 0.0
-          ? options.max_events_per_second / static_cast<double>(num_producers)
-          : 0.0;
-
-  std::vector<std::thread> producers;
-  producers.reserve(num_producers);
-  for (size_t p = 0; p < num_producers; ++p) {
-    producers.emplace_back([&, p] {
-      uint64_t emitted = 0;
-      // Round-robin sharding: producer p replays slots p, p+N, p+2N, ...
-      // so all producers advance the low slot range together and the
-      // consumer's merge frontier moves continuously.
-      for (size_t slot = p; slot < num_slots; slot += num_producers) {
-        if (per_producer_rate > 0.0) {
-          const double target =
-              static_cast<double>(emitted) / per_producer_rate;
-          const double ahead = target - epoch.ElapsedSeconds();
-          if (ahead > 0.0) {
-            std::this_thread::sleep_for(std::chrono::duration<double>(ahead));
-          }
-        }
-        IngestToken token;
-        token.slot = slot;
-        token.kind = log.Decode(slot, &token.record);
-        token.enqueue_seconds = epoch.ElapsedSeconds();
-        queue.Push(std::move(token));
-        ++emitted;
-        progress[p].store(slot + num_producers, std::memory_order_release);
-      }
-      progress[p].store(kProducerDone, std::memory_order_release);
-      if (producers_active.fetch_sub(1) == 1) queue.Close();
-    });
-  }
-
-  // --- Consumer (this thread). --------------------------------------------
   KruskalTensor factors;
   std::vector<uint64_t> dims(order, 0);
   uint64_t fingerprint = kFnvOffset;
   uint64_t snapshot_nnz = 0;
   size_t step_index = 0;
-  std::unordered_set<uint64_t> seen_seqs;
-  // Enqueue times of accepted events not yet folded into a published model.
-  std::vector<double> pending_enqueue;
   // Accumulated snapshot entries, only maintained when scoring fit.
   std::vector<uint64_t> all_indices;
   std::vector<double> all_values;
 
   auto process_batch = [&](const MicroBatchDelta& batch) {
-    fingerprint = Fnv1a(SerializeBatch(batch), fingerprint);
+    const std::vector<uint8_t> bytes = SerializeBatch(batch);
+    fingerprint = Fnv1a(bytes.data(), bytes.size(), fingerprint);
     obs::ScopedWallSpan batch_span(tracer, "ingest_batch", "ingest",
                                    "ingest");
     StreamStepMetrics sm =
@@ -170,45 +90,25 @@ Result<IngestSessionResult> RunIngestSession(
       // only z-score/SLO-worthy — never part of the determinism contract).
       options.decompose.health->Observe(
           obs::HealthSignal::kIngestQueueDepth, sm.step,
-          static_cast<double>(queue.depth()), options.decompose.tracer);
+          static_cast<double>(replay.queue_depth()), options.decompose.tracer);
     }
     if (observer) observer(sm, factors);
     // The model folding these events in is now published (the observer is
     // the serve-publish hook): the freshness clock stops here.
-    const double published = epoch.ElapsedSeconds();
-    for (double enqueued : pending_enqueue) {
-      const double latency = std::max(0.0, published - enqueued);
-      result.event_to_publish_nanos->Record(
-          static_cast<uint64_t>(latency * 1e9));
-    }
-    pending_enqueue.clear();
+    replay.Published();
     result.steps.push_back(std::move(sm));
     result.close_reasons.push_back(batch.reason);
     ++step_index;
   };
 
   std::vector<MicroBatchDelta> emitted;
-  auto process_token = [&](IngestToken& token) {
-    switch (token.kind) {
-      case SlotKind::kQuarantined:
-        ++result.quarantined;
-        return;
-      case SlotKind::kBarrier: {
-        ++result.barriers;
-        emitted.clear();
-        builder.PushBarrier(token.record.ts, token.record.fields, &emitted);
-        for (const MicroBatchDelta& batch : emitted) process_batch(batch);
-        return;
-      }
-      case SlotKind::kEvent:
-        break;
-    }
-    ++result.events;
-    if (!seen_seqs.insert(token.record.seq).second) {
-      ++result.duplicates;
+  replay.Run([&](const IngestToken& token) {
+    emitted.clear();
+    if (token.kind == SlotKind::kBarrier) {
+      builder.PushBarrier(token.record.ts, token.record.fields, &emitted);
+      for (const MicroBatchDelta& batch : emitted) process_batch(batch);
       return;
     }
-    emitted.clear();
     const uint64_t accepted_before = builder.accepted_events();
     builder.PushEvent(token.record.ts, token.record.fields.data(),
                       token.record.value, &emitted);
@@ -222,42 +122,9 @@ Result<IngestSessionResult> RunIngestSession(
          ++i) {
       process_batch(emitted[i]);
     }
-    if (accepted) pending_enqueue.push_back(token.enqueue_seconds);
+    if (accepted) replay.Accept(token.enqueue_seconds);
     for (; i < emitted.size(); ++i) process_batch(emitted[i]);
-  };
-
-  // Merge-in-order: tokens buffered here until every slot below the safe
-  // frontier has arrived (or provably never will), then fed to the builder
-  // in log order — the same discipline that makes WorkerExecutor results
-  // independent of thread count.
-  std::map<uint64_t, IngestToken> reorder;
-  std::vector<IngestToken> popped;
-  bool open = true;
-  while (open) {
-    uint64_t safe = kProducerDone;
-    for (size_t p = 0; p < num_producers; ++p) {
-      safe = std::min(safe, progress[p].load(std::memory_order_acquire));
-    }
-    popped.clear();
-    const size_t n = queue.PopAll(&popped);
-    if (depth_gauge != nullptr) {
-      depth_gauge->Set(static_cast<double>(queue.depth()));
-    }
-    if (n == 0) {
-      // Closed and drained: every surviving token is buffered; the whole
-      // tail is safe to process.
-      open = false;
-      safe = kProducerDone;
-    }
-    for (IngestToken& token : popped) {
-      reorder.emplace(token.slot, std::move(token));
-    }
-    while (!reorder.empty() && reorder.begin()->first < safe) {
-      process_token(reorder.begin()->second);
-      reorder.erase(reorder.begin());
-    }
-  }
-  for (std::thread& t : producers) t.join();
+  });
 
   emitted.clear();
   builder.Flush(&emitted);
@@ -266,35 +133,10 @@ Result<IngestSessionResult> RunIngestSession(
   result.factors = std::move(factors);
   result.dims = std::move(dims);
   result.batch_fingerprint = fingerprint;
-  result.late_events = builder.late_events();
   result.interior_updates = builder.interior_updates();
-  result.dropped_oldest = queue.dropped_oldest_total();
-  result.rejected = queue.rejected_total();
-  result.block_waits = queue.block_waits_total();
-  result.max_queue_depth = queue.max_depth();
-  result.wall_seconds = epoch.ElapsedSeconds();
+  replay.Finish(builder.late_events(), &result);
 
   if (metrics != nullptr) {
-    metrics
-        ->GetCounter("dismastd_ingest_events_total", {},
-                     "Event records the consumer saw")
-        ->Add(result.events);
-    metrics
-        ->GetCounter("dismastd_ingest_barriers_total", {},
-                     "Barrier records the consumer saw")
-        ->Add(result.barriers);
-    metrics
-        ->GetCounter("dismastd_ingest_quarantined_total", {},
-                     "Log slots quarantined (CRC mismatch / unknown kind)")
-        ->Add(result.quarantined);
-    metrics
-        ->GetCounter("dismastd_ingest_duplicate_events_total", {},
-                     "Events dropped for an already-seen seq")
-        ->Add(result.duplicates);
-    metrics
-        ->GetCounter("dismastd_ingest_late_events_total", {},
-                     "Events quarantined as older than the lateness bound")
-        ->Add(result.late_events);
     metrics
         ->GetCounter("dismastd_ingest_interior_updates_total", {},
                      "Events inside the committed box (not a delta)")
@@ -303,26 +145,6 @@ Result<IngestSessionResult> RunIngestSession(
         ->GetCounter("dismastd_ingest_batches_total", {},
                      "Micro-batches published")
         ->Add(result.steps.size());
-    metrics
-        ->GetCounter("dismastd_ingest_dropped_oldest_total", {},
-                     "Tokens evicted by drop-oldest backpressure")
-        ->Add(result.dropped_oldest);
-    metrics
-        ->GetCounter("dismastd_ingest_rejected_total", {},
-                     "Tokens refused by reject backpressure or after close")
-        ->Add(result.rejected);
-    metrics
-        ->GetCounter("dismastd_ingest_block_waits_total", {},
-                     "Times a producer blocked waiting for queue space")
-        ->Add(result.block_waits);
-    metrics
-        ->GetGauge("dismastd_ingest_queue_max_depth", {},
-                   "High-water mark of the ingest queue depth")
-        ->Set(static_cast<double>(result.max_queue_depth));
-    metrics
-        ->GetHistogram("dismastd_ingest_event_to_publish_nanoseconds", {},
-                       "Accepted-event enqueue to published-model latency")
-        ->MergeFrom(*result.event_to_publish_nanos);
   }
   return result;
 }

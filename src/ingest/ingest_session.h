@@ -2,27 +2,19 @@
 #define DISMASTD_INGEST_INGEST_SESSION_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/driver.h"
 #include "ingest/delta_builder.h"
 #include "ingest/event_log.h"
-#include "ingest/event_queue.h"
-#include "obs/histogram.h"
+#include "ingest/replay.h"
 
 namespace dismastd {
 namespace ingest {
 
-/// Configuration of one live-ingest run.
-struct IngestSessionOptions {
-  /// Producer (replay) threads sharding the log round-robin by slot.
-  size_t num_producers = 1;
-  /// Bounded queue between producers and the consumer.
-  size_t queue_capacity = 1024;
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  /// Aggregate replay rate across all producers; 0 = unthrottled.
-  double max_events_per_second = 0.0;
+/// Configuration of one live-ingest run: the replay (producers, queue,
+/// backpressure, rate) plus the micro-batch policy.
+struct IngestSessionOptions : ReplayOptions {
   /// Micro-batch triggers.
   DeltaBuilderOptions builder;
   /// Decomposition settings for every micro-batch step (tracer / metrics /
@@ -33,8 +25,10 @@ struct IngestSessionOptions {
   bool compute_fit = false;
 };
 
-/// What one RunIngestSession produced.
-struct IngestSessionResult {
+/// What one RunIngestSession produced: the replay census (events,
+/// duplicates, late events, queue accounting, event->publish latency) plus
+/// the micro-batch sequence.
+struct IngestSessionResult : ReplayCensus {
   /// One entry per closed micro-batch, in publish order; event_time_max /
   /// event_time_watermark are stamped (kNoEventTime when the batch carried
   /// no timestamp).
@@ -52,37 +46,13 @@ struct IngestSessionResult {
   /// drop policies shed load nondeterministically).
   uint64_t batch_fingerprint = 0;
 
-  /// Consumer-side census of the replayed log.
-  uint64_t events = 0;
-  uint64_t barriers = 0;
-  uint64_t quarantined = 0;
-  /// Events dropped for a seq already seen (at-least-once retransmission).
-  uint64_t duplicates = 0;
-  /// Events quarantined as older than watermark - allowed_lateness.
-  uint64_t late_events = 0;
   /// Events inside the committed box (not expressible as a delta).
   uint64_t interior_updates = 0;
-
-  /// Queue-side accounting (see EventQueue).
-  uint64_t dropped_oldest = 0;
-  uint64_t rejected = 0;
-  uint64_t block_waits = 0;
-  size_t max_queue_depth = 0;
-
-  /// End-to-end freshness: enqueue of an accepted event -> the model that
-  /// folded it in was published (observer returned). Nanoseconds. Always
-  /// non-null on a successful run (heap-held: the histogram's atomics make
-  /// it non-copyable, the result struct must not be).
-  std::shared_ptr<obs::Pow2Histogram> event_to_publish_nanos;
-
-  double wall_seconds = 0.0;
 };
 
-/// Replays an event log through the full ingest pipeline: N producer
-/// threads decode disjoint slot shards and push tokens into the bounded
-/// queue; the calling thread reassembles log order (merge-in-order on the
-/// slot index, the same discipline WorkerExecutor uses), deduplicates on
-/// seq, feeds the delta builder, and drives every closed micro-batch
+/// Replays an event log through the full ingest pipeline: an
+/// OrderedReplay delivers barriers and first-seen events in log order, the
+/// delta builder folds them into micro-batches, and every closed batch runs
 /// through RunDisMastdDeltaStep. The observer fires after each published
 /// batch — attach the serving plane's publish hook here exactly as with
 /// RunStreamingExperiment.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/serialization.h"
 #include "kernels/kernels.h"
 #include "la/ops.h"
 
@@ -11,19 +12,8 @@ namespace dismastd {
 namespace serve {
 namespace {
 
-/// FNV-1a over a byte span; doubles are hashed by representation so the
-/// fingerprint is exact, not tolerance-based.
-uint64_t Fnv1a(const void* data, size_t bytes, uint64_t hash) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
-
 uint64_t FingerprintFactors(const KruskalTensor& factors) {
-  uint64_t hash = 0xCBF29CE484222325ULL;
+  uint64_t hash = kFnvOffset;
   for (size_t n = 0; n < factors.order(); ++n) {
     const Matrix& f = factors.factor(n);
     const uint64_t shape[2] = {f.rows(), f.cols()};

@@ -1,7 +1,8 @@
 #include "stream/datasets.h"
 
-#include <algorithm>
-#include <cctype>
+#include <utility>
+
+#include "common/string_util.h"
 
 namespace dismastd {
 
@@ -34,14 +35,9 @@ std::vector<DatasetSpec> PaperDatasets() {
 }
 
 Result<DatasetSpec> FindDataset(const std::string& name) {
-  auto lower = [](std::string s) {
-    std::transform(s.begin(), s.end(), s.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    return s;
-  };
-  const std::string want = lower(name);
+  const std::string want = AsciiLower(name);
   for (const DatasetSpec& spec : PaperDatasets()) {
-    if (lower(spec.name) == want) return spec;
+    if (AsciiLower(spec.name) == want) return spec;
   }
   return Status::NotFound("unknown dataset: " + name);
 }

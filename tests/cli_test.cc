@@ -679,6 +679,23 @@ TEST(CliTest, IngestFlagsAreValidated) {
                            "lossy"},
                           &output)
                    .ok());
+  // --lateness counts integer event-time ticks in both modes: fractions,
+  // NaN and out-of-range values are errors, and -1 stays unbounded.
+  for (const std::string mode : {"batch", "continuous"}) {
+    for (const std::string bad : {"-0.5", "2.9", "nan", "1e30"}) {
+      EXPECT_FALSE(RunCommand({"stream", "--ingest", log_path,
+                               "--ingest-mode", mode, "--lateness", bad},
+                              &output)
+                       .ok())
+          << mode << " --lateness " << bad;
+    }
+    EXPECT_TRUE(RunCommand({"stream", "--ingest", log_path, "--ingest-mode",
+                            mode, "--rank", "2", "--lateness", "-1"},
+                           &output)
+                    .ok())
+        << output;
+    EXPECT_NE(output.find(" 0 late"), std::string::npos) << output;
+  }
   std::remove(tensor_path.c_str());
   std::remove(log_path.c_str());
 }

@@ -10,6 +10,7 @@
 #include "ingest/event_log.h"
 #include "ingest/ingest_session.h"
 #include "obs/histogram.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/serve_session.h"
 #include "stream/generator.h"
@@ -346,6 +347,44 @@ TEST(ContinuousSessionTest, CountsLateAndDuplicateEvents) {
   EXPECT_EQ(result.value().late_events, 1u);
   // Only the 3 accepted, non-late events reached the window.
   EXPECT_EQ(result.value().window_events, 3u);
+}
+
+TEST(ContinuousSessionTest, ExportsQueueSheddingCounters) {
+  const ingest::EventLogWriter log = ExportFig5Schedule(17);
+  Result<ingest::EventLogReader> reader =
+      ingest::EventLogReader::FromBytes(log.ToBytes());
+  ASSERT_TRUE(reader.ok());
+
+  for (ingest::BackpressurePolicy policy :
+       {ingest::BackpressurePolicy::kReject,
+        ingest::BackpressurePolicy::kDropOldest}) {
+    SCOPED_TRACE(ingest::BackpressurePolicyName(policy));
+    obs::MetricRegistry metrics;
+    ContinuousSessionOptions session;
+    session.decompose = SmallDecomposeOptions();
+    session.decompose.metrics = &metrics;
+    session.queue_capacity = 1;
+    session.backpressure = policy;
+    Result<ContinuousSessionResult> result =
+        RunContinuousSession(reader.value(), session);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    const ContinuousSessionResult& r = result.value();
+
+    // Shed tokens never reach the consumer, and the dump says how many.
+    EXPECT_EQ(r.events + r.barriers + r.quarantined + r.dropped_oldest +
+                  r.rejected,
+              reader.value().num_slots());
+    const std::string dump = metrics.ExposePrometheus();
+    EXPECT_NE(dump.find("\ndismastd_ingest_rejected_total "),
+              std::string::npos);
+    EXPECT_NE(dump.find("\ndismastd_ingest_dropped_oldest_total "),
+              std::string::npos);
+    EXPECT_EQ(metrics.GetCounter("dismastd_ingest_rejected_total")->Value(),
+              r.rejected);
+    EXPECT_EQ(
+        metrics.GetCounter("dismastd_ingest_dropped_oldest_total")->Value(),
+        r.dropped_oldest);
+  }
 }
 
 TEST(ContinuousSessionTest, BarriersGrowDimsAndForcePublish) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
 #include <vector>
 
+#include "ingest/replay.h"
 #include "stream/generator.h"
 #include "stream/snapshot.h"
 
@@ -29,6 +31,111 @@ DistributedOptions SmallOptions() {
   options.als.max_iterations = 2;
   options.num_workers = 4;
   return options;
+}
+
+/// A log exercising every OrderedReplay delivery rule — barriers, seqs
+/// retransmitted right away and much later, and one CRC-corrupted slot
+/// whose later retransmission becomes the first-seen copy — with the
+/// offline answer: the slots the engine must deliver, in order, and the
+/// census it must count.
+struct ReplayLog {
+  EventLogReader reader;
+  std::vector<uint64_t> delivered_slots;
+  uint64_t events = 0;
+  uint64_t barriers = 0;
+  uint64_t duplicates = 0;
+};
+
+ReplayLog MakeReplayLog() {
+  EventLogWriter writer(2);
+  for (uint64_t t = 0; t < 60; ++t) {
+    if (t % 10 == 9) {
+      writer.AppendBarrier(static_cast<int64_t>(t), {8, 8});
+      continue;
+    }
+    const auto ts = static_cast<int64_t>(t);
+    writer.AppendEventWithSeq(t, ts, {t % 8, (3 * t) % 8}, 1.0 + ts);
+    if (t % 4 == 1) {
+      writer.AppendEventWithSeq(t, ts, {t % 8, (3 * t) % 8}, 1.0 + ts);
+    }
+    if (t % 7 == 6) {
+      writer.AppendEventWithSeq(t - 5, ts, {0, 0}, 2.0);
+    }
+  }
+  // Slot 1 is seq 1's first copy; slot 2 retransmits it.
+  const size_t corrupt = 1;
+  std::vector<uint8_t> bytes = writer.ToBytes();
+  bytes[kEventLogHeaderBytes + corrupt * EventRecordBytes(2) + 10] ^= 0xFF;
+
+  ReplayLog log;
+  std::unordered_set<uint64_t> seen;
+  for (size_t slot = 0; slot < writer.num_records(); ++slot) {
+    const EventRecord& record = writer.records()[slot];
+    if (slot == corrupt) continue;
+    if (record.kind == RecordKind::kBarrier) {
+      ++log.barriers;
+      log.delivered_slots.push_back(slot);
+      continue;
+    }
+    ++log.events;
+    if (seen.insert(record.seq).second) {
+      log.delivered_slots.push_back(slot);
+    } else {
+      ++log.duplicates;
+    }
+  }
+  Result<EventLogReader> reader = EventLogReader::FromBytes(std::move(bytes));
+  EXPECT_TRUE(reader.ok());
+  log.reader = std::move(reader).value();
+  return log;
+}
+
+TEST(OrderedReplayTest, DeliversFirstSeenEventsAndBarriersInLogOrder) {
+  const ReplayLog log = MakeReplayLog();
+  ASSERT_GT(log.duplicates, 5u);
+  const uint64_t num_slots = log.reader.num_slots();
+  for (size_t producers : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+    for (size_t capacity : {size_t{1}, size_t{4}, size_t{1024}}) {
+      SCOPED_TRACE(testing::Message() << producers << " producers, capacity "
+                                      << capacity);
+      ReplayOptions options;
+      options.num_producers = producers;
+      options.queue_capacity = capacity;
+      options.backpressure = BackpressurePolicy::kBlock;
+      OrderedReplay replay(log.reader, options, nullptr);
+      std::vector<uint64_t> delivered;
+      replay.Run([&](const IngestToken& token) {
+        EXPECT_TRUE(delivered.empty() || token.slot > delivered.back());
+        delivered.push_back(token.slot);
+      });
+      EXPECT_EQ(delivered, log.delivered_slots);
+
+      ReplayCensus census;
+      replay.Finish(/*late_events=*/0, &census);
+      EXPECT_EQ(census.events, log.events);
+      EXPECT_EQ(census.barriers, log.barriers);
+      EXPECT_EQ(census.quarantined, 1u);
+      EXPECT_EQ(census.duplicates, log.duplicates);
+      EXPECT_EQ(census.events + census.barriers + census.quarantined,
+                num_slots);
+      EXPECT_EQ(census.dropped_oldest, 0u);
+      EXPECT_EQ(census.rejected, 0u);
+      EXPECT_LE(census.max_queue_depth, capacity);
+    }
+  }
+}
+
+TEST(OrderedReplayTest, PublishedStopsEachPendingClockOnce) {
+  const ReplayLog log = MakeReplayLog();
+  OrderedReplay replay(log.reader, ReplayOptions{}, nullptr);
+  for (int i = 0; i < 3; ++i) replay.Accept(0.0);
+  replay.Published();
+  ReplayCensus census;
+  replay.Finish(/*late_events=*/0, &census);
+  ASSERT_NE(census.event_to_publish_nanos, nullptr);
+  EXPECT_EQ(census.event_to_publish_nanos->Count(), 3u);
+  replay.Published();  // nothing pending: records nothing
+  EXPECT_EQ(census.event_to_publish_nanos->Count(), 3u);
 }
 
 TEST(IngestSessionTest, ReplayedLogReproducesScheduleDrivenFactorsBitExact) {

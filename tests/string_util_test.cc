@@ -59,6 +59,44 @@ TEST(ParseU64Test, RejectsOverflow) {
   EXPECT_EQ(s.code(), StatusCode::kOutOfRange);
 }
 
+TEST(ParseI64Test, ParsesSignedIntegers) {
+  int64_t v = 0;
+  ASSERT_TRUE(ParseI64("0", &v).ok());
+  EXPECT_EQ(v, 0);
+  ASSERT_TRUE(ParseI64(" 42 ", &v).ok());
+  EXPECT_EQ(v, 42);
+  ASSERT_TRUE(ParseI64("-1", &v).ok());
+  EXPECT_EQ(v, -1);
+  ASSERT_TRUE(ParseI64("9223372036854775807", &v).ok());
+  EXPECT_EQ(v, INT64_MAX);
+  ASSERT_TRUE(ParseI64("-9223372036854775808", &v).ok());
+  EXPECT_EQ(v, INT64_MIN);
+}
+
+TEST(ParseI64Test, RejectsGarbageFractionsAndNonFinite) {
+  int64_t v = 7;
+  for (const char* bad : {"", "-", "- 1", "+1", "2.9", "-0.5", "1e3", "nan",
+                          "inf", "0x10", "12x"}) {
+    EXPECT_EQ(ParseI64(bad, &v).code(), StatusCode::kInvalidArgument)
+        << "'" << bad << "'";
+  }
+  EXPECT_EQ(v, 7);  // untouched on failure
+}
+
+TEST(ParseI64Test, RejectsOverflow) {
+  int64_t v = 0;
+  for (const char* big : {"9223372036854775808", "-9223372036854775809",
+                          "18446744073709551616", "-99999999999999999999"}) {
+    EXPECT_EQ(ParseI64(big, &v).code(), StatusCode::kOutOfRange) << big;
+  }
+}
+
+TEST(AsciiLowerTest, LowersAsciiLettersOnly) {
+  EXPECT_EQ(AsciiLower("Drop-OLDEST_1"), "drop-oldest_1");
+  EXPECT_EQ(AsciiLower(""), "");
+  EXPECT_EQ(AsciiLower("\xC3\x89t\xC3\xA9"), "\xC3\x89t\xC3\xA9");
+}
+
 TEST(ParseDoubleTest, ParsesValidDoubles) {
   double v = 0.0;
   ASSERT_TRUE(ParseDouble("3.5", &v).ok());

@@ -6,13 +6,13 @@
 # recovery layer, the RCU-style model store with its concurrent query
 # engine, the observability layer (lock-free metric registry and the
 # span tracer's multi-thread wall lanes), the ingest pipeline
-# (bounded MPSC queue plus multi-producer ingest sessions), the
-# continuous-window session (producer threads feeding per-event row
-# updates with the execution engine running inside periodic stitches), the
-# compute-kernel dispatch (mutex-guarded table selection that every
-# worker thread reads through), the ANN serving layer (the LSH index
-# riding inside RCU-published models while queries shortlist against it,
-# plus the lock-per-slot result cache), and the elastic cluster (live
+# (bounded MPSC queue plus the multi-producer ordered replay under both
+# the micro-batch and the continuous-window policy, the latter running
+# the execution engine inside periodic stitches), the compute-kernel
+# dispatch (mutex-guarded table selection that every worker thread reads
+# through), the ANN serving layer (the LSH index riding inside
+# RCU-published models while queries shortlist against it, plus the
+# lock-per-slot result cache), and the elastic cluster (live
 # repartitioning and state migration while a query thread reads the
 # published model), and the health layer (the seqlock-stamped alert and
 # flight-recorder rings plus HealthMonitor::PublishTo racing a registry
@@ -28,16 +28,19 @@ cmake -S "${repo_root}" -B "${build_dir}" \
   -DDISMASTD_BUILD_BENCHMARKS=OFF \
   -DDISMASTD_BUILD_EXAMPLES=OFF
 
-cmake --build "${build_dir}" -j \
-  --target thread_pool_test cluster_test determinism_test \
-  fault_test fault_recovery_test elastic_test kernels_test \
-  model_store_test query_engine_test serve_metrics_test \
-  ann_index_test result_cache_test \
-  histogram_test metric_registry_test trace_test health_test \
-  event_log_test event_queue_test delta_builder_test ingest_session_test \
+suites=(
+  thread_pool_test cluster_test determinism_test
+  fault_test fault_recovery_test elastic_test kernels_test
+  model_store_test query_engine_test serve_metrics_test
+  ann_index_test result_cache_test
+  histogram_test metric_registry_test trace_test health_test
+  event_log_test event_queue_test delta_builder_test ingest_session_test
   cwin_test
+)
 
-ctest --test-dir "${build_dir}" --output-on-failure \
-  -R '^(thread_pool_test|cluster_test|determinism_test|fault_test|fault_recovery_test|elastic_test|kernels_test|model_store_test|query_engine_test|serve_metrics_test|ann_index_test|result_cache_test|histogram_test|metric_registry_test|trace_test|health_test|event_log_test|event_queue_test|delta_builder_test|ingest_session_test|cwin_test)$'
+cmake --build "${build_dir}" -j --target "${suites[@]}"
+
+regex="$(IFS='|'; echo "${suites[*]}")"
+ctest --test-dir "${build_dir}" --output-on-failure -R "^(${regex})\$"
 
 echo "TSan: all clean"

@@ -549,43 +549,82 @@ Status CmdExportEvents(const Args& args, std::ostream& out) {
   return Status::OK();
 }
 
-/// `stream --ingest LOG --ingest-mode continuous`: replays a TEVT log
-/// through the continuous-window pipeline — per-event (or fused-group)
-/// factor-row updates on a sliding event-time window with periodic exact
-/// DTD stitches — instead of barrier-aligned micro-batch recompute.
-Status CmdStreamIngestContinuous(const Args& args,
-                                 const DistributedOptions& decompose,
-                                 ObsSinks& obs_sinks,
-                                 const ingest::EventLogReader& log,
-                                 std::ostream& out) {
-  cwin::ContinuousSessionOptions session;
+/// What one `stream --ingest` mode hands to the shared summary tail.
+struct ReplayOutcome {
+  ingest::ReplayCensus census;
+  StreamCheckpoint checkpoint;
+};
+
+/// `stream --ingest LOG` in batch mode: barrier-aligned micro-batches
+/// through the delta builder, one DisMASTD step per closed batch.
+Result<ReplayOutcome> RunBatchReplay(const Args& args,
+                                     const ingest::ReplayOptions& replay,
+                                     int64_t lateness,
+                                     const DistributedOptions& decompose,
+                                     const ingest::EventLogReader& log,
+                                     std::ostream& out) {
+  ingest::IngestSessionOptions session;
+  static_cast<ingest::ReplayOptions&>(session) = replay;
   session.decompose = decompose;
-  session.decompose.tracer = obs_sinks.tracer.get();
-  session.decompose.metrics = obs_sinks.metrics.get();
-  session.decompose.health = obs_sinks.health.get();
-  session.decompose.flight = obs_sinks.flight.get();
   session.compute_fit = true;
+  session.builder.allowed_lateness_ticks = lateness;
+  Result<uint64_t> batch_events = GetU64(args, "batch-events",
+                                         session.builder.max_batch_events);
+  if (!batch_events.ok()) return batch_events.status();
+  session.builder.max_batch_events =
+      static_cast<size_t>(batch_events.value());
+  Result<uint64_t> growth = GetU64(args, "growth-limit",
+                                   session.builder.max_mode_growth);
+  if (!growth.ok()) return growth.status();
+  session.builder.max_mode_growth = growth.value();
+  Result<uint64_t> horizon = GetU64(args, "horizon", 0);
+  if (!horizon.ok()) return horizon.status();
+  session.builder.horizon_ticks = static_cast<int64_t>(horizon.value());
 
-  Result<uint64_t> producers = GetU64(args, "producers", 1);
-  if (!producers.ok()) return producers.status();
-  if (producers.value() == 0) {
-    return Status::InvalidArgument("--producers must be >= 1");
+  Result<ingest::IngestSessionResult> run =
+      ingest::RunIngestSession(log, session);
+  if (!run.ok()) return run.status();
+  const ingest::IngestSessionResult& r = run.value();
+
+  out << "DisMASTD ingest replay on " << session.decompose.num_workers
+      << " workers, " << session.num_producers << " producer(s), "
+      << ingest::BackpressurePolicyName(session.backpressure)
+      << " backpressure\n";
+  out << "batch  reason        batch_nnz  snapshot_nnz  fit\n";
+  char line[160];
+  for (size_t b = 0; b < r.steps.size(); ++b) {
+    const StreamStepMetrics& m = r.steps[b];
+    std::snprintf(line, sizeof(line), "%-6zu %-13s %-10llu %-13llu %.4f",
+                  m.step, ingest::BatchCloseReasonName(r.close_reasons[b]),
+                  (unsigned long long)m.processed_nnz,
+                  (unsigned long long)m.snapshot_nnz, m.fit);
+    out << line << "\n";
   }
-  session.num_producers = static_cast<size_t>(producers.value());
-  Result<uint64_t> capacity = GetU64(args, "queue-capacity", 1024);
-  if (!capacity.ok()) return capacity.status();
-  session.queue_capacity = static_cast<size_t>(capacity.value());
-  Result<ingest::BackpressurePolicy> policy =
-      ingest::ParseBackpressurePolicy(args.Get("backpressure", "block"));
-  if (!policy.ok()) return policy.status();
-  session.backpressure = policy.value();
-  Result<double> rate = GetDouble(args, "rate", 0.0);
-  if (!rate.ok()) return rate.status();
-  session.max_events_per_second = rate.value();
-  Result<double> lateness = GetDouble(args, "lateness", -1.0);
-  if (!lateness.ok()) return lateness.status();
-  session.allowed_lateness_ticks = static_cast<int64_t>(lateness.value());
+  out << "events  : " << FormatWithCommas(r.events) << " ("
+      << r.duplicates << " duplicate, " << r.late_events << " late, "
+      << r.interior_updates << " interior, " << r.quarantined
+      << " quarantined)\n";
+  std::snprintf(line, sizeof(line), "batches : %zu, fingerprint %016llx",
+                r.steps.size(), (unsigned long long)r.batch_fingerprint);
+  out << line << "\n";
+  return ReplayOutcome{
+      r, {r.factors, r.dims, r.steps.empty() ? 0 : r.steps.back().step}};
+}
 
+/// `stream --ingest LOG --ingest-mode continuous`: per-event (or
+/// fused-group) factor-row updates on a sliding event-time window with
+/// periodic exact DTD stitches, instead of barrier-aligned micro-batches.
+Result<ReplayOutcome> RunContinuousReplay(const Args& args,
+                                          const ingest::ReplayOptions& replay,
+                                          int64_t lateness,
+                                          const DistributedOptions& decompose,
+                                          const ingest::EventLogReader& log,
+                                          std::ostream& out) {
+  cwin::ContinuousSessionOptions session;
+  static_cast<ingest::ReplayOptions&>(session) = replay;
+  session.decompose = decompose;
+  session.compute_fit = true;
+  session.allowed_lateness_ticks = lateness;
   Result<uint64_t> fuse = GetU64(args, "fuse-events", 1);
   if (!fuse.ok()) return fuse.status();
   if (fuse.value() == 0) {
@@ -645,47 +684,21 @@ Status CmdStreamIngestContinuous(const Args& args,
                 "window  : %llu events retained, last stitch drift %.3e",
                 (unsigned long long)r.window_events, r.last_drift);
   out << line << "\n";
-  out << "queue   : max depth " << r.max_queue_depth << "/"
-      << session.queue_capacity << ", " << r.block_waits
-      << " block waits, " << r.dropped_oldest << " dropped, " << r.rejected
-      << " rejected\n";
-  const obs::HistogramSummary lat =
-      obs::Summarize(*r.event_to_publish_nanos, 1e-3);  // ns -> us
-  std::snprintf(line, sizeof(line),
-                "latency : event->publish p50 %.1f us, p95 %.1f us over "
-                "%llu events",
-                lat.p50, lat.p95, (unsigned long long)lat.count);
-  out << line << "\n";
-  std::snprintf(line, sizeof(line),
-                "wall    : %.3f s (%.0f events/s)", r.wall_seconds,
-                r.wall_seconds > 0.0
-                    ? static_cast<double>(r.events) / r.wall_seconds
-                    : 0.0);
-  out << line << "\n";
   std::snprintf(line, sizeof(line),
                 "publishes: %llu, model fingerprint %016llx",
                 (unsigned long long)r.publishes,
                 (unsigned long long)r.model_fingerprint);
   out << line << "\n";
-
-  const std::string checkpoint_path = args.Get("checkpoint");
-  if (!checkpoint_path.empty()) {
-    StreamCheckpoint checkpoint;
-    checkpoint.factors = r.factors;
-    checkpoint.dims = r.dims;
-    checkpoint.step = r.steps.empty() ? 0 : r.steps.back().step;
-    DISMASTD_RETURN_IF_ERROR(
-        WriteStreamCheckpointFile(checkpoint, checkpoint_path));
-    out << "checkpoint written to " << checkpoint_path << "\n";
-  }
-  return WriteObsSinks(obs_sinks, out);
+  return ReplayOutcome{
+      r, {r.factors, r.dims, r.steps.empty() ? 0 : r.steps.back().step}};
 }
 
 /// `stream --ingest LOG`: replays a TEVT log through the live pipeline —
-/// producer threads -> bounded queue -> micro-batch delta builder ->
-/// DisMASTD — instead of materializing schedule-driven deltas. With
-/// `--ingest-mode continuous` the DeltaBuilder is bypassed for per-event
-/// continuous-window updates (CmdStreamIngestContinuous).
+/// producer threads -> bounded queue -> ordered replay -> one ingest policy
+/// (`--ingest-mode batch`: micro-batch delta builder -> DisMASTD;
+/// `continuous`: per-event window updates) — instead of materializing
+/// schedule-driven deltas. Both modes share the replay flags, the
+/// queue/latency/wall summary, the checkpoint and the sinks.
 Status CmdStreamIngest(const Args& args, std::ostream& out) {
   Result<MethodKind> method = ParseMethodKind(args.Get("method", "dismastd"));
   if (!method.ok()) return method.status();
@@ -696,91 +709,59 @@ Status CmdStreamIngest(const Args& args, std::ostream& out) {
   }
   Result<DistributedOptions> options_result = GetDistributedOptions(args);
   if (!options_result.ok()) return options_result.status();
+  DistributedOptions decompose = options_result.value();
   ObsSinks obs_sinks;
   DISMASTD_RETURN_IF_ERROR(SetUpObsSinks(args, &obs_sinks));
+  decompose.tracer = obs_sinks.tracer.get();
+  decompose.metrics = obs_sinks.metrics.get();
+  decompose.health = obs_sinks.health.get();
+  decompose.flight = obs_sinks.flight.get();
 
   Result<ingest::EventLogReader> log =
       ingest::EventLogReader::OpenFile(args.Get("ingest"));
   if (!log.ok()) return log.status();
-
   Result<cwin::IngestMode> mode =
       cwin::ParseIngestMode(args.Get("ingest-mode", "batch"));
   if (!mode.ok()) return mode.status();
-  if (mode.value() == cwin::IngestMode::kContinuous) {
-    return CmdStreamIngestContinuous(args, options_result.value(), obs_sinks,
-                                     log.value(), out);
-  }
 
-  ingest::IngestSessionOptions session;
-  session.decompose = options_result.value();
-  session.decompose.tracer = obs_sinks.tracer.get();
-  session.decompose.metrics = obs_sinks.metrics.get();
-  session.decompose.health = obs_sinks.health.get();
-  session.decompose.flight = obs_sinks.flight.get();
-  session.compute_fit = true;
+  ingest::ReplayOptions replay;
   Result<uint64_t> producers = GetU64(args, "producers", 1);
   if (!producers.ok()) return producers.status();
   if (producers.value() == 0) {
     return Status::InvalidArgument("--producers must be >= 1");
   }
-  session.num_producers = static_cast<size_t>(producers.value());
+  replay.num_producers = static_cast<size_t>(producers.value());
   Result<uint64_t> capacity = GetU64(args, "queue-capacity", 1024);
   if (!capacity.ok()) return capacity.status();
-  session.queue_capacity = static_cast<size_t>(capacity.value());
+  replay.queue_capacity = static_cast<size_t>(capacity.value());
   Result<ingest::BackpressurePolicy> policy =
       ingest::ParseBackpressurePolicy(args.Get("backpressure", "block"));
   if (!policy.ok()) return policy.status();
-  session.backpressure = policy.value();
+  replay.backpressure = policy.value();
   Result<double> rate = GetDouble(args, "rate", 0.0);
   if (!rate.ok()) return rate.status();
-  session.max_events_per_second = rate.value();
-  Result<uint64_t> batch_events = GetU64(args, "batch-events",
-                                         session.builder.max_batch_events);
-  if (!batch_events.ok()) return batch_events.status();
-  session.builder.max_batch_events =
-      static_cast<size_t>(batch_events.value());
-  Result<uint64_t> growth = GetU64(args, "growth-limit",
-                                   session.builder.max_mode_growth);
-  if (!growth.ok()) return growth.status();
-  session.builder.max_mode_growth = growth.value();
-  Result<uint64_t> horizon = GetU64(args, "horizon", 0);
-  if (!horizon.ok()) return horizon.status();
-  session.builder.horizon_ticks = static_cast<int64_t>(horizon.value());
-  // Negative = unbounded lateness, so this one parses as a double.
-  Result<double> lateness = GetDouble(args, "lateness", -1.0);
-  if (!lateness.ok()) return lateness.status();
-  session.builder.allowed_lateness_ticks =
-      static_cast<int64_t>(lateness.value());
-
-  Result<ingest::IngestSessionResult> run =
-      ingest::RunIngestSession(log.value(), session);
-  if (!run.ok()) return run.status();
-  const ingest::IngestSessionResult& r = run.value();
-
-  out << "DisMASTD ingest replay on " << session.decompose.num_workers
-      << " workers, " << session.num_producers << " producer(s), "
-      << ingest::BackpressurePolicyName(session.backpressure)
-      << " backpressure\n";
-  out << "batch  reason        batch_nnz  snapshot_nnz  fit\n";
-  char line[160];
-  for (size_t b = 0; b < r.steps.size(); ++b) {
-    const StreamStepMetrics& m = r.steps[b];
-    std::snprintf(line, sizeof(line), "%-6zu %-13s %-10llu %-13llu %.4f",
-                  m.step, ingest::BatchCloseReasonName(r.close_reasons[b]),
-                  (unsigned long long)m.processed_nnz,
-                  (unsigned long long)m.snapshot_nnz, m.fit);
-    out << line << "\n";
+  replay.max_events_per_second = rate.value();
+  // Integer event-time ticks; negative = unbounded lateness.
+  int64_t lateness = -1;
+  if (args.Has("lateness")) {
+    DISMASTD_RETURN_IF_ERROR(ParseI64(args.Get("lateness"), &lateness));
   }
-  out << "events  : " << FormatWithCommas(r.events) << " ("
-      << r.duplicates << " duplicate, " << r.late_events << " late, "
-      << r.interior_updates << " interior, " << r.quarantined
-      << " quarantined)\n";
+
+  Result<ReplayOutcome> run =
+      mode.value() == cwin::IngestMode::kContinuous
+          ? RunContinuousReplay(args, replay, lateness, decompose,
+                                log.value(), out)
+          : RunBatchReplay(args, replay, lateness, decompose, log.value(),
+                           out);
+  if (!run.ok()) return run.status();
+  const ingest::ReplayCensus& r = run.value().census;
   out << "queue   : max depth " << r.max_queue_depth << "/"
-      << session.queue_capacity << ", " << r.block_waits
+      << replay.queue_capacity << ", " << r.block_waits
       << " block waits, " << r.dropped_oldest << " dropped, " << r.rejected
       << " rejected\n";
   const obs::HistogramSummary lat =
       obs::Summarize(*r.event_to_publish_nanos, 1e-3);  // ns -> us
+  char line[160];
   std::snprintf(line, sizeof(line),
                 "latency : event->publish p50 %.1f us, p95 %.1f us over "
                 "%llu events",
@@ -792,18 +773,11 @@ Status CmdStreamIngest(const Args& args, std::ostream& out) {
                     ? static_cast<double>(r.events) / r.wall_seconds
                     : 0.0);
   out << line << "\n";
-  std::snprintf(line, sizeof(line), "batches : %zu, fingerprint %016llx",
-                r.steps.size(), (unsigned long long)r.batch_fingerprint);
-  out << line << "\n";
 
   const std::string checkpoint_path = args.Get("checkpoint");
   if (!checkpoint_path.empty()) {
-    StreamCheckpoint checkpoint;
-    checkpoint.factors = r.factors;
-    checkpoint.dims = r.dims;
-    checkpoint.step = r.steps.empty() ? 0 : r.steps.back().step;
     DISMASTD_RETURN_IF_ERROR(
-        WriteStreamCheckpointFile(checkpoint, checkpoint_path));
+        WriteStreamCheckpointFile(run.value().checkpoint, checkpoint_path));
     out << "checkpoint written to " << checkpoint_path << "\n";
   }
   return WriteObsSinks(obs_sinks, out);
