@@ -32,13 +32,13 @@ void Run(const DatasetSpec& spec) {
     options.parts_per_mode = workers;
     const DistributedResult result =
         DisMastdDecompose(delta, prev_dims, prev, options);
-    const DistributedRunMetrics& m = result.metrics;
+    const StreamStepMetrics& m = result.metrics;
     const double iters = static_cast<double>(result.als.iterations);
     std::printf("%-10s %7u %12.4f %12.4f %12.4f %12.4f %12.4f\n",
                 spec.name.c_str(), workers, m.sim_seconds_partitioning,
                 m.sim_seconds_mttkrp_update / iters,
                 m.sim_seconds_gram_reduce / iters,
-                m.sim_seconds_loss / iters, m.MeanIterationSeconds());
+                m.sim_seconds_loss / iters, m.sim_seconds_per_iteration);
   }
 }
 

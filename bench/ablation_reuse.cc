@@ -32,9 +32,9 @@ void RunDataset(const DatasetSpec& spec) {
         DisMastdDecompose(delta, prev_dims, prev, options);
     std::printf("%-10s %-9s %12.4f %14.3f %12.3f\n", spec.name.c_str(),
                 reuse ? "reuse" : "recompute",
-                result.metrics.MeanIterationSeconds(),
-                static_cast<double>(result.metrics.total_flops) / 1e6,
-                static_cast<double>(result.metrics.comm_payload_bytes) /
+                result.metrics.sim_seconds_per_iteration,
+                static_cast<double>(result.metrics.flops) / 1e6,
+                static_cast<double>(result.metrics.comm_bytes) /
                     1e6);
   }
 }

@@ -238,7 +238,7 @@ void BM_DisMastdStep(benchmark::State& state) {
   for (auto _ : state) {
     DistributedResult result =
         DisMastdDecompose(snapshot, old_dims, no_prev, options);
-    benchmark::DoNotOptimize(result.metrics.total_flops);
+    benchmark::DoNotOptimize(result.metrics.flops);
   }
   state.SetItemsProcessed(static_cast<int64_t>(snapshot.nnz()) *
                           state.iterations());

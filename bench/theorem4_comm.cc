@@ -61,7 +61,7 @@ void Run(const DatasetSpec& spec) {
         1e6;
     std::printf("%-8u %-5zu %14.2f %16.2f %16.2f\n", workers,
                 options.als.rank,
-                static_cast<double>(result.metrics.comm_payload_bytes) / 1e6,
+                static_cast<double>(result.metrics.comm_bytes) / 1e6,
                 gram_term, row_terms);
   }
 }

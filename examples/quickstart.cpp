@@ -64,9 +64,9 @@ int main() {
   std::printf("  simulated time               : %.4f s "
               "(%.4f s/iteration)\n",
               updated.metrics.sim_seconds_total,
-              updated.metrics.MeanIterationSeconds());
+              updated.metrics.sim_seconds_per_iteration);
   std::printf("  network traffic              : %.2f MB in %llu messages\n",
-              static_cast<double>(updated.metrics.comm_payload_bytes) / 1e6,
+              static_cast<double>(updated.metrics.comm_bytes) / 1e6,
               static_cast<unsigned long long>(updated.metrics.comm_messages));
   std::printf("  work touched                 : only the %zu delta "
               "non-zeros, not all %zu\n",

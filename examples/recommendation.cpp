@@ -69,7 +69,7 @@ int main() {
                   (size_t)prev_dims[2]);
     std::printf("%-5zu %-16s %-12zu %-10.4f %-12.4f\n", t, dims_buf,
                 delta.nnz(), model.Fit(snapshot),
-                result.metrics.MeanIterationSeconds());
+                result.metrics.sim_seconds_per_iteration);
   }
 
   // Top-5 product recommendations for a few users at the latest week.

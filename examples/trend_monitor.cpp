@@ -80,7 +80,7 @@ int main() {
 
     std::printf("step %zu: +%zu events, hours 0..%zu, sim %.4f s/iter\n", t,
                 delta.nnz(), (size_t)stream.DimsAt(t)[2] - 1,
-                result.metrics.MeanIterationSeconds());
+                result.metrics.sim_seconds_per_iteration);
 
     const std::vector<double> strengths = CurrentTrendStrengths(model);
     std::printf("  trend strengths now :");

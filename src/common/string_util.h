@@ -2,6 +2,7 @@
 #define DISMASTD_COMMON_STRING_UTIL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +30,32 @@ Status ParseDouble(std::string_view input, double* out);
 /// ASCII-only lower-casing (locale-independent), for case-insensitive
 /// option and name matching.
 std::string AsciiLower(std::string_view text);
+
+/// One spelling a table-driven enum parser accepts (lower-case ASCII).
+template <typename E>
+struct EnumToken {
+  std::string_view token;
+  E value;
+};
+
+/// The one enum-parsing rule behind every `Parse<Enum>`: matches `text`
+/// case-insensitively against `table`'s tokens and returns the value of
+/// the first match. On a miss: "unknown <what> '<text>' (expected <every
+/// token, in table order>)".
+template <typename E>
+Result<E> ParseEnumToken(std::string_view text, std::string_view what,
+                         std::span<const EnumToken<E>> table) {
+  const std::string token = AsciiLower(text);
+  std::string expected;
+  for (const EnumToken<E>& entry : table) {
+    if (token == entry.token) return entry.value;
+    if (!expected.empty()) expected += ", ";
+    expected += entry.token;
+  }
+  return Status::InvalidArgument("unknown " + std::string(what) + " '" +
+                                 std::string(text) + "' (expected " +
+                                 expected + ")");
+}
 
 /// Formats with thousands separators, e.g. 1234567 -> "1,234,567".
 std::string FormatWithCommas(uint64_t value);

@@ -17,13 +17,6 @@
 
 namespace dismastd {
 
-double DistributedRunMetrics::MeanIterationSeconds() const {
-  if (sim_seconds_per_iteration.empty()) return 0.0;
-  double sum = 0.0;
-  for (double s : sim_seconds_per_iteration) sum += s;
-  return sum / static_cast<double>(sim_seconds_per_iteration.size());
-}
-
 Status DistributedOptions::Validate() const {
   DISMASTD_RETURN_IF_ERROR(als.Validate());
   if (num_workers < 1) {
@@ -102,6 +95,7 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
                   options.cost_model);
   WorkerExecutor exec(workers, options.execution);
   DistributedResult result;
+  StreamStepMetrics& m = result.metrics;
 
   // Deterministic fault source for this run. Attached only when the plan
   // can inject something for this streaming step, so a fault-free run is
@@ -136,7 +130,6 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
     // Account the online GTP/MTP recompute as its own superstep: every
     // worker re-counts its resident non-zeros and the driver's boundary
     // assignment is spread over the cluster, mirroring phase 1's cost.
-    const double repart_before = cluster.ElapsedSimSeconds();
     SuperstepAccounting racct = cluster.NewSuperstep();
     for (size_t n = 0; n < order; ++n) {
       const uint64_t slices =
@@ -151,11 +144,8 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
                             assign_cost / workers + 1);
       });
     }
-    cluster.CommitSuperstep(racct, "repartition");
-    result.metrics.sim_seconds_repartition =
-        cluster.ElapsedSimSeconds() - repart_before;
-    elastic->totals().repartition_sim_seconds +=
-        result.metrics.sim_seconds_repartition;
+    m.sim_seconds_repartition = cluster.CommitSuperstep(racct, "repartition");
+    elastic->totals().repartition_sim_seconds += m.sim_seconds_repartition;
 
     if (has_prev || eplan.workers_added > 0) {
       // Live migration: every factor row whose owner changed moves from
@@ -166,7 +156,6 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
       // replicated R x R Gram products.
       ScopedTrafficClass migration_traffic(
           cluster.network(), SimulatedNetwork::TrafficClass::kMigration);
-      const double migrate_before = cluster.ElapsedSimSeconds();
       const uint64_t migration_bytes_before =
           cluster.network().stats().migration_bytes;
       SuperstepAccounting macct = cluster.NewSuperstep();
@@ -217,16 +206,13 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
           }
         }
       }
-      cluster.CommitSuperstep(macct, "migrate");
-      result.metrics.sim_seconds_migrate =
-          cluster.ElapsedSimSeconds() - migrate_before;
-      result.metrics.migrated_rows = migrated_rows;
-      result.metrics.migration_bytes =
+      m.sim_seconds_migrate = cluster.CommitSuperstep(macct, "migrate");
+      m.migrated_rows = migrated_rows;
+      m.migration_bytes =
           cluster.network().stats().migration_bytes - migration_bytes_before;
       elastic->totals().migrated_rows += migrated_rows;
-      elastic->totals().migration_bytes += result.metrics.migration_bytes;
-      elastic->totals().migration_sim_seconds +=
-          result.metrics.sim_seconds_migrate;
+      elastic->totals().migration_bytes += m.migration_bytes;
+      elastic->totals().migration_sim_seconds += m.sim_seconds_migrate;
     }
   }
   if (elastic != nullptr && eplan.workers_drained > 0) {
@@ -259,7 +245,7 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
       } else {
         mp = PartitionMode(options.partitioner, slice_nnz, parts);
       }
-      result.metrics.balance_per_mode.push_back(ComputeBalance(mp));
+      m.balance_per_mode.push_back(ComputeBalance(mp));
       // Counting pass + boundary assignment cost, spread over workers
       // (O(nnz + I) for GTP, O(nnz + I log I) for MTP; Theorem 2).
       const uint64_t slices = slice_nnz.size();
@@ -301,7 +287,7 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
       mode_data[n] = BuildModePartitionData(delta, partitioning, n);
     });
     cluster.CommitSuperstep(acct, "partition");
-    result.metrics.sim_seconds_partitioning = cluster.ElapsedSimSeconds();
+    m.sim_seconds_partitioning = cluster.ElapsedSimSeconds();
   }
 
   // Static per-iteration remote-row fetch plan: plan[n][src][dst] = number
@@ -464,12 +450,8 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
                                rank * rank * rank);
         }
       });
-      {
-        const double before = cluster.ElapsedSimSeconds();
-        cluster.CommitSuperstep(acct, "mttkrp_update");
-        result.metrics.sim_seconds_mttkrp_update +=
-            cluster.ElapsedSimSeconds() - before;
-      }
+      m.sim_seconds_mttkrp_update +=
+          cluster.CommitSuperstep(acct, "mttkrp_update");
 
       // --- Superstep B: all-to-all reduction of the Gram products. ---
       // The simulated cluster still charges the partials here, where the
@@ -490,12 +472,8 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
       g0[n] = cluster.AllToAllReduceMatrix(p_g0, &reduce_acct);
       g1[n] = cluster.AllToAllReduceMatrix(p_g1, &reduce_acct);
       h[n] = cluster.AllToAllReduceMatrix(p_h, &reduce_acct);
-      {
-        const double before = cluster.ElapsedSimSeconds();
-        cluster.CommitSuperstep(reduce_acct, "gram_reduce");
-        result.metrics.sim_seconds_gram_reduce +=
-            cluster.ElapsedSimSeconds() - before;
-      }
+      m.sim_seconds_gram_reduce +=
+          cluster.CommitSuperstep(reduce_acct, "gram_reduce");
       if (trace_phases) {
         tracer->EndSim(obs::Tracer::kDriverLane, cluster.ElapsedSimSeconds());
       }
@@ -542,12 +520,7 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
       });
       (void)cluster.AllToAllReduceScalar(partial_inner, &loss_acct);
     }
-    {
-      const double before = cluster.ElapsedSimSeconds();
-      cluster.CommitSuperstep(loss_acct, "loss");
-      result.metrics.sim_seconds_loss +=
-          cluster.ElapsedSimSeconds() - before;
-    }
+    m.sim_seconds_loss += cluster.CommitSuperstep(loss_acct, "loss");
 
     double loss = 0.0;
     if (has_prev) {
@@ -560,8 +533,7 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
     ++result.als.iterations;
 
     const double sim_now = cluster.ElapsedSimSeconds();
-    result.metrics.sim_seconds_per_iteration.push_back(sim_now -
-                                                       sim_before_iters);
+    m.sim_seconds_per_sweep.push_back(sim_now - sim_before_iters);
     sim_before_iters = sim_now;
     if (trace_steps) tracer->EndSim(obs::Tracer::kDriverLane, sim_now);
 
@@ -601,7 +573,7 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
         }
         result.als.loss_history.clear();
         result.als.iterations = 0;
-        result.metrics.sim_seconds_per_iteration.clear();
+        m.sim_seconds_per_sweep.clear();
         iter = static_cast<size_t>(-1);  // restart the sweep loop
       } else {
         ++injector.metrics().degraded_recoveries;
@@ -640,10 +612,8 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
       // rows are Ã again.
       products_superstep(racct,
                          options.recovery == RecoveryMode::kCheckpoint);
-      const double before_recovery_commit = cluster.ElapsedSimSeconds();
-      cluster.CommitSuperstep(racct, "recovery");
       injector.metrics().recovery_sim_seconds +=
-          cluster.ElapsedSimSeconds() - before_recovery_commit;
+          cluster.CommitSuperstep(racct, "recovery");
       sim_before_iters = cluster.ElapsedSimSeconds();
       prev_loss = -1.0;  // the loss will jump; don't spuriously converge
       continue;
@@ -659,43 +629,50 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
   }
 
   result.als.factors = KruskalTensor(std::move(factors));
-  result.metrics.sim_seconds_total = cluster.ElapsedSimSeconds();
-  result.metrics.comm_messages = cluster.total_comm_messages();
-  result.metrics.comm_payload_bytes = cluster.total_comm_bytes();
-  result.metrics.total_flops = cluster.total_flops();
-  result.metrics.wall_seconds = wall.Stop();
-  result.metrics.recovery = injector.metrics();
-  result.metrics.orphaned_messages = cluster.network().stats().orphan_events;
-  result.metrics.leaked_messages = cluster.network().stats().orphan_messages;
-  result.metrics.num_workers = workers;
-  result.metrics.worker_busy_seconds = cluster.per_worker_busy_seconds();
-  {
-    double busy_max = 0.0, busy_sum = 0.0;
-    for (double b : result.metrics.worker_busy_seconds) {
-      busy_max = std::max(busy_max, b);
-      busy_sum += b;
-    }
-    const double busy_avg =
-        result.metrics.worker_busy_seconds.empty()
-            ? 0.0
-            : busy_sum /
-                  static_cast<double>(result.metrics.worker_busy_seconds.size());
-    result.metrics.load_imbalance = busy_avg > 0.0 ? busy_max / busy_avg : 1.0;
+  m.step = options.stream_step;
+  m.dims = delta.dims();
+  m.processed_nnz = delta.nnz();
+  m.iterations = result.als.iterations;
+  m.final_loss =
+      result.als.loss_history.empty() ? 0.0 : result.als.loss_history.back();
+  if (!m.sim_seconds_per_sweep.empty()) {
+    double sweep_sum = 0.0;
+    for (double s : m.sim_seconds_per_sweep) sweep_sum += s;
+    m.sim_seconds_per_iteration =
+        sweep_sum / static_cast<double>(m.sim_seconds_per_sweep.size());
   }
+  m.sim_seconds_total = cluster.ElapsedSimSeconds();
+  m.comm_messages = cluster.total_comm_messages();
+  m.comm_bytes = cluster.total_comm_bytes();
+  m.flops = cluster.total_flops();
+  m.wall_seconds = wall.Stop();
+  m.recovery = injector.metrics();
+  m.orphaned_messages = cluster.network().stats().orphan_events;
+  m.leaked_messages = cluster.network().stats().orphan_messages;
+  m.num_workers = workers;
+  const std::vector<double>& busy = cluster.per_worker_busy_seconds();
+  for (double b : busy) {
+    m.busy_seconds_max = std::max(m.busy_seconds_max, b);
+    m.busy_seconds_avg += b;
+  }
+  if (!busy.empty()) m.busy_seconds_avg /= static_cast<double>(busy.size());
+  m.load_imbalance = m.busy_seconds_avg > 0.0
+                         ? m.busy_seconds_max / m.busy_seconds_avg
+                         : 1.0;
   if (elastic != nullptr) {
-    result.metrics.elastic_active = true;
-    result.metrics.repartitioned = eplan.repartition;
-    result.metrics.workers_added = eplan.workers_added;
-    result.metrics.workers_drained = eplan.workers_drained;
+    m.elastic_active = true;
+    m.elastic_repartitioned = eplan.repartition;
+    m.workers_added = eplan.workers_added;
+    m.workers_drained = eplan.workers_drained;
     // Close the feedback loop: the monitor folds this step's realized
     // per-worker load into the rolling signal the next step consults.
-    elastic->EndStep(result.metrics.worker_busy_seconds);
+    elastic->EndStep(busy);
   }
 
   if (options.metrics != nullptr) {
     obs::MetricRegistry* reg = options.metrics;
     cluster.network().stats().PublishTo(reg);
-    result.metrics.recovery.PublishTo(reg);
+    m.recovery.PublishTo(reg);
     const auto phase_gauge = [&](const char* phase, double seconds) {
       reg->GetGauge("dismastd_core_sim_seconds",
                     {{"phase", phase}},
@@ -703,20 +680,20 @@ DistributedResult DisMastdDecompose(const SparseTensor& delta,
                     "the registry's lifetime")
           ->Add(seconds);
     };
-    phase_gauge("total", result.metrics.sim_seconds_total);
-    phase_gauge("partition", result.metrics.sim_seconds_partitioning);
-    phase_gauge("mttkrp_update", result.metrics.sim_seconds_mttkrp_update);
-    phase_gauge("gram_reduce", result.metrics.sim_seconds_gram_reduce);
-    phase_gauge("loss", result.metrics.sim_seconds_loss);
-    phase_gauge("repartition", result.metrics.sim_seconds_repartition);
-    phase_gauge("migrate", result.metrics.sim_seconds_migrate);
-    for (size_t n = 0; n < result.metrics.balance_per_mode.size(); ++n) {
-      PublishBalanceTo(result.metrics.balance_per_mode[n], n, reg);
+    phase_gauge("total", m.sim_seconds_total);
+    phase_gauge("partition", m.sim_seconds_partitioning);
+    phase_gauge("mttkrp_update", m.sim_seconds_mttkrp_update);
+    phase_gauge("gram_reduce", m.sim_seconds_gram_reduce);
+    phase_gauge("loss", m.sim_seconds_loss);
+    phase_gauge("repartition", m.sim_seconds_repartition);
+    phase_gauge("migrate", m.sim_seconds_migrate);
+    for (size_t n = 0; n < m.balance_per_mode.size(); ++n) {
+      PublishBalanceTo(m.balance_per_mode[n], n, reg);
     }
     if (elastic != nullptr) elastic->PublishTo(reg);
     reg->GetCounter("dismastd_core_flops_total", {},
                     "Counted floating-point work across all workers")
-        ->Add(result.metrics.total_flops);
+        ->Add(m.flops);
     reg->GetCounter("dismastd_core_supersteps_total", {},
                     "Committed BSP supersteps")
         ->Add(cluster.committed_supersteps());

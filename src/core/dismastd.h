@@ -2,6 +2,8 @@
 #define DISMASTD_CORE_DISMASTD_H_
 
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/cp_als.h"
@@ -92,13 +94,29 @@ struct DistributedOptions {
   Status Validate() const;
 };
 
-/// Resource metrics of one distributed decomposition.
-struct DistributedRunMetrics {
-  /// Simulated elapsed seconds (BSP cost model) of the whole run, the
-  /// data-partitioning phase, and each ALS sweep.
+/// Sentinel for "no event time attached": schedule-driven runs have no
+/// event-time axis; the ingest pipeline stamps real values.
+inline constexpr int64_t kNoEventTime = std::numeric_limits<int64_t>::min();
+
+/// The one per-step record. DisMastdDecompose fills everything the
+/// decomposition knows; the streaming layers add the snapshot-dependent
+/// fields (snapshot_nnz, fit, event times).
+struct StreamStepMetrics {
+  size_t step = 0;
+  std::vector<uint64_t> dims;
+  uint64_t snapshot_nnz = 0;
+  /// nnz the method actually processed: the delta for DisMASTD, the whole
+  /// snapshot for DMS-MG.
+  uint64_t processed_nnz = 0;
+  size_t iterations = 0;
+  /// Mean simulated seconds per ALS sweep (the paper's Fig. 5-7 metric),
+  /// and each sweep's own.
+  double sim_seconds_per_iteration = 0.0;
+  std::vector<double> sim_seconds_per_sweep;
+  /// Simulated elapsed seconds (BSP cost model) of the whole step and of
+  /// its data-partitioning phase.
   double sim_seconds_total = 0.0;
   double sim_seconds_partitioning = 0.0;
-  std::vector<double> sim_seconds_per_iteration;
   /// Phase breakdown of the iteration time (sums to ~the iteration total):
   /// the fetch+MTTKRP+row-update supersteps, the Gram all-to-all
   /// reductions, and the loss supersteps.
@@ -106,48 +124,55 @@ struct DistributedRunMetrics {
   double sim_seconds_gram_reduce = 0.0;
   double sim_seconds_loss = 0.0;
   /// Network totals (real serialized/accounted payload bytes).
+  uint64_t comm_bytes = 0;
   uint64_t comm_messages = 0;
-  uint64_t comm_payload_bytes = 0;
   /// Counted floating-point work across all workers.
-  uint64_t total_flops = 0;
+  uint64_t flops = 0;
   /// Real wall-clock seconds of the simulation itself.
   double wall_seconds = 0.0;
+  double final_loss = 0.0;
+  /// Fit of the returned factors against the *full* snapshot tensor
+  /// (1 - relative residual; 1 is perfect).
+  double fit = 0.0;
   /// Load balance achieved by the tensor partitioning, per mode.
   std::vector<PartitionBalance> balance_per_mode;
-  /// What the fault layer did to this run (all zero when fault-free).
+  /// What the fault layer did to this step (all zero when fault-free).
   RecoveryMetrics recovery;
   /// Supersteps that committed with undelivered messages still pending
   /// (collective hygiene violations surfaced by the network).
   uint64_t orphaned_messages = 0;
-  /// Total undelivered messages across those violations — sizes the leak,
+  /// Total undelivered messages across those supersteps — sizes the leak,
   /// where orphaned_messages only counts the offending supersteps.
   uint64_t leaked_messages = 0;
-  /// Workers the run actually computed on (differs from the options when
-  /// an elastic coordinator scales the cluster).
+  /// Event-time metadata stamped by the ingest pipeline (kNoEventTime on
+  /// schedule-driven runs): the newest event folded into this step's model
+  /// and the ingest watermark when the batch closed. The serving plane
+  /// measures model staleness against the watermark.
+  int64_t event_time_max = kNoEventTime;
+  int64_t event_time_watermark = kNoEventTime;
+  /// Workers the step computed on (differs from the options when an
+  /// elastic coordinator scales the cluster), their busy seconds across
+  /// the step's supersteps (cost-model terms before the BSP max), and the
+  /// realized imbalance max/avg — the signal the elastic monitor watches.
   uint32_t num_workers = 0;
-  /// Per-worker busy seconds across the run's supersteps (cost-model terms
-  /// before the BSP max) and their max/avg ratio — the realized load
-  /// imbalance the elastic monitor watches.
-  std::vector<double> worker_busy_seconds;
+  double busy_seconds_max = 0.0;
+  double busy_seconds_avg = 0.0;
   double load_imbalance = 1.0;
-  /// Elastic-cluster activity of this run (zeros without a coordinator).
+  /// Elastic-cluster activity of the step (zeros without a coordinator).
   bool elastic_active = false;
-  bool repartitioned = false;
+  bool elastic_repartitioned = false;
   uint32_t workers_added = 0;
   uint32_t workers_drained = 0;
   uint64_t migrated_rows = 0;
   uint64_t migration_bytes = 0;
   double sim_seconds_repartition = 0.0;
   double sim_seconds_migrate = 0.0;
-
-  /// Mean simulated seconds per ALS sweep (the paper's reported metric).
-  double MeanIterationSeconds() const;
 };
 
 /// Result of one distributed decomposition step.
 struct DistributedResult {
   AlsResult als;
-  DistributedRunMetrics metrics;
+  StreamStepMetrics metrics;
 };
 
 /// DisMASTD: one multi-aspect streaming step executed on the simulated

@@ -3,12 +3,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/dismastd.h"
-#include "core/dms_mg.h"
 #include "stream/snapshot.h"
 
 namespace dismastd {
@@ -36,64 +34,6 @@ Result<MethodKind> ParseMethodKind(const std::string& text);
 /// spelled-out aliases ("greedy" / "maxmin" / "max-min").
 Result<PartitionerKind> ParsePartitionerKind(const std::string& text);
 
-/// Sentinel for "no event time attached": schedule-driven runs have no
-/// event-time axis; the ingest pipeline stamps real values.
-inline constexpr int64_t kNoEventTime = std::numeric_limits<int64_t>::min();
-
-/// Per-snapshot metrics of a streaming run.
-struct StreamStepMetrics {
-  size_t step = 0;
-  std::vector<uint64_t> dims;
-  uint64_t snapshot_nnz = 0;
-  /// nnz the method actually processed: the delta for DisMASTD, the whole
-  /// snapshot for DMS-MG.
-  uint64_t processed_nnz = 0;
-  size_t iterations = 0;
-  /// Simulated seconds per ALS sweep (the paper's Fig. 5-7 metric).
-  double sim_seconds_per_iteration = 0.0;
-  double sim_seconds_total = 0.0;
-  double sim_seconds_partitioning = 0.0;
-  /// Phase breakdown of the iteration time (see DistributedRunMetrics).
-  double sim_seconds_mttkrp_update = 0.0;
-  double sim_seconds_gram_reduce = 0.0;
-  double sim_seconds_loss = 0.0;
-  uint64_t comm_bytes = 0;
-  uint64_t comm_messages = 0;
-  uint64_t flops = 0;
-  double wall_seconds = 0.0;
-  double final_loss = 0.0;
-  /// Fit of the returned factors against the *full* snapshot tensor
-  /// (1 - relative residual; 1 is perfect).
-  double fit = 0.0;
-  /// What the fault layer did to this step (all zero when fault-free).
-  RecoveryMetrics recovery;
-  /// Supersteps that committed with undelivered messages still pending.
-  uint64_t orphaned_messages = 0;
-  /// Total undelivered messages across those supersteps.
-  uint64_t leaked_messages = 0;
-  /// Event-time metadata stamped by the ingest pipeline (kNoEventTime on
-  /// schedule-driven runs): the newest event folded into this step's model
-  /// and the ingest watermark when the batch closed. The serving plane
-  /// measures model staleness against the watermark.
-  int64_t event_time_max = kNoEventTime;
-  int64_t event_time_watermark = kNoEventTime;
-  /// Workers the step computed on and the realized per-worker busy-time
-  /// imbalance (max/avg; the signal the elastic monitor watches).
-  uint32_t num_workers = 0;
-  double busy_seconds_max = 0.0;
-  double busy_seconds_avg = 0.0;
-  double load_imbalance = 1.0;
-  /// Elastic-cluster activity of the step (zeros without a coordinator).
-  bool elastic_active = false;
-  bool elastic_repartitioned = false;
-  uint32_t workers_added = 0;
-  uint32_t workers_drained = 0;
-  uint64_t migrated_rows = 0;
-  uint64_t migration_bytes = 0;
-  double sim_seconds_repartition = 0.0;
-  double sim_seconds_migrate = 0.0;
-};
-
 /// Called after every completed streaming step with that step's metrics
 /// and the factors the method produced for it. This is the hook the
 /// serving plane attaches to: publishing the factors here lets queries be
@@ -118,11 +58,13 @@ std::vector<StreamStepMetrics> RunStreamingExperiment(
     const DistributedOptions& options, bool compute_fit = false,
     const StreamStepObserver& observer = nullptr);
 
-/// One delta-driven DisMASTD step, shared by the schedule-driven
-/// experiment above and the real-time ingest pipeline: decomposes `delta`
-/// (entries beyond `old_dims`, dims == `new_dims`) chained on `*factors`
-/// (empty for a cold start), replaces `*factors` with the step's result,
-/// and returns the step's metrics. Emits the step's sim/wall trace spans,
+/// One streaming step, the only path a step takes — both methods of the
+/// schedule-driven experiment above, the real-time ingest pipeline and the
+/// continuous window's stitch: decomposes `delta` (entries beyond
+/// `old_dims`, dims == `new_dims`) chained on `*factors` (empty for a cold
+/// start; DMS-MG passes the whole snapshot, all-zero old dims and empty
+/// factors), replaces `*factors` with the step's result, and returns the
+/// step's record. Emits the step's sim/wall trace spans,
 /// applies the per-step seed/fault-plan discipline, and writes the
 /// per-step checkpoint when options.checkpoint_dir is set — so a model
 /// produced by replaying an event log is bit-identical to the same

@@ -45,13 +45,11 @@ const char* IngestModeName(IngestMode mode) {
 }
 
 Result<IngestMode> ParseIngestMode(const std::string& text) {
-  const std::string token = AsciiLower(text);
-  if (token == "batch") return IngestMode::kBatch;
-  if (token == "continuous" || token == "cwin") {
-    return IngestMode::kContinuous;
-  }
-  return Status::InvalidArgument("unknown ingest mode '" + text +
-                                 "' (expected batch or continuous)");
+  static constexpr EnumToken<IngestMode> kTokens[] = {
+      {"batch", IngestMode::kBatch},
+      {"continuous", IngestMode::kContinuous},
+      {"cwin", IngestMode::kContinuous}};
+  return ParseEnumToken<IngestMode>(text, "ingest mode", kTokens);
 }
 
 Result<ContinuousSessionResult> RunContinuousSession(

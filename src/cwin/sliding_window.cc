@@ -37,13 +37,12 @@ const char* DecayKindName(DecayKind kind) {
 }
 
 Result<DecayKind> ParseDecayKind(const std::string& text) {
-  const std::string token = AsciiLower(text);
-  if (token == "sliding" || token == "window") return DecayKind::kSliding;
-  if (token == "exponential" || token == "exp") {
-    return DecayKind::kExponential;
-  }
-  return Status::InvalidArgument("unknown decay kind '" + text +
-                                 "' (expected sliding or exponential)");
+  static constexpr EnumToken<DecayKind> kTokens[] = {
+      {"sliding", DecayKind::kSliding},
+      {"window", DecayKind::kSliding},
+      {"exponential", DecayKind::kExponential},
+      {"exp", DecayKind::kExponential}};
+  return ParseEnumToken<DecayKind>(text, "decay kind", kTokens);
 }
 
 SlidingWindowModel::SlidingWindowModel(size_t order,

@@ -51,8 +51,8 @@ Status Cluster::DrainWorkers(uint32_t count) {
   return Status::OK();
 }
 
-void Cluster::CommitSuperstep(const SuperstepAccounting& acct,
-                              const char* phase) {
+double Cluster::CommitSuperstep(const SuperstepAccounting& acct,
+                                const char* phase) {
   const double before = sim_seconds_;
   sim_seconds_ += SuperstepSeconds(config_, acct);
   for (uint32_t w = 0; w < acct.num_workers() && w < busy_seconds_.size();
@@ -94,6 +94,7 @@ void Cluster::CommitSuperstep(const SuperstepAccounting& acct,
       flight->NoteEvent("orphan_leak", supersteps_);
     }
   }
+  return sim_seconds_ - before;
 }
 
 Result<Message> Cluster::TransmitReliably(uint32_t src, uint32_t dst,

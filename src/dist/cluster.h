@@ -80,11 +80,12 @@ class Cluster {
     return SuperstepAccounting(num_workers());
   }
 
-  /// Folds a finished superstep into the simulated clock and totals.
+  /// Folds a finished superstep into the simulated clock and totals and
+  /// returns the simulated seconds the commit advanced the clock by.
   /// `phase` names the span the tracer records for this commit
   /// ("mttkrp_update", "gram_reduce", "loss", ...).
-  void CommitSuperstep(const SuperstepAccounting& acct,
-                       const char* phase = "superstep");
+  double CommitSuperstep(const SuperstepAccounting& acct,
+                         const char* phase = "superstep");
 
   /// Simulated elapsed seconds since construction / last ResetClock().
   double ElapsedSimSeconds() const { return sim_seconds_; }

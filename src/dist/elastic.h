@@ -144,7 +144,6 @@ class ElasticCoordinator {
                      PartitionerKind partitioner, uint32_t initial_workers,
                      uint32_t parts_per_mode = 0);
 
-  const ElasticOptions& options() const { return options_; }
   uint32_t num_workers() const { return num_workers_; }
   /// Partitions per mode (tracks the worker count when parts_per_mode 0).
   uint32_t num_parts() const;

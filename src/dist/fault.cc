@@ -134,10 +134,11 @@ const char* RecoveryModeName(RecoveryMode mode) {
 }
 
 Result<RecoveryMode> ParseRecoveryMode(const std::string& text) {
-  if (text == "checkpoint") return RecoveryMode::kCheckpoint;
-  if (text == "degraded" || text == "eq2") return RecoveryMode::kDegraded;
-  return Status::InvalidArgument("unknown recovery mode '" + text +
-                                 "' (expected checkpoint or degraded)");
+  static constexpr EnumToken<RecoveryMode> kTokens[] = {
+      {"checkpoint", RecoveryMode::kCheckpoint},
+      {"degraded", RecoveryMode::kDegraded},
+      {"eq2", RecoveryMode::kDegraded}};
+  return ParseEnumToken<RecoveryMode>(text, "recovery mode", kTokens);
 }
 
 bool RecoveryMetrics::Any() const {

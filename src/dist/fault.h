@@ -87,7 +87,7 @@ const char* RecoveryModeName(RecoveryMode mode);
 Result<RecoveryMode> ParseRecoveryMode(const std::string& text);
 
 /// Counters describing what the fault layer did to one run. Folded into
-/// DistributedRunMetrics / StreamStepMetrics so the experiment CSVs can
+/// the step record (StreamStepMetrics) so the experiment CSVs can
 /// price unreliability.
 struct RecoveryMetrics {
   uint64_t messages_dropped = 0;

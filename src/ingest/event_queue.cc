@@ -20,15 +20,14 @@ const char* BackpressurePolicyName(BackpressurePolicy policy) {
 }
 
 Result<BackpressurePolicy> ParseBackpressurePolicy(const std::string& text) {
-  const std::string token = AsciiLower(text);
-  if (token == "block") return BackpressurePolicy::kBlock;
-  if (token == "drop-oldest" || token == "dropoldest" || token == "drop") {
-    return BackpressurePolicy::kDropOldest;
-  }
-  if (token == "reject") return BackpressurePolicy::kReject;
-  return Status::InvalidArgument(
-      "unknown backpressure policy '" + text +
-      "' (expected block, drop-oldest, or reject)");
+  static constexpr EnumToken<BackpressurePolicy> kTokens[] = {
+      {"block", BackpressurePolicy::kBlock},
+      {"drop-oldest", BackpressurePolicy::kDropOldest},
+      {"dropoldest", BackpressurePolicy::kDropOldest},
+      {"drop", BackpressurePolicy::kDropOldest},
+      {"reject", BackpressurePolicy::kReject}};
+  return ParseEnumToken<BackpressurePolicy>(text, "backpressure policy",
+                                            kTokens);
 }
 
 EventQueue::EventQueue(size_t capacity, BackpressurePolicy policy)

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/string_util.h"
 #include "kernels/kernels_detail.h"
 
 namespace dismastd {
@@ -120,7 +121,8 @@ void AutoDispatchLocked() {
   const char* env = std::getenv("DISMASTD_KERNEL");
   if (env != nullptr && env[0] != '\0') {
     const std::string value(env);
-    if (value != "native" && value != "best" && value != "auto") {
+    const std::string token = AsciiLower(value);
+    if (token != "native" && token != "best" && token != "auto") {
       auto parsed = ParseBackend(value);
       if (!parsed.ok()) {
         why = std::string(BackendName(best)) + " (DISMASTD_KERNEL=" + value +
@@ -159,11 +161,11 @@ const char* BackendName(Backend backend) {
 }
 
 Result<Backend> ParseBackend(const std::string& text) {
-  if (text == "scalar") return Backend::kScalar;
-  if (text == "avx2") return Backend::kAvx2;
-  if (text == "avx512") return Backend::kAvx512;
-  return Status::InvalidArgument("unknown kernel backend '" + text +
-                                 "' (expected scalar|avx2|avx512)");
+  static constexpr EnumToken<Backend> kTokens[] = {
+      {"scalar", Backend::kScalar},
+      {"avx2", Backend::kAvx2},
+      {"avx512", Backend::kAvx512}};
+  return ParseEnumToken<Backend>(text, "kernel backend", kTokens);
 }
 
 const KernelTable& Get() {

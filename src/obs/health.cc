@@ -7,6 +7,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/string_util.h"
+
 namespace dismastd {
 namespace obs {
 
@@ -55,17 +57,12 @@ const char* HealthSignalName(HealthSignal signal) {
 }
 
 Result<HealthSignal> ParseHealthSignal(const std::string& text) {
+  EnumToken<HealthSignal> tokens[kNumHealthSignals] = {};
   for (size_t i = 0; i < kNumHealthSignals; ++i) {
     const HealthSignal signal = static_cast<HealthSignal>(i);
-    if (text == HealthSignalName(signal)) return signal;
+    tokens[i] = {HealthSignalName(signal), signal};
   }
-  std::string known;
-  for (size_t i = 0; i < kNumHealthSignals; ++i) {
-    if (!known.empty()) known += ", ";
-    known += HealthSignalName(static_cast<HealthSignal>(i));
-  }
-  return Status::InvalidArgument("unknown health signal '" + text +
-                                 "' (known: " + known + ")");
+  return ParseEnumToken<HealthSignal>(text, "health signal", tokens);
 }
 
 const char* AlertKindName(AlertKind kind) {

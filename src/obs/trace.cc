@@ -72,12 +72,11 @@ const char* TraceDetailName(TraceDetail detail) {
 }
 
 Result<TraceDetail> ParseTraceDetail(const std::string& text) {
-  const std::string token = AsciiLower(text);
-  if (token == "steps") return TraceDetail::kSteps;
-  if (token == "phases") return TraceDetail::kPhases;
-  if (token == "workers") return TraceDetail::kWorkers;
-  return Status::InvalidArgument("unknown trace detail '" + text +
-                                 "' (expected steps, phases or workers)");
+  static constexpr EnumToken<TraceDetail> kTokens[] = {
+      {"steps", TraceDetail::kSteps},
+      {"phases", TraceDetail::kPhases},
+      {"workers", TraceDetail::kWorkers}};
+  return ParseEnumToken<TraceDetail>(text, "trace detail", kTokens);
 }
 
 Tracer::Tracer(TraceDetail detail) : detail_(detail) {

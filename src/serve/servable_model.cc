@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/serialization.h"
+#include "common/string_util.h"
 #include "kernels/kernels.h"
 #include "la/ops.h"
 
@@ -77,11 +78,11 @@ const char* PrecisionName(Precision precision) {
 }
 
 Result<Precision> ParsePrecision(const std::string& text) {
-  if (text == "f64" || text == "fp64") return Precision::kF64;
-  if (text == "bf16") return Precision::kBf16;
-  if (text == "int8" || text == "i8") return Precision::kInt8;
-  return Status::InvalidArgument("unknown precision '" + text +
-                                 "' (expected f64|bf16|int8)");
+  static constexpr EnumToken<Precision> kTokens[] = {
+      {"f64", Precision::kF64},   {"fp64", Precision::kF64},
+      {"bf16", Precision::kBf16}, {"int8", Precision::kInt8},
+      {"i8", Precision::kInt8}};
+  return ParseEnumToken<Precision>(text, "precision", kTokens);
 }
 
 const char* SearchModeName(SearchMode mode) {
@@ -97,13 +98,13 @@ const char* SearchModeName(SearchMode mode) {
 }
 
 Result<SearchMode> ParseSearchMode(const std::string& text) {
-  if (text == "exact") return SearchMode::kExact;
-  if (text == "ann") return SearchMode::kAnn;
-  if (text == "ann_cached" || text == "ann+cache" || text == "cache") {
-    return SearchMode::kAnnCached;
-  }
-  return Status::InvalidArgument("unknown search mode '" + text +
-                                 "' (expected exact|ann|ann_cached)");
+  static constexpr EnumToken<SearchMode> kTokens[] = {
+      {"exact", SearchMode::kExact},
+      {"ann", SearchMode::kAnn},
+      {"ann_cached", SearchMode::kAnnCached},
+      {"ann+cache", SearchMode::kAnnCached},
+      {"cache", SearchMode::kAnnCached}};
+  return ParseEnumToken<SearchMode>(text, "search mode", kTokens);
 }
 
 ServableModel::ServableModel(KruskalTensor factors, uint64_t version,

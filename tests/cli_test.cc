@@ -508,6 +508,47 @@ TEST(CliTest, StreamDmsMgAndGtpVariants) {
   std::remove(tensor_path.c_str());
 }
 
+TEST(CliTest, StreamCheckpointIsTheMeasuredRunsLastStep) {
+  // `stream --checkpoint` writes the last step of the run it measured, for
+  // both methods, without decomposing the stream a second time: DMS-MG
+  // gets its checkpoint too, and a planned crash is recovered (and
+  // logged) once.
+  const std::string tensor_path = TempPath("cli_tensor6.tns");
+  const std::string checkpoint_path = TempPath("cli_dmsmg.ckpt");
+  std::string output;
+  ASSERT_TRUE(RunCommand({"generate", "--output", tensor_path, "--dims",
+                          "30x20x10", "--nnz", "800", "--seed", "9"},
+                         &output)
+                  .ok());
+  for (const char* method : {"dmsmg", "dismastd"}) {
+    std::remove(checkpoint_path.c_str());
+    ::testing::internal::CaptureStderr();
+    const Status status = RunCommand(
+        {"stream", "--input", tensor_path, "--method", method, "--steps", "2",
+         "--start", "0.8", "--step", "0.2", "--iterations", "3", "--rank",
+         "2", "--crash-at-step", "1", "--checkpoint", checkpoint_path},
+        &output);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(status.ok()) << method << ": " << output;
+    EXPECT_NE(output.find("crashes=1"), std::string::npos) << output;
+    size_t crash_lines = 0;
+    for (size_t at = log.find("crashed"); at != std::string::npos;
+         at = log.find("crashed", at + 1)) {
+      ++crash_lines;
+    }
+    EXPECT_EQ(crash_lines, 1u) << method << ": " << log;
+    Result<StreamCheckpoint> checkpoint =
+        ReadStreamCheckpointFile(checkpoint_path);
+    ASSERT_TRUE(checkpoint.ok()) << method;
+    EXPECT_EQ(checkpoint.value().step, 1u);
+    EXPECT_EQ(checkpoint.value().dims, (std::vector<uint64_t>{30, 20, 10}));
+    EXPECT_EQ(checkpoint.value().factors.dims(),
+              (std::vector<uint64_t>{30, 20, 10}));
+  }
+  std::remove(tensor_path.c_str());
+  std::remove(checkpoint_path.c_str());
+}
+
 TEST(CliTest, StreamThreadsFlagAccepted) {
   const std::string tensor_path = TempPath("cli_tensor4.tns");
   std::string output;

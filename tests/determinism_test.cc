@@ -25,22 +25,21 @@ void ExpectFactorsIdentical(const KruskalTensor& a, const KruskalTensor& b) {
   }
 }
 
-void ExpectMetricsIdentical(const DistributedRunMetrics& a,
-                            const DistributedRunMetrics& b) {
+void ExpectMetricsIdentical(const StreamStepMetrics& a,
+                            const StreamStepMetrics& b) {
   EXPECT_EQ(a.sim_seconds_total, b.sim_seconds_total);
   EXPECT_EQ(a.sim_seconds_partitioning, b.sim_seconds_partitioning);
-  ASSERT_EQ(a.sim_seconds_per_iteration.size(),
-            b.sim_seconds_per_iteration.size());
-  for (size_t i = 0; i < a.sim_seconds_per_iteration.size(); ++i) {
-    EXPECT_EQ(a.sim_seconds_per_iteration[i], b.sim_seconds_per_iteration[i])
-        << "iteration " << i;
+  ASSERT_EQ(a.sim_seconds_per_sweep.size(), b.sim_seconds_per_sweep.size());
+  for (size_t i = 0; i < a.sim_seconds_per_sweep.size(); ++i) {
+    EXPECT_EQ(a.sim_seconds_per_sweep[i], b.sim_seconds_per_sweep[i])
+        << "sweep " << i;
   }
   EXPECT_EQ(a.sim_seconds_mttkrp_update, b.sim_seconds_mttkrp_update);
   EXPECT_EQ(a.sim_seconds_gram_reduce, b.sim_seconds_gram_reduce);
   EXPECT_EQ(a.sim_seconds_loss, b.sim_seconds_loss);
   EXPECT_EQ(a.comm_messages, b.comm_messages);
-  EXPECT_EQ(a.comm_payload_bytes, b.comm_payload_bytes);
-  EXPECT_EQ(a.total_flops, b.total_flops);
+  EXPECT_EQ(a.comm_bytes, b.comm_bytes);
+  EXPECT_EQ(a.flops, b.flops);
   // The fault layer is driver-side: its counters and simulated penalties
   // must be just as thread-count independent as the rest.
   EXPECT_EQ(a.recovery.messages_dropped, b.recovery.messages_dropped);
@@ -209,6 +208,32 @@ uint64_t FingerprintStep(const DistributedResult& r, uint64_t hash) {
                r.als.loss_history.size() * sizeof(double), hash);
 }
 
+/// FNV-1a over the step record's simulated and counted fields — the
+/// numbers the paper's figures are read from: total, per-phase, mean and
+/// per-sweep sim seconds, imbalance, comm bytes and messages, flops, and
+/// the per-mode partition balance.
+uint64_t FingerprintRecord(const StreamStepMetrics& m, uint64_t hash) {
+  const double seconds[] = {m.sim_seconds_total,
+                            m.sim_seconds_partitioning,
+                            m.sim_seconds_mttkrp_update,
+                            m.sim_seconds_gram_reduce,
+                            m.sim_seconds_loss,
+                            m.sim_seconds_per_iteration,
+                            m.load_imbalance};
+  hash = Fnv1a(seconds, sizeof(seconds), hash);
+  hash = Fnv1a(m.sim_seconds_per_sweep.data(),
+               m.sim_seconds_per_sweep.size() * sizeof(double), hash);
+  const uint64_t counts[] = {m.comm_bytes, m.comm_messages, m.flops};
+  hash = Fnv1a(counts, sizeof(counts), hash);
+  for (const PartitionBalance& b : m.balance_per_mode) {
+    const uint64_t loads[] = {b.max_load, b.min_load};
+    const double stats[] = {b.mean_load, b.stddev, b.cv, b.imbalance};
+    hash = Fnv1a(loads, sizeof(loads), hash);
+    hash = Fnv1a(stats, sizeof(stats), hash);
+  }
+  return hash;
+}
+
 TEST(DeterminismTest, ChainedStepsMatchGoldenFingerprint) {
   // A cold step and two chained delta steps at the paper's R = 10, with
   // more partitions than workers, on every backend this host supports
@@ -216,8 +241,10 @@ TEST(DeterminismTest, ChainedStepsMatchGoldenFingerprint) {
   // from the per-row numerators, substitution and rank-1 Gram updates, so
   // it pins the lane-blocked row update and the row-list Gram to their
   // bits; any hot-path change that moves one bit, on any backend, changes
-  // it.
+  // it. The record golden pins the same run's simulated seconds, traffic,
+  // flops and balance, which depend on counts, not on factor values.
   constexpr uint64_t kGolden = 0x86037D91EDA21AE2ULL;
+  constexpr uint64_t kRecordGolden = 0x3A8EF836E0FA24E3ULL;
   GeneratorOptions gen;
   gen.dims = {60, 45, 30};
   gen.nnz = 6000;
@@ -241,18 +268,23 @@ TEST(DeterminismTest, ChainedStepsMatchGoldenFingerprint) {
       o.parts_per_mode = 7;
       o.execution.num_threads = threads;
       uint64_t hash = 0xCBF29CE484222325ULL;
+      uint64_t record = 0xCBF29CE484222325ULL;
       KruskalTensor prev;
       std::vector<uint64_t> old_dims(3, 0);
       for (size_t t = 0; t < seq.num_steps(); ++t) {
         DistributedResult r =
             DisMastdDecompose(seq.DeltaAt(t), old_dims, prev, o);
         hash = FingerprintStep(r, hash);
+        record = FingerprintRecord(r.metrics, record);
         prev = std::move(r.als.factors);
         old_dims = seq.DimsAt(t);
       }
       EXPECT_EQ(hash, kGolden)
           << kernels::BackendName(backend) << " threads=" << threads
           << " got 0x" << std::hex << hash;
+      EXPECT_EQ(record, kRecordGolden)
+          << kernels::BackendName(backend) << " threads=" << threads
+          << " got 0x" << std::hex << record;
     }
   }
   kernels::ResetDispatch();

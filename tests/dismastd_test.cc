@@ -108,16 +108,16 @@ TEST(DisMastdTest, MetricsArePopulated) {
   const DistributedOptions options = DistOpts(4, PartitionerKind::kMaxMin);
   const DistributedResult result =
       DisMastdDecompose(fx.delta, fx.old_dims, fx.prev, options);
-  const DistributedRunMetrics& m = result.metrics;
+  const StreamStepMetrics& m = result.metrics;
   EXPECT_GT(m.sim_seconds_total, 0.0);
   EXPECT_GT(m.sim_seconds_partitioning, 0.0);
   EXPECT_LT(m.sim_seconds_partitioning, m.sim_seconds_total);
-  ASSERT_EQ(m.sim_seconds_per_iteration.size(), 5u);
-  for (double s : m.sim_seconds_per_iteration) EXPECT_GT(s, 0.0);
-  EXPECT_GT(m.MeanIterationSeconds(), 0.0);
-  EXPECT_GT(m.comm_payload_bytes, 0u);
+  ASSERT_EQ(m.sim_seconds_per_sweep.size(), 5u);
+  for (double s : m.sim_seconds_per_sweep) EXPECT_GT(s, 0.0);
+  EXPECT_GT(m.sim_seconds_per_iteration, 0.0);
+  EXPECT_GT(m.comm_bytes, 0u);
   EXPECT_GT(m.comm_messages, 0u);
-  EXPECT_GT(m.total_flops, 0u);
+  EXPECT_GT(m.flops, 0u);
   EXPECT_GT(m.wall_seconds, 0.0);
   ASSERT_EQ(m.balance_per_mode.size(), 3u);
   // Phase breakdown: each phase positive and the phases account for the
@@ -126,7 +126,7 @@ TEST(DisMastdTest, MetricsArePopulated) {
   EXPECT_GT(m.sim_seconds_gram_reduce, 0.0);
   EXPECT_GT(m.sim_seconds_loss, 0.0);
   double iteration_total = 0.0;
-  for (double s : m.sim_seconds_per_iteration) iteration_total += s;
+  for (double s : m.sim_seconds_per_sweep) iteration_total += s;
   EXPECT_NEAR(m.sim_seconds_mttkrp_update + m.sim_seconds_gram_reduce +
                   m.sim_seconds_loss,
               iteration_total, 1e-9);
@@ -138,7 +138,7 @@ TEST(DisMastdTest, SingleWorkerHasNoRemoteTraffic) {
   const DistributedResult result =
       DisMastdDecompose(fx.delta, fx.old_dims, fx.prev, options);
   // All reductions and fetches are local on a 1-worker cluster.
-  EXPECT_EQ(result.metrics.comm_payload_bytes, 0u);
+  EXPECT_EQ(result.metrics.comm_bytes, 0u);
 }
 
 TEST(DisMastdTest, MoreWorkersCutSimulatedComputeTime) {
@@ -169,8 +169,8 @@ TEST(DisMastdTest, MoreWorkersCutSimulatedComputeTime) {
   const DistributedResult r1 = DisMastdDecompose(delta, old_dims, prev, one);
   const DistributedResult r8 =
       DisMastdDecompose(delta, old_dims, prev, eight);
-  EXPECT_LT(r8.metrics.MeanIterationSeconds(),
-            r1.metrics.MeanIterationSeconds());
+  EXPECT_LT(r8.metrics.sim_seconds_per_iteration,
+            r1.metrics.sim_seconds_per_iteration);
 }
 
 TEST(DisMastdTest, ReuseAblationCostsMoreWhenDisabled) {
@@ -182,7 +182,7 @@ TEST(DisMastdTest, ReuseAblationCostsMoreWhenDisabled) {
       DisMastdDecompose(fx.delta, fx.old_dims, fx.prev, reuse);
   const DistributedResult b =
       DisMastdDecompose(fx.delta, fx.old_dims, fx.prev, recompute);
-  EXPECT_GT(b.metrics.total_flops, a.metrics.total_flops);
+  EXPECT_GT(b.metrics.flops, a.metrics.flops);
   EXPECT_GE(b.metrics.sim_seconds_total, a.metrics.sim_seconds_total);
   // Same math either way.
   for (size_t i = 0; i < a.als.loss_history.size(); ++i) {
@@ -222,8 +222,8 @@ TEST(DisMastdTest, CommunicationGrowsWithWorkers) {
       fx.delta, fx.old_dims, fx.prev, DistOpts(2, PartitionerKind::kMaxMin));
   const DistributedResult large = DisMastdDecompose(
       fx.delta, fx.old_dims, fx.prev, DistOpts(8, PartitionerKind::kMaxMin));
-  EXPECT_GT(large.metrics.comm_payload_bytes,
-            small.metrics.comm_payload_bytes);
+  EXPECT_GT(large.metrics.comm_bytes,
+            small.metrics.comm_bytes);
 }
 
 }  // namespace

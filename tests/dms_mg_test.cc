@@ -60,7 +60,7 @@ TEST(DmsMgTest, CostScalesWithNnz) {
   const DistributedOptions options = DistOpts(4, PartitionerKind::kMaxMin);
   const DistributedResult rs = DmsMgDecompose(small, options);
   const DistributedResult rl = DmsMgDecompose(large, options);
-  EXPECT_GT(rl.metrics.total_flops, 2 * rs.metrics.total_flops);
+  EXPECT_GT(rl.metrics.flops, 2 * rs.metrics.flops);
 }
 
 TEST(DmsMgTest, ConvergesOnLowRankData) {

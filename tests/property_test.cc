@@ -197,7 +197,7 @@ TEST(TheoremFourTest, CommunicationBoundedByModelTerms) {
       iters * (n * dim_sum * r * 16.0 + 4.0 * n * m * m * r * r * 8.0 +
                m * m * 64.0) +
       1e5;
-  EXPECT_LT(static_cast<double>(result.metrics.comm_payload_bytes), bound);
+  EXPECT_LT(static_cast<double>(result.metrics.comm_bytes), bound);
 }
 
 }  // namespace

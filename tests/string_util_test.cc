@@ -97,6 +97,22 @@ TEST(AsciiLowerTest, LowersAsciiLettersOnly) {
   EXPECT_EQ(AsciiLower("\xC3\x89t\xC3\xA9"), "\xC3\x89t\xC3\xA9");
 }
 
+enum class Color { kRed, kGreen };
+
+TEST(ParseEnumTokenTest, MatchesAnyCaseAndNamesEveryTokenOnAMiss) {
+  static constexpr EnumToken<Color> kTokens[] = {
+      {"red", Color::kRed}, {"green", Color::kGreen}, {"lime", Color::kGreen}};
+  EXPECT_EQ(ParseEnumToken<Color>("red", "color", kTokens).value(),
+            Color::kRed);
+  EXPECT_EQ(ParseEnumToken<Color>("LiMe", "color", kTokens).value(),
+            Color::kGreen);
+  const Result<Color> miss = ParseEnumToken<Color>("Blue", "color", kTokens);
+  ASSERT_FALSE(miss.ok());
+  EXPECT_EQ(miss.status().message(),
+            "unknown color 'Blue' (expected red, green, lime)");
+  EXPECT_FALSE(ParseEnumToken<Color>("", "color", kTokens).ok());
+}
+
 TEST(ParseDoubleTest, ParsesValidDoubles) {
   double v = 0.0;
   ASSERT_TRUE(ParseDouble("3.5", &v).ok());

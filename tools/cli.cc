@@ -813,8 +813,21 @@ Status CmdStream(const Args& args, std::ostream& out) {
   Result<StreamingTensorSequence> stream_result = GetStream(args);
   if (!stream_result.ok()) return stream_result.status();
   const StreamingTensorSequence& stream = stream_result.value();
-  const auto metrics =
-      RunStreamingExperiment(stream, method, options, /*compute_fit=*/true);
+  // The checkpoint holds the measured run's last step: the observer keeps
+  // each step's factors until the next one replaces them.
+  const std::string checkpoint_path = args.Get("checkpoint");
+  StreamCheckpoint checkpoint;
+  StreamStepObserver keep_last;
+  if (!checkpoint_path.empty()) {
+    keep_last = [&checkpoint](const StreamStepMetrics& sm,
+                              const KruskalTensor& factors) {
+      checkpoint.factors = factors;
+      checkpoint.dims = sm.dims;
+      checkpoint.step = sm.step;
+    };
+  }
+  const auto metrics = RunStreamingExperiment(
+      stream, method, options, /*compute_fit=*/true, keep_last);
 
   out << MethodLabel(method, options.partitioner) << " on "
       << options.num_workers << " workers\n";
@@ -883,38 +896,7 @@ Status CmdStream(const Args& args, std::ostream& out) {
     }
   }
 
-  const std::string checkpoint_path = args.Get("checkpoint");
-  if (!checkpoint_path.empty() && method == MethodKind::kDisMastd) {
-    // Re-derive the final factors for the checkpoint. An elastic run is
-    // replayed under a fresh coordinator with the same options: its
-    // decisions derive from simulated metrics, so the replay makes the
-    // same ones and the checkpoint is bit-identical to the measured run.
-    std::unique_ptr<ElasticCoordinator> replay_coordinator;
-    if (coordinator != nullptr) {
-      replay_coordinator = std::make_unique<ElasticCoordinator>(
-          coordinator->options(), options.partitioner, options.num_workers,
-          options.parts_per_mode);
-    }
-    KruskalTensor prev;
-    std::vector<uint64_t> prev_dims(stream.full().order(), 0);
-    for (size_t t = 0; t < stream.num_steps(); ++t) {
-      DistributedOptions step_options = options;
-      step_options.als.seed = options.als.seed + t * 7919;
-      step_options.stream_step = t;
-      // The re-derivation is bookkeeping, not the measured run: keep it
-      // out of the trace and the metric totals.
-      step_options.tracer = nullptr;
-      step_options.metrics = nullptr;
-      step_options.elastic = replay_coordinator.get();
-      prev = DisMastdDecompose(stream.DeltaAt(t), prev_dims, prev,
-                               step_options)
-                 .als.factors;
-      prev_dims = stream.DimsAt(t);
-    }
-    StreamCheckpoint checkpoint;
-    checkpoint.factors = std::move(prev);
-    checkpoint.dims = prev_dims;
-    checkpoint.step = stream.num_steps() - 1;
+  if (!checkpoint_path.empty()) {
     DISMASTD_RETURN_IF_ERROR(
         WriteStreamCheckpointFile(checkpoint, checkpoint_path));
     out << "checkpoint written to " << checkpoint_path << "\n";
