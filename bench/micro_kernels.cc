@@ -32,6 +32,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -256,8 +257,10 @@ BENCHMARK(BM_DisMastdStep)->Arg(8)->Unit(benchmark::kMillisecond);
 // row-list Eq. 5 solve, old-row numerators included) and "gram" (the
 // row-list Gram update) rows cover fp64 (the decomposition path
 // is fp64-only by the determinism contract); "topk" rows cover fp64, bf16
-// and int8 candidate scans. CI greps this CSV to assert the vectorized
-// backends actually ran.
+// and int8 candidate scans; "hamming" rows time the ANN shortlist entry
+// (scan plus counting-select of 1000 rows over 120,000 codes) at 1, 2 and
+// 4 code words, named b64, b128 and b256 in the precision column. CI
+// greps this CSV to assert the vectorized backends actually ran.
 
 template <typename Fn>
 double TimeSeconds(size_t reps, Fn&& fn) {
@@ -347,6 +350,18 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
   }
   std::vector<double> scores(kCandidates);
 
+  // Hamming inputs: 120,000 random codes at the widest width swept; the
+  // narrower sweeps read a prefix of them.
+  constexpr size_t kCodeRows = 120000;
+  constexpr size_t kShortlist = 1000;
+  constexpr size_t kMaxWords = 4;
+  std::vector<uint64_t> codes(kCodeRows * kMaxWords);
+  std::vector<uint64_t> code_query(kMaxWords);
+  for (uint64_t& c : codes) c = rng.NextU64();
+  for (uint64_t& q : code_query) q = rng.NextU64();
+  std::vector<uint32_t> dists(kCodeRows);
+  std::vector<uint32_t> shortlist(kShortlist);
+
   for (size_t b = 0; b < kernels::kNumBackends; ++b) {
     const auto backend = static_cast<kernels::Backend>(b);
     if (!kernels::Supported(backend)) {
@@ -434,6 +449,23 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
       const double bytes =
           scan_items * (kRank * sizeof(int8_t) + sizeof(double));
       EmitSweepRow(csv, &report, "topk", backend, "i8", kRank, scan_items, secs,
+                   bytes);
+    }
+    const std::pair<size_t, const char*> kWidths[] = {
+        {1, "b64"}, {2, "b128"}, {4, "b256"}};
+    for (const auto& [words, width] : kWidths) {
+      constexpr size_t kReps = 64;
+      const double secs = TimeSeconds(kReps, [&] {
+        kern.hamming_shortlist(codes.data(), kCodeRows, words,
+                               code_query.data(), kShortlist, dists.data(),
+                               shortlist.data());
+        benchmark::DoNotOptimize(shortlist.data());
+      });
+      const double items = static_cast<double>(kCodeRows) * kReps;
+      // Each row's code words and its distance.
+      const double bytes =
+          items * (words * sizeof(uint64_t) + sizeof(uint32_t));
+      EmitSweepRow(csv, &report, "hamming", backend, width, 0, items, secs,
                    bytes);
     }
   }

@@ -26,6 +26,21 @@ double AugCoordinate(double norm_sq, double aug_norm) {
   return rest > 0.0 ? std::sqrt(rest) : 0.0;
 }
 
+/// This thread's Shortlist scratch, reused across queries (grown, never
+/// shrunk, like the kernels' LaneBuffer), so a query allocates only its
+/// answer: the query's augmented vector and code, and every row's
+/// distance.
+struct ShortlistScratch {
+  std::vector<double> aug;
+  std::vector<uint64_t> qcode;
+  std::vector<uint32_t> dists;
+};
+
+ShortlistScratch& ThreadScratch() {
+  thread_local ShortlistScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 LshHyperplanes::LshHyperplanes(size_t bits, size_t rank, uint64_t seed)
@@ -36,12 +51,19 @@ LshHyperplanes::LshHyperplanes(size_t bits, size_t rank, uint64_t seed)
 }
 
 void LshHyperplanes::Encode(const double* aug, uint64_t* code) const {
-  const size_t num_words = words();
-  for (size_t w = 0; w < num_words; ++w) code[w] = 0;
+  // One topk_score_block call per code word: the same blocked-8 dots as
+  // one dot_strided call per hyperplane, bit for bit.
   const auto& kt = kernels::Get();
-  for (size_t b = 0; b < bits_; ++b) {
-    const double dot = kt.dot_strided(planes_.RowPtr(b), 1, aug, 1, rank_ + 1);
-    if (dot >= 0.0) code[b / 64] |= uint64_t{1} << (b % 64);
+  double dots[64];
+  for (size_t w = 0; w < words(); ++w) {
+    const size_t first = w * 64;
+    const size_t count = std::min<size_t>(64, bits_ - first);
+    kt.topk_score_block(planes_.RowPtr(first), count, rank_ + 1, aug, dots);
+    uint64_t word = 0;
+    for (size_t b = 0; b < count; ++b) {
+      word |= static_cast<uint64_t>(dots[b] >= 0.0) << b;
+    }
+    code[w] = word;
   }
 }
 
@@ -142,43 +164,26 @@ std::vector<uint32_t> AnnIndex::Shortlist(size_t mode_index,
     std::iota(all.begin(), all.end(), 0u);
     return all;
   }
+  ShortlistScratch& scratch = ThreadScratch();
 
   // Query code: the MIPS augmentation of a query is [w, 0].
   const size_t rank = planes_.rank();
-  std::vector<double> aug(rank + 1, 0.0);
-  std::memcpy(aug.data(), weights, rank * sizeof(double));
-  std::vector<uint64_t> qcode(mode.words, 0);
-  planes_.Encode(aug.data(), qcode.data());
+  scratch.aug.assign(rank + 1, 0.0);
+  std::memcpy(scratch.aug.data(), weights, rank * sizeof(double));
+  scratch.qcode.resize(mode.words);
+  planes_.Encode(scratch.aug.data(), scratch.qcode.data());
 
-  std::vector<uint32_t> dists(mode.num_rows);
-  kernels::Get().hamming_block(mode.codes.data(), mode.num_rows, mode.words,
-                               qcode.data(), dists.data());
-
-  // Counting-select over the (bits+1)-valued distance range: find the
-  // cut-off distance, then take every row strictly below it plus the
-  // lowest-indexed ties at the cut-off. O(J), no heap, and deterministic
-  // regardless of scan order or selection-algorithm implementation.
-  std::vector<size_t> hist(planes_.bits() + 2, 0);
-  for (uint32_t d : dists) ++hist[d];
-  size_t cutoff = 0;
-  size_t below = 0;
-  while (below + hist[cutoff] < shortlist_size) {
-    below += hist[cutoff];
-    ++cutoff;
+  // The kernel's counting-select (kernels.h): every row strictly below
+  // the cut-off distance plus the lowest-indexed ties at it, ascending —
+  // a pure function of (index bytes, weights), whatever the backend.
+  if (scratch.dists.size() < mode.num_rows) {
+    scratch.dists.resize(mode.num_rows);
   }
-  size_t ties_budget = shortlist_size - below;
-
-  std::vector<uint32_t> shortlist;
-  shortlist.reserve(shortlist_size);
-  for (uint32_t r = 0; r < mode.num_rows; ++r) {
-    const uint32_t d = dists[r];
-    if (d < cutoff) {
-      shortlist.push_back(r);
-    } else if (d == cutoff && ties_budget > 0) {
-      shortlist.push_back(r);
-      --ties_budget;
-    }
-  }
+  std::vector<uint32_t> shortlist(shortlist_size);
+  kernels::Get().hamming_shortlist(mode.codes.data(), mode.num_rows,
+                                   mode.words, scratch.qcode.data(),
+                                   shortlist_size, scratch.dists.data(),
+                                   shortlist.data());
   return shortlist;
 }
 

@@ -28,8 +28,8 @@
 // included.
 //
 // Determinism contract: hyperplanes are drawn from a seeded Rng; every
-// dot product routes through the dispatched kernel table's fp64
-// `dot_strided` (bit-exact across backends); the Hamming scan is integer.
+// dot product routes through the dispatched kernel table's fp64 dot
+// kernels (bit-exact across backends); the Hamming scan is integer.
 // Builds are single-pass in row order, so index bytes are bit-identical
 // across thread counts and kernel backends, and an incremental patch
 // (below) is a pure function of the publish history.

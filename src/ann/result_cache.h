@@ -33,10 +33,10 @@ struct ResultCacheKey {
   uint64_t version = 0;      // model store publish version
   uint64_t fingerprint = 0;  // factor content fingerprint
   uint32_t target_mode = 0;
-  uint32_t k = 0;
+  uint64_t k = 0;
   uint32_t precision = 0;    // serve::Precision enum value
   uint32_t search = 0;       // serve::SearchMode enum value
-  uint32_t probes = 0;
+  uint64_t probes = 0;
   std::vector<uint64_t> anchor;
 
   bool SameModel(const ResultCacheKey& other) const {

@@ -500,30 +500,177 @@ inline __m256i Popcount64x4(__m256i v) {
   return _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256());
 }
 
-void HammingBlockAvx2(const uint64_t* codes, size_t num_rows, size_t words,
-                      const uint64_t* query, uint32_t* dists) {
-  if (words == 1) {
-    // One code word per row: distance 4 rows at a time.
-    const __m256i q = _mm256_set1_epi64x(static_cast<long long>(query[0]));
-    const size_t n4 = num_rows & ~static_cast<size_t>(3);
-    size_t j = 0;
-    for (; j < n4; j += 4) {
-      const __m256i rows = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(codes + j));
-      const __m256i counts = Popcount64x4(_mm256_xor_si256(rows, q));
-      alignas(32) uint64_t c[4];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(c), counts);
-      dists[j] = static_cast<uint32_t>(c[0]);
-      dists[j + 1] = static_cast<uint32_t>(c[1]);
-      dists[j + 2] = static_cast<uint32_t>(c[2]);
-      dists[j + 3] = static_cast<uint32_t>(c[3]);
+/// Lane i of the result is c[2i] + c[2i+1], where c = a ++ b (8 lanes).
+/// Applied log2(n) times to n vectors of row-major per-word counts, it
+/// leaves each row's total in one lane, in row order.
+inline __m256i AddPairs(__m256i a, __m256i b) {
+  // (a0+a1, b0+b1, a2+a3, b2+b3), then lanes 1 and 2 swap.
+  const __m256i sums = _mm256_add_epi64(_mm256_unpacklo_epi64(a, b),
+                                        _mm256_unpackhi_epi64(a, b));
+  return _mm256_permute4x64_epi64(sums, _MM_SHUFFLE(3, 1, 2, 0));
+}
+
+/// The low 32 bits of each 64-bit lane, packed into 128 bits.
+inline __m128i PackLow32(__m256i v) {
+  return _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+      v, _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6)));
+}
+
+/// Full 4-row blocks of kWords-word codes, kWords in {1, 2, 4}. A block
+/// is kWords contiguous vectors in which lane i holds word i mod kWords
+/// of its row, so one query pattern serves them all; AddPairs then folds
+/// each row's words into one lane. Returns the number of rows done.
+template <size_t kWords>
+size_t HammingBlocksAvx2(const uint64_t* codes, size_t num_rows,
+                         const uint64_t* query, uint32_t* dists) {
+  alignas(32) uint64_t pattern[4];
+  for (size_t i = 0; i < 4; ++i) pattern[i] = query[i % kWords];
+  const __m256i q =
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(pattern));
+  const size_t blocks = num_rows / 4;
+  for (size_t b = 0; b < blocks; ++b) {
+    const uint64_t* block = codes + b * 4 * kWords;
+    __m256i c[kWords];
+    for (size_t v = 0; v < kWords; ++v) {
+      c[v] = Popcount64x4(_mm256_xor_si256(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block + 4 * v)),
+          q));
     }
-    for (; j < num_rows; ++j) {
-      dists[j] = detail::Popcount64(codes[j] ^ query[0]);
+    for (size_t n = kWords; n > 1; n /= 2) {
+      for (size_t v = 0; v < n / 2; ++v) {
+        c[v] = AddPairs(c[2 * v], c[2 * v + 1]);
+      }
     }
-    return;
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dists + 4 * b),
+                     PackLow32(c[0]));
   }
-  detail::HammingBlockScalar(codes, num_rows, words, query, dists);
+  return blocks * 4;
+}
+
+/// Any word count and any number of rows, 4 rows at a time: each row's
+/// code is read as 4-word chunks (the last one masked), its counts summed
+/// lane-wise into one vector, and two AddPairs levels fold the 4 rows'
+/// vectors into one lane each. A partial block stores only its rows.
+void HammingRowsAvx2(const uint64_t* codes, size_t num_rows, size_t words,
+                     const uint64_t* query, uint32_t* dists) {
+  const size_t chunks = words / 4;
+  const __m256i tail = ColumnMask(words % 4);
+  const __m256i qtail = _mm256_maskload_epi64(
+      reinterpret_cast<const long long*>(query + 4 * chunks), tail);
+  for (size_t j0 = 0; j0 < num_rows; j0 += 4) {
+    const size_t count = std::min<size_t>(4, num_rows - j0);
+    __m256i acc[4];
+    for (size_t l = 0; l < 4; ++l) {
+      acc[l] = _mm256_setzero_si256();
+      if (l >= count) continue;
+      const uint64_t* row = codes + (j0 + l) * words;
+      for (size_t c = 0; c < chunks; ++c) {
+        const __m256i x = _mm256_xor_si256(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + 4 * c)),
+            _mm256_loadu_si256(
+                reinterpret_cast<const __m256i*>(query + 4 * c)));
+        acc[l] = _mm256_add_epi64(acc[l], Popcount64x4(x));
+      }
+      const __m256i x = _mm256_xor_si256(
+          _mm256_maskload_epi64(
+              reinterpret_cast<const long long*>(row + 4 * chunks), tail),
+          qtail);
+      acc[l] = _mm256_add_epi64(acc[l], Popcount64x4(x));
+    }
+    const __m256i sums =
+        AddPairs(AddPairs(acc[0], acc[1]), AddPairs(acc[2], acc[3]));
+    const __m128i store = _mm_cmpgt_epi32(
+        _mm_set1_epi32(static_cast<int>(count)), _mm_setr_epi32(0, 1, 2, 3));
+    _mm_maskstore_epi32(reinterpret_cast<int*>(dists + j0), store,
+                        PackLow32(sums));
+  }
+}
+
+void HammingScanAvx2(const uint64_t* codes, size_t num_rows, size_t words,
+                     const uint64_t* query, uint32_t* dists) {
+  size_t done = 0;
+  switch (words) {
+    case 1:
+      done = HammingBlocksAvx2<1>(codes, num_rows, query, dists);
+      break;
+    case 2:
+      done = HammingBlocksAvx2<2>(codes, num_rows, query, dists);
+      break;
+    case 4:
+      done = HammingBlocksAvx2<4>(codes, num_rows, query, dists);
+      break;
+    default:
+      break;
+  }
+  HammingRowsAvx2(codes + done * words, num_rows - done, words, query,
+                  dists + done);
+}
+
+/// Lanes of `d` at or below `limit`, as 32-bit all-ones (unsigned compare).
+inline __m256i AtOrBelow(__m256i d, __m256i limit) {
+  return _mm256_cmpeq_epi32(_mm256_min_epu32(d, limit), d);
+}
+
+/// One bit per 32-bit lane of a compare result.
+inline uint32_t LaneBits(__m256i mask) {
+  return static_cast<uint32_t>(_mm256_movemask_ps(_mm256_castsi256_ps(mask)));
+}
+
+/// hamming_shortlist's counting pass: the number of rows with
+/// dists[j] <= t, 8 rows per compare.
+size_t CountAtOrBelowAvx2(const uint32_t* dists, size_t num_rows,
+                          uint32_t t) {
+  const __m256i limit = _mm256_set1_epi32(static_cast<int>(t));
+  __m256i counts = _mm256_setzero_si256();
+  size_t j = 0;
+  for (; j + 8 <= num_rows; j += 8) {
+    const __m256i d =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dists + j));
+    counts = _mm256_sub_epi32(counts, AtOrBelow(d, limit));
+  }
+  alignas(32) uint32_t lanes[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), counts);
+  size_t total = 0;
+  for (uint32_t c : lanes) total += c;
+  return total + detail::CountAtOrBelowScalar(dists + j, num_rows - j, t);
+}
+
+/// hamming_shortlist's select: 8 rows per compare; a block with a row at
+/// or below the cut-off writes its kept rows' indices in order.
+void SelectAvx2(const uint32_t* dists, size_t num_rows, uint32_t cutoff,
+                size_t ties, uint32_t* rows) {
+  const __m256i c = _mm256_set1_epi32(static_cast<int>(cutoff));
+  size_t taken = 0;
+  size_t j = 0;
+  for (; j + 8 <= num_rows; j += 8) {
+    const __m256i d =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dists + j));
+    const uint32_t at_or_below = LaneBits(AtOrBelow(d, c));
+    if (at_or_below == 0) continue;
+    const uint32_t at = LaneBits(_mm256_cmpeq_epi32(d, c));
+    const uint32_t tied = detail::LowestBits(at, ties);
+    ties -= static_cast<size_t>(__builtin_popcount(tied));
+    for (uint32_t keep = (at_or_below & ~at) | tied; keep != 0;
+         keep &= keep - 1) {
+      rows[taken++] = static_cast<uint32_t>(j + __builtin_ctz(keep));
+    }
+  }
+  detail::SelectScalar(dists + j, j, num_rows - j, cutoff, ties,
+                       rows + taken);
+}
+
+void HammingShortlistAvx2(const uint64_t* codes, size_t num_rows,
+                          size_t words, const uint64_t* query, size_t n,
+                          uint32_t* dists, uint32_t* rows) {
+  HammingScanAvx2(codes, num_rows, words, query, dists);
+  if (n == 0) return;
+  size_t below = 0;
+  const uint32_t cutoff = detail::FindCutoff(
+      [&](size_t count, uint32_t t) {
+        return CountAtOrBelowAvx2(dists, count, t);
+      },
+      num_rows, static_cast<uint32_t>(64 * words), n, &below);
+  SelectAvx2(dists, num_rows, cutoff, n - below, rows);
 }
 
 void F64ToBf16Plain(const double* src, size_t n, Bf16* dst) {
@@ -552,7 +699,7 @@ const KernelTable& Avx2Kernels() {
     t.topk_score_block_bf16 = TopKScoreBlockBf16Avx2;
     t.i8_dot = I8DotAvx2;
     t.topk_score_block_i8 = TopKScoreBlockI8Avx2;
-    t.hamming_block = HammingBlockAvx2;
+    t.hamming_shortlist = HammingShortlistAvx2;
     return t;
   }();
   return table;

@@ -482,32 +482,190 @@ void Bf16ToF64Plain(const Bf16* src, size_t n, double* dst) {
 }
 
 #if defined(DISMASTD_KERNELS_HAVE_VPOPCNTDQ)
-/// VPOPCNTDQ Hamming scan: 8 rows' single-word codes per _mm512_popcnt_epi64.
-/// Compiled with a per-function target attribute — the base AVX-512 feature
-/// set this TU is built with does not include VPOPCNTDQ, so the table
-/// constructor checks CPUID before installing this pointer.
-__attribute__((target("avx512vpopcntdq")))
-void HammingBlockVpopcntdq(const uint64_t* codes, size_t num_rows,
-                           size_t words, const uint64_t* query,
-                           uint32_t* dists) {
-  if (words == 1) {
-    const __m512i q = _mm512_set1_epi64(static_cast<long long>(query[0]));
-    const size_t n8 = num_rows & ~static_cast<size_t>(7);
-    size_t j = 0;
-    for (; j < n8; j += 8) {
-      const __m512i rows =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(codes + j));
-      const __m512i counts = _mm512_popcnt_epi64(_mm512_xor_si512(rows, q));
-      // 8 x u64 counts -> 8 x u32 dists.
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dists + j),
-                          _mm512_cvtepi64_epi32(counts));
-    }
-    for (; j < num_rows; ++j) {
-      dists[j] = detail::Popcount64(codes[j] ^ query[0]);
-    }
-    return;
+// hamming_shortlist: a VPOPCNTDQ scan, then the counting-select's passes
+// over the distances (plain AVX-512F).
+
+/// Lanes [0, min(count, 16)) of a 16-lane mask.
+inline __mmask16 RowMask16(size_t count) {
+  return static_cast<__mmask16>(count >= 16 ? 0xFFFF : (1u << count) - 1u);
+}
+
+/// hamming_shortlist's counting pass: the number of rows with
+/// dists[j] <= t, 16 rows per compare.
+size_t CountAtOrBelowAvx512(const uint32_t* dists, size_t num_rows,
+                            uint32_t t) {
+  const __m512i limit = _mm512_set1_epi32(static_cast<int>(t));
+  const __m512i one = _mm512_set1_epi32(1);
+  __m512i even = _mm512_setzero_si512();
+  __m512i odd = _mm512_setzero_si512();
+  size_t j = 0;
+  for (; j + 32 <= num_rows; j += 32) {
+    const __mmask16 le0 =
+        _mm512_cmple_epu32_mask(_mm512_loadu_si512(dists + j), limit);
+    const __mmask16 le1 =
+        _mm512_cmple_epu32_mask(_mm512_loadu_si512(dists + j + 16), limit);
+    even = _mm512_mask_add_epi32(even, le0, even, one);
+    odd = _mm512_mask_add_epi32(odd, le1, odd, one);
   }
-  detail::HammingBlockScalar(codes, num_rows, words, query, dists);
+  for (; j < num_rows; j += 16) {
+    const __mmask16 valid = RowMask16(num_rows - j);
+    const __mmask16 le = _mm512_mask_cmple_epu32_mask(
+        valid, _mm512_maskz_loadu_epi32(valid, dists + j), limit);
+    even = _mm512_mask_add_epi32(even, le, even, one);
+  }
+  alignas(64) uint32_t lanes[16];
+  _mm512_store_si512(lanes, _mm512_add_epi32(even, odd));
+  size_t total = 0;
+  for (uint32_t c : lanes) total += c;
+  return total;
+}
+
+/// hamming_shortlist's select: 16 rows per compare, the kept rows'
+/// indices compress-stored in order.
+void SelectAvx512(const uint32_t* dists, size_t num_rows, uint32_t cutoff,
+                  size_t ties, uint32_t* rows) {
+  const __m512i c = _mm512_set1_epi32(static_cast<int>(cutoff));
+  const __m512i lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                          11, 12, 13, 14, 15);
+  size_t taken = 0;
+  for (size_t j = 0; j < num_rows; j += 16) {
+    const __mmask16 valid = RowMask16(num_rows - j);
+    const __m512i d = _mm512_maskz_loadu_epi32(valid, dists + j);
+    uint32_t keep = _mm512_mask_cmplt_epu32_mask(valid, d, c);
+    if (ties != 0) {
+      const uint32_t tied = detail::LowestBits(
+          _mm512_mask_cmpeq_epu32_mask(valid, d, c), ties);
+      ties -= static_cast<size_t>(__builtin_popcount(tied));
+      keep |= tied;
+    }
+    if (keep != 0) {
+      _mm512_mask_compressstoreu_epi32(
+          rows + taken, static_cast<__mmask16>(keep),
+          _mm512_add_epi32(lanes, _mm512_set1_epi32(static_cast<int>(j))));
+      taken += static_cast<size_t>(__builtin_popcount(keep));
+    }
+  }
+}
+
+// The scan is compiled with a per-function target attribute — the base
+// AVX-512 feature set this TU is built with does not include VPOPCNTDQ, so
+// the table constructor checks CPUID before installing the entry.
+#define DISMASTD_VPOPCNTDQ __attribute__((target("avx512vpopcntdq")))
+
+/// Lane i of the result is c[2i] + c[2i+1], where c = a ++ b (16 lanes).
+/// Applied log2(n) times to n vectors of row-major per-word counts, it
+/// leaves each row's total in one lane, in row order.
+inline __m512i AddPairs(__m512i a, __m512i b) {
+  const __m512i even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+  const __m512i odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+  return _mm512_add_epi64(_mm512_permutex2var_epi64(a, even, b),
+                          _mm512_permutex2var_epi64(a, odd, b));
+}
+
+/// Full 8-row blocks of kWords-word codes, kWords in {1, 2, 4}. A block
+/// is kWords contiguous vectors in which lane i holds word i mod kWords
+/// of its row, so one query pattern serves them all; AddPairs then folds
+/// each row's words into one lane. Returns the number of rows done.
+template <size_t kWords>
+DISMASTD_VPOPCNTDQ size_t HammingBlocksVpopcntdq(const uint64_t* codes,
+                                                 size_t num_rows,
+                                                 const uint64_t* query,
+                                                 uint32_t* dists) {
+  alignas(64) uint64_t pattern[8];
+  for (size_t i = 0; i < 8; ++i) pattern[i] = query[i % kWords];
+  const __m512i q = _mm512_load_si512(pattern);
+  const size_t blocks = num_rows / 8;
+  for (size_t b = 0; b < blocks; ++b) {
+    const uint64_t* block = codes + b * 8 * kWords;
+    __m512i c[kWords];
+    for (size_t v = 0; v < kWords; ++v) {
+      c[v] = _mm512_popcnt_epi64(
+          _mm512_xor_si512(_mm512_loadu_si512(block + 8 * v), q));
+    }
+    for (size_t n = kWords; n > 1; n /= 2) {
+      for (size_t v = 0; v < n / 2; ++v) {
+        c[v] = AddPairs(c[2 * v], c[2 * v + 1]);
+      }
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dists + 8 * b),
+                        _mm512_cvtepi64_epi32(c[0]));
+  }
+  return blocks * 8;
+}
+
+/// Any word count and any number of rows, 8 rows at a time: each row's
+/// code is read as 8-word chunks (the last one masked), its counts summed
+/// lane-wise into one vector, and three AddPairs levels fold the 8 rows'
+/// vectors into one lane each. A partial block stores only its rows.
+DISMASTD_VPOPCNTDQ void HammingRowsVpopcntdq(const uint64_t* codes,
+                                             size_t num_rows, size_t words,
+                                             const uint64_t* query,
+                                             uint32_t* dists) {
+  const size_t chunks = words / 8;
+  const __mmask8 tail = ColumnMask(words % 8);
+  const __m512i qtail = _mm512_maskz_loadu_epi64(tail, query + 8 * chunks);
+  for (size_t j0 = 0; j0 < num_rows; j0 += 8) {
+    const size_t count = std::min<size_t>(8, num_rows - j0);
+    __m512i acc[8];
+    for (size_t l = 0; l < 8; ++l) {
+      acc[l] = _mm512_setzero_si512();
+      if (l >= count) continue;
+      const uint64_t* row = codes + (j0 + l) * words;
+      for (size_t c = 0; c < chunks; ++c) {
+        const __m512i x = _mm512_xor_si512(_mm512_loadu_si512(row + 8 * c),
+                                           _mm512_loadu_si512(query + 8 * c));
+        acc[l] = _mm512_add_epi64(acc[l], _mm512_popcnt_epi64(x));
+      }
+      const __m512i x = _mm512_xor_si512(
+          _mm512_maskz_loadu_epi64(tail, row + 8 * chunks), qtail);
+      acc[l] = _mm512_add_epi64(acc[l], _mm512_popcnt_epi64(x));
+    }
+    for (size_t n = 8; n > 1; n /= 2) {
+      for (size_t v = 0; v < n / 2; ++v) {
+        acc[v] = AddPairs(acc[2 * v], acc[2 * v + 1]);
+      }
+    }
+    _mm256_mask_storeu_epi32(dists + j0, ColumnMask(count),
+                             _mm512_cvtepi64_epi32(acc[0]));
+  }
+}
+
+DISMASTD_VPOPCNTDQ void HammingScanVpopcntdq(const uint64_t* codes,
+                                             size_t num_rows, size_t words,
+                                             const uint64_t* query,
+                                             uint32_t* dists) {
+  size_t done = 0;
+  switch (words) {
+    case 1:
+      done = HammingBlocksVpopcntdq<1>(codes, num_rows, query, dists);
+      break;
+    case 2:
+      done = HammingBlocksVpopcntdq<2>(codes, num_rows, query, dists);
+      break;
+    case 4:
+      done = HammingBlocksVpopcntdq<4>(codes, num_rows, query, dists);
+      break;
+    default:
+      break;
+  }
+  HammingRowsVpopcntdq(codes + done * words, num_rows - done, words, query,
+                       dists + done);
+}
+
+/// The table entry, with every pass inlined into it (flatten): the hot
+/// loops run without a call.
+DISMASTD_VPOPCNTDQ __attribute__((flatten)) void HammingShortlistVpopcntdq(
+    const uint64_t* codes, size_t num_rows, size_t words,
+    const uint64_t* query, size_t n, uint32_t* dists, uint32_t* rows) {
+  HammingScanVpopcntdq(codes, num_rows, words, query, dists);
+  if (n == 0) return;
+  size_t below = 0;
+  const uint32_t cutoff = detail::FindCutoff(
+      [&](size_t count, uint32_t t) {
+        return CountAtOrBelowAvx512(dists, count, t);
+      },
+      num_rows, static_cast<uint32_t>(64 * words), n, &below);
+  SelectAvx512(dists, num_rows, cutoff, n - below, rows);
 }
 
 bool CpuHasVpopcntdq() { return __builtin_cpu_supports("avx512vpopcntdq"); }
@@ -531,9 +689,15 @@ const KernelTable& Avx512Kernels() {
     t.topk_score_block_bf16 = TopKScoreBlockBf16Avx512;
     t.i8_dot = I8DotAvx512;
     t.topk_score_block_i8 = TopKScoreBlockI8Avx512;
-    t.hamming_block = detail::HammingBlockScalar;
+#if defined(DISMASTD_KERNELS_HAVE_AVX2)
+    // Without VPOPCNTDQ (Skylake-SP, Cascade Lake) the AVX2 nibble-lookup
+    // body runs; every AVX-512 host has AVX2.
+    t.hamming_shortlist = Avx2Kernels().hamming_shortlist;
+#else
+    t.hamming_shortlist = detail::HammingShortlistScalar;
+#endif
 #if defined(DISMASTD_KERNELS_HAVE_VPOPCNTDQ)
-    if (CpuHasVpopcntdq()) t.hamming_block = HammingBlockVpopcntdq;
+    if (CpuHasVpopcntdq()) t.hamming_shortlist = HammingShortlistVpopcntdq;
 #endif
     return t;
   }();

@@ -138,13 +138,21 @@ struct KernelTable {
                               size_t rank, const double* wscaled,
                               double* scores);
 
-  /// dists[j] = Σ_w popcount(codes[j*words + w] ^ query[w]): Hamming
-  /// distance between every packed row code and the query code — the ANN
-  /// shortlist scan (src/ann/). Pure integer arithmetic, so every backend
-  /// is exact and bit-identical by construction (AVX-512 uses VPOPCNTDQ
-  /// when the CPU has it).
-  void (*hamming_block)(const uint64_t* codes, size_t num_rows, size_t words,
-                        const uint64_t* query, uint32_t* dists);
+  /// The ANN shortlist (src/ann/) over packed sign codes, `words` u64s per
+  /// row. First the scan: dists[j] = Σ_w popcount(codes[j*words + w] ^
+  /// query[w]), the Hamming distance of every row j in [0, num_rows).
+  /// Then the counting-select: with c the smallest distance that has at
+  /// least n rows at or below it (n <= num_rows), rows[0, n) receives every
+  /// row below c and then the lowest-indexed rows at c, in ascending row
+  /// order; n = 0 runs the scan alone. Pure integer arithmetic, so every
+  /// backend is exact and identical. The SIMD bodies scan a block of 8
+  /// (AVX-512 VPOPCNTDQ) or 4 (AVX2) rows' codes as whole vectors for
+  /// every word count, find c by binary search over vector counts of rows
+  /// at or below a distance, and select with compare masks
+  /// (compress-stores on AVX-512): no histogram, no sort, no allocation.
+  void (*hamming_shortlist)(const uint64_t* codes, size_t num_rows,
+                            size_t words, const uint64_t* query, size_t n,
+                            uint32_t* dists, uint32_t* rows);
 };
 
 /// The table selected at startup: best CPUID-supported backend, overridden

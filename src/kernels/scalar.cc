@@ -197,7 +197,7 @@ const KernelTable& ScalarKernels() {
     t.topk_score_block_bf16 = TopKScoreBlockBf16Scalar;
     t.i8_dot = detail::I8DotScalar;
     t.topk_score_block_i8 = TopKScoreBlockI8Scalar;
-    t.hamming_block = detail::HammingBlockScalar;
+    t.hamming_shortlist = detail::HammingShortlistScalar;
     return t;
   }();
   return table;

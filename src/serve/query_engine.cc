@@ -141,10 +141,10 @@ Result<TopKResult> QueryEngine::TopKWithBound(const TopKQuery& query) const {
       key.version = model.version();
       key.fingerprint = model.fingerprint();
       key.target_mode = static_cast<uint32_t>(query.target_mode);
-      key.k = static_cast<uint32_t>(query.k);
+      key.k = query.k;
       key.precision = static_cast<uint32_t>(query.precision);
       key.search = static_cast<uint32_t>(query.search);
-      key.probes = static_cast<uint32_t>(query.probes);
+      key.probes = query.probes;
       key.anchor = query.anchor;
       // anchor[target_mode] is ignored by scoring; normalize it out of the
       // key so callers that vary it still share one entry.

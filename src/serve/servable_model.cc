@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/serialization.h"
 #include "common/string_util.h"
@@ -29,38 +28,33 @@ bool BetterScored(const ScoredIndex& a, const ScoredIndex& b) {
   return a.index < b.index;
 }
 
-/// Partial-sorts the best k of `scores` with deterministic index
-/// tie-breaking (shared by all precisions).
+/// The best k of `scores` (score descending, index ascending), selected
+/// into a k-sized answer so it does not keep the scan's buffer. scores[j]
+/// belongs to candidate ids[j] (to j itself when `ids` is null), so a
+/// shortlist containing the true top-K yields exactly the exact scan's
+/// answer.
 std::vector<ScoredIndex> SelectTopK(const std::vector<double>& scores,
+                                    const std::vector<uint32_t>* ids,
                                     size_t k) {
   std::vector<ScoredIndex> scored(scores.size());
   for (size_t j = 0; j < scores.size(); ++j) {
-    scored[j] = {static_cast<uint64_t>(j), scores[j]};
+    scored[j] = {ids != nullptr ? (*ids)[j] : static_cast<uint64_t>(j),
+                 scores[j]};
   }
-  k = std::min(k, scored.size());
-  std::partial_sort(scored.begin(),
-                    scored.begin() + static_cast<ptrdiff_t>(k),
-                    scored.end(), BetterScored);
-  scored.resize(k);
-  return scored;
+  std::vector<ScoredIndex> top(std::min(k, scored.size()));
+  std::partial_sort_copy(scored.begin(), scored.end(), top.begin(),
+                         top.end(), BetterScored);
+  return top;
 }
 
-/// SelectTopK over a shortlist: scores[i] belongs to global candidate
-/// ids[i]. Same tie-break (score desc, global index asc), so a shortlist
-/// containing the true top-K yields exactly the exact scan's answer.
-std::vector<ScoredIndex> SelectTopKMapped(const std::vector<double>& scores,
-                                          const std::vector<uint32_t>& ids,
-                                          size_t k) {
-  std::vector<ScoredIndex> scored(scores.size());
-  for (size_t j = 0; j < scores.size(); ++j) {
-    scored[j] = {static_cast<uint64_t>(ids[j]), scores[j]};
+/// A quantized scan's per-query score error bound: Σ_f |w_f| · err_f.
+double ScoreErrorBound(const std::vector<double>& weights,
+                       const std::vector<double>& col_max_abs_err) {
+  double bound = 0.0;
+  for (size_t f = 0; f < weights.size(); ++f) {
+    bound += std::abs(weights[f]) * col_max_abs_err[f];
   }
-  k = std::min(k, scored.size());
-  std::partial_sort(scored.begin(),
-                    scored.begin() + static_cast<ptrdiff_t>(k),
-                    scored.end(), BetterScored);
-  scored.resize(k);
-  return scored;
+  return bound;
 }
 
 }  // namespace
@@ -244,11 +238,7 @@ double ServableModel::ScoreCandidates(size_t target_mode,
       const kernels::Bf16Matrix& target = bf16_factors_[target_mode];
       kern.topk_score_block_bf16(target.data.data(), candidates, r,
                                  weights.data(), scores->data());
-      double bound = 0.0;
-      for (size_t f = 0; f < r; ++f) {
-        bound += std::abs(weights[f]) * target.col_max_abs_err[f];
-      }
-      return bound;
+      return ScoreErrorBound(weights, target.col_max_abs_err);
     }
     case Precision::kInt8: {
       const kernels::Int8Matrix& target = int8_factors_[target_mode];
@@ -260,11 +250,7 @@ double ServableModel::ScoreCandidates(size_t target_mode,
       }
       kern.topk_score_block_i8(target.data.data(), candidates, r,
                                wscaled.data(), scores->data());
-      double bound = 0.0;
-      for (size_t f = 0; f < r; ++f) {
-        bound += std::abs(weights[f]) * target.col_max_abs_err[f];
-      }
-      return bound;
+      return ScoreErrorBound(weights, target.col_max_abs_err);
     }
   }
   return 0.0;
@@ -278,55 +264,38 @@ double ServableModel::ScoreShortlist(
   const size_t r = rank();
   const size_t n = shortlist.size();
   scores->resize(n);
-  // Gather the shortlist rows into one contiguous block and run the same
-  // topk_score_block kernel the exact scan uses. Each row's dot product is
-  // computed from identical inputs by identical code, so shortlisted rows
-  // score bit-identically to the full scan.
+  // Each listed row is scored where it lies by the one-row form of the
+  // scan kernel (dot_strided, bf16_dot, i8_dot): the same blocked-8 dot
+  // over the same inputs, so shortlisted rows score bit-identically to
+  // the full scan, with nothing gathered.
   switch (precision) {
     case Precision::kF64: {
       const Matrix& target = factors_.factor(target_mode);
-      std::vector<double> gathered(n * r);
       for (size_t j = 0; j < n; ++j) {
-        std::memcpy(gathered.data() + j * r, target.RowPtr(shortlist[j]),
-                    r * sizeof(double));
+        (*scores)[j] = kern.dot_strided(target.RowPtr(shortlist[j]), 1,
+                                        weights.data(), 1, r);
       }
-      kern.topk_score_block(gathered.data(), n, r, weights.data(),
-                            scores->data());
       return 0.0;
     }
     case Precision::kBf16: {
       const kernels::Bf16Matrix& target = bf16_factors_[target_mode];
-      std::vector<kernels::Bf16> gathered(n * r);
       for (size_t j = 0; j < n; ++j) {
-        std::memcpy(gathered.data() + j * r, target.RowPtr(shortlist[j]),
-                    r * sizeof(kernels::Bf16));
+        (*scores)[j] =
+            kern.bf16_dot(target.RowPtr(shortlist[j]), weights.data(), r);
       }
-      kern.topk_score_block_bf16(gathered.data(), n, r, weights.data(),
-                                 scores->data());
-      double bound = 0.0;
-      for (size_t f = 0; f < r; ++f) {
-        bound += std::abs(weights[f]) * target.col_max_abs_err[f];
-      }
-      return bound;
+      return ScoreErrorBound(weights, target.col_max_abs_err);
     }
     case Precision::kInt8: {
       const kernels::Int8Matrix& target = int8_factors_[target_mode];
-      std::vector<int8_t> gathered(n * r);
-      for (size_t j = 0; j < n; ++j) {
-        std::memcpy(gathered.data() + j * r, target.RowPtr(shortlist[j]),
-                    r * sizeof(int8_t));
-      }
       std::vector<double> wscaled(r);
       for (size_t f = 0; f < r; ++f) {
         wscaled[f] = weights[f] * target.col_scale[f];
       }
-      kern.topk_score_block_i8(gathered.data(), n, r, wscaled.data(),
-                               scores->data());
-      double bound = 0.0;
-      for (size_t f = 0; f < r; ++f) {
-        bound += std::abs(weights[f]) * target.col_max_abs_err[f];
+      for (size_t j = 0; j < n; ++j) {
+        (*scores)[j] =
+            kern.i8_dot(target.RowPtr(shortlist[j]), wscaled.data(), r);
       }
-      return bound;
+      return ScoreErrorBound(weights, target.col_max_abs_err);
     }
   }
   return 0.0;
@@ -339,7 +308,7 @@ std::vector<ScoredIndex> ServableModel::TopK(
       CombinationWeights(target_mode, anchor);
   std::vector<double> scores;
   ScoreCandidates(target_mode, weights, Precision::kF64, &scores);
-  return SelectTopK(scores, k);
+  return SelectTopK(scores, nullptr, k);
 }
 
 Result<TopKResult> ServableModel::TopKWithPrecision(
@@ -358,7 +327,7 @@ Result<TopKResult> ServableModel::TopKWithPrecision(
   result.precision = precision;
   result.score_error_bound =
       ScoreCandidates(target_mode, weights, precision, &scores);
-  result.items = SelectTopK(scores, k);
+  result.items = SelectTopK(scores, nullptr, k);
   result.rows_scored = scores.size();
   return result;
 }
@@ -380,9 +349,10 @@ Result<TopKResult> ServableModel::TopKAnn(
   const std::vector<double> weights =
       CombinationWeights(target_mode, anchor);
   const size_t candidates = static_cast<size_t>(dims_[target_mode]);
+  // min(J, max(k, probes * k)), without letting probes * k wrap.
   if (probes == 0) probes = 1;
   const size_t shortlist_size =
-      std::min(candidates, std::max(k, probes * k));
+      k == 0 ? 0 : (probes > candidates / k ? candidates : probes * k);
   const std::vector<uint32_t> shortlist =
       ann_index_->Shortlist(target_mode, weights.data(), shortlist_size);
 
@@ -391,7 +361,7 @@ Result<TopKResult> ServableModel::TopKAnn(
   std::vector<double> scores;
   result.score_error_bound =
       ScoreShortlist(target_mode, weights, precision, shortlist, &scores);
-  result.items = SelectTopKMapped(scores, shortlist, k);
+  result.items = SelectTopK(scores, &shortlist, k);
   result.rows_scored = shortlist.size();
   return result;
 }

@@ -192,7 +192,7 @@ class ServableModel {
 
   /// Approximate TopK: Hamming-shortlists min(J, max(k, probes * k))
   /// candidates from the LSH index, then re-ranks just those rows through
-  /// the same scoring kernel the exact scan uses. Shortlisted rows'
+  /// the same blocked-8 dot the exact scan uses. Shortlisted rows'
   /// returned scores are therefore bit-identical to the exact scan's; the
   /// only approximation is which rows make the shortlist. Fails with
   /// FailedPrecondition if the model carries no index or the requested
@@ -220,9 +220,9 @@ class ServableModel {
                          Precision precision,
                          std::vector<double>* scores) const;
 
-  /// Scores just the `shortlist` rows of `target_mode` (gathered into a
-  /// contiguous block so the same topk_score_block kernels run on them)
-  /// and returns the query's score error bound.
+  /// Scores just the `shortlist` rows of `target_mode` in place, through
+  /// the one-row forms of the topk_score_block kernels, and returns the
+  /// query's score error bound.
   double ScoreShortlist(size_t target_mode,
                         const std::vector<double>& weights,
                         Precision precision,

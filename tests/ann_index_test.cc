@@ -43,26 +43,60 @@ std::vector<uint32_t> ReferenceHamming(const std::vector<uint64_t>& codes,
   return dists;
 }
 
+/// The counting-select rule by sorting: order rows by (distance, row),
+/// take the first n, and return them in row order.
+std::vector<uint32_t> ReferenceSelect(const std::vector<uint32_t>& dists,
+                                      size_t n) {
+  std::vector<uint32_t> order(dists.size());
+  for (uint32_t r = 0; r < order.size(); ++r) order[r] = r;
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return dists[a] != dists[b] ? dists[a] < dists[b] : a < b;
+  });
+  order.resize(n);
+  std::sort(order.begin(), order.end());
+  return order;
+}
+
+const kernels::Backend kAllBackends[] = {kernels::Backend::kScalar,
+                                         kernels::Backend::kAvx2,
+                                         kernels::Backend::kAvx512};
+
 TEST(HammingKernelTest, AllBackendsMatchReferenceExactly) {
   Rng rng(11);
-  for (size_t words : {size_t{1}, size_t{3}}) {
-    // Odd row count exercises the SIMD tail loops.
-    const size_t rows = 1001;
-    std::vector<uint64_t> codes(rows * words);
-    std::vector<uint64_t> query(words);
-    for (auto& c : codes) c = rng.NextU64();
-    for (auto& q : query) q = rng.NextU64();
-    const std::vector<uint32_t> expected =
-        ReferenceHamming(codes, words, query);
-    for (kernels::Backend backend :
-         {kernels::Backend::kScalar, kernels::Backend::kAvx2,
-          kernels::Backend::kAvx512}) {
-      if (!kernels::Supported(backend)) continue;
-      std::vector<uint32_t> dists(rows, 0);
-      kernels::Get(backend).hamming_block(codes.data(), rows, words,
-                                          query.data(), dists.data());
-      EXPECT_EQ(dists, expected) << kernels::BackendName(backend)
-                                 << " words=" << words;
+  // 1, 2 and 4 words take the whole-block scan bodies; 3 and 9 the
+  // per-row chunked one (9 = a full 8-word chunk plus a masked tail). Row
+  // counts cover empty, partial, exact and one-past blocks of 4 and 8
+  // rows, and selections of none, one, a third and all of them.
+  for (size_t words : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{9}}) {
+    for (size_t rows : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                        size_t{1001}}) {
+      std::vector<uint64_t> codes(rows * words);
+      std::vector<uint64_t> query(words);
+      for (auto& c : codes) c = rng.NextU64();
+      for (auto& q : query) q = rng.NextU64();
+      const std::vector<uint32_t> expected =
+          ReferenceHamming(codes, words, query);
+      for (size_t n : {size_t{0}, std::min<size_t>(1, rows), rows / 3, rows}) {
+        for (kernels::Backend backend : kAllBackends) {
+          if (!kernels::Supported(backend)) continue;
+          // One sentinel past each output: a body must not store beyond.
+          std::vector<uint32_t> dists(rows + 1, 0xDEADBEEFu);
+          std::vector<uint32_t> chosen(n + 1, 0xDEADBEEFu);
+          kernels::Get(backend).hamming_shortlist(codes.data(), rows, words,
+                                                  query.data(), n,
+                                                  dists.data(), chosen.data());
+          const std::string where = std::string(kernels::BackendName(backend)) +
+                                    " words=" + std::to_string(words) +
+                                    " rows=" + std::to_string(rows) +
+                                    " n=" + std::to_string(n);
+          EXPECT_EQ(dists.back(), 0xDEADBEEFu) << where;
+          EXPECT_EQ(chosen.back(), 0xDEADBEEFu) << where;
+          dists.pop_back();
+          chosen.pop_back();
+          EXPECT_EQ(dists, expected) << where;
+          EXPECT_EQ(chosen, ReferenceSelect(expected, n)) << where;
+        }
+      }
     }
   }
 }
@@ -97,52 +131,69 @@ TEST(LshIndexTest, BuildIsDeterministicAcrossRepeatsAndBackends) {
 
 TEST(LshIndexTest, ShortlistIsExactCountingSelect) {
   const KruskalTensor factors = MakeFactors(2);
-  LshOptions options;
-  const auto index = AnnIndex::Build(factors, options, nullptr, nullptr);
   const size_t mode = 0;
   const size_t rows = factors.factor(mode).rows();
-
   std::vector<double> weights(factors.rank());
   Rng rng(5);
   for (auto& w : weights) w = rng.NextDouble(-1.0, 1.0);
 
-  const size_t want = 37;
-  const std::vector<uint32_t> shortlist =
-      index->Shortlist(mode, weights.data(), want);
-  ASSERT_EQ(shortlist.size(), want);
-  EXPECT_TRUE(std::is_sorted(shortlist.begin(), shortlist.end()));
+  struct Case {
+    std::shared_ptr<const AnnIndex> index;
+    size_t want;
+    std::vector<uint32_t> expected;
+  };
+  std::vector<Case> cases;
+  for (size_t bits : {size_t{64}, size_t{96}, size_t{128}, size_t{256}}) {
+    LshOptions options;
+    options.bits = bits;
+    auto index = AnnIndex::Build(factors, options, nullptr, nullptr);
+    std::vector<double> aug(factors.rank() + 1, 0.0);
+    std::copy(weights.begin(), weights.end(), aug.begin());
+    std::vector<uint64_t> qcode(index->planes().words(), 0);
+    index->planes().Encode(aug.data(), qcode.data());
+    const std::vector<uint32_t> dists =
+        ReferenceHamming(index->mode(mode).codes, index->mode(mode).words,
+                         qcode);
+    // A size that cuts through a tie: one past the rows below the
+    // smallest distance shared by at least two rows.
+    std::vector<uint32_t> sorted = dists;
+    std::sort(sorted.begin(), sorted.end());
+    size_t tie_cut = 0;
+    for (size_t i = 1; i < sorted.size(); ++i) {
+      if (sorted[i] == sorted[i - 1]) {
+        tie_cut = static_cast<size_t>(
+                      std::lower_bound(sorted.begin(), sorted.end(),
+                                       sorted[i]) -
+                      sorted.begin()) +
+                  1;
+        break;
+      }
+    }
+    ASSERT_GT(tie_cut, 0u) << "bits=" << bits;
+    for (size_t want : {size_t{1}, tie_cut, rows - 1, rows}) {
+      cases.push_back({index, want, ReferenceSelect(dists, want)});
+    }
+  }
 
-  // Recompute distances by hand and check the selection rule: everything
-  // strictly below the cut-off distance is in, ties at the cut-off fill
-  // the remainder lowest-index-first.
-  std::vector<double> aug(factors.rank() + 1, 0.0);
-  std::copy(weights.begin(), weights.end(), aug.begin());
-  std::vector<uint64_t> qcode(index->planes().words(), 0);
-  index->planes().Encode(aug.data(), qcode.data());
-  std::vector<uint32_t> dists(rows);
-  kernels::Get().hamming_block(index->mode(mode).codes.data(), rows,
-                               index->mode(mode).words, qcode.data(),
-                               dists.data());
-  std::set<uint32_t> chosen(shortlist.begin(), shortlist.end());
-  uint32_t cutoff = 0;
-  for (uint32_t r : shortlist) cutoff = std::max(cutoff, dists[r]);
-  size_t ties_chosen = 0;
-  uint32_t highest_chosen_tie = 0;
-  for (uint32_t r = 0; r < rows; ++r) {
-    if (dists[r] < cutoff) {
-      EXPECT_TRUE(chosen.count(r)) << "row " << r << " below cutoff missing";
-    } else if (dists[r] == cutoff && chosen.count(r)) {
-      ++ties_chosen;
-      highest_chosen_tie = r;
-    }
+  // Every backend, each from two threads at once: the per-thread scratch
+  // must not leak between concurrent queries (run under TSan).
+  for (kernels::Backend backend : kAllBackends) {
+    if (!kernels::Supported(backend)) continue;
+    ASSERT_TRUE(kernels::ForceBackend(backend).ok());
+    std::atomic<int> mismatches{0};
+    auto run = [&] {
+      for (const Case& c : cases) {
+        if (c.index->Shortlist(mode, weights.data(), c.want) != c.expected) {
+          mismatches.fetch_add(1);
+        }
+      }
+    };
+    std::thread other(run);
+    run();
+    other.join();
+    EXPECT_EQ(mismatches.load(), 0) << kernels::BackendName(backend);
   }
-  // Lowest-index tie-breaking: no unchosen tie may precede a chosen one.
-  for (uint32_t r = 0; r < highest_chosen_tie; ++r) {
-    if (dists[r] == cutoff) {
-      EXPECT_TRUE(chosen.count(r)) << "tie at row " << r << " skipped";
-    }
-  }
-  EXPECT_GT(ties_chosen, 0u);
+  kernels::ResetDispatch();
 }
 
 TEST(LshIndexTest, ShortlistClampsAndHandlesEmptyMode) {

@@ -257,6 +257,68 @@ TEST_F(QueryEngineTest, CachedSearchWithoutCacheDegradesToAnn) {
   EXPECT_EQ(top.value().items, store_.Current()->TopK(1, query.anchor, 3));
 }
 
+TEST(QueryEngineAnswerTest, TopKAnswersKeepOnlyKItems) {
+  // A top-K answer selected from 200 scored rows (exact) or a 30-row
+  // shortlist (ann) must not carry the scan's buffer along.
+  ModelStore store;
+  store.Publish(MakeFactors(3, {200, 8, 6}), 0);
+  TopKResultCache cache(64);
+  QueryEngine engine(&store, nullptr, nullptr, nullptr, &cache);
+  for (SearchMode mode :
+       {SearchMode::kExact, SearchMode::kAnn, SearchMode::kAnnCached}) {
+    TopKQuery query;
+    query.target_mode = 0;
+    query.anchor = {0, 4, 3};
+    query.k = 3;
+    query.search = mode;
+    query.probes = 10;
+    Result<TopKResult> top = engine.TopKWithBound(query);
+    ASSERT_TRUE(top.ok()) << top.status();
+    EXPECT_EQ(top.value().items.size(), 3u) << SearchModeName(mode);
+    EXPECT_LE(top.value().items.capacity(), 3u) << SearchModeName(mode);
+  }
+}
+
+TEST(QueryEngineAnswerTest, CacheKeysKeepTheFullKAndProbes) {
+  ModelStore store;
+  store.Publish(MakeFactors(4, {200, 8, 6}), 0);
+  TopKResultCache cache(64);
+  QueryEngine engine(&store, nullptr, nullptr, nullptr, &cache);
+  TopKQuery query;
+  query.target_mode = 0;
+  query.anchor = {0, 4, 3};
+  query.search = SearchMode::kAnnCached;
+  query.probes = 1;
+
+  // k = 2^32 + 10 ranks every row; a later k = 10 query must not be
+  // answered from that entry, as it would be under a 32-bit key.
+  query.k = (uint64_t{1} << 32) + 10;
+  Result<TopKResult> all = engine.TopKWithBound(query);
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(all.value().items.size(), 200u);
+  query.k = 10;
+  Result<TopKResult> ten = engine.TopKWithBound(query);
+  ASSERT_TRUE(ten.ok()) << ten.status();
+  EXPECT_FALSE(ten.value().from_cache);
+  EXPECT_EQ(ten.value().items.size(), 10u);
+
+  // Likewise probes = 2^32 + 1 must not share probes = 1's entry.
+  query.probes = (uint64_t{1} << 32) + 1;
+  Result<TopKResult> wide = engine.TopKWithBound(query);
+  ASSERT_TRUE(wide.ok()) << wide.status();
+  EXPECT_FALSE(wide.value().from_cache);
+
+  // probes * k that would wrap to a tiny shortlist saturates at the mode
+  // size instead: the whole mode is scored and the answer is exact.
+  query.search = SearchMode::kAnn;
+  query.probes = uint64_t{1} << 63;
+  Result<TopKResult> saturated = engine.TopKWithBound(query);
+  ASSERT_TRUE(saturated.ok()) << saturated.status();
+  EXPECT_EQ(saturated.value().rows_scored, 200u);
+  EXPECT_EQ(saturated.value().items,
+            store.Current()->TopK(0, query.anchor, 10));
+}
+
 TEST_F(QueryEngineTest, QueriesAreRecordedPerTypeAndVersion) {
   ASSERT_TRUE(engine_.Predict({0, 0, 0}).ok());
   ASSERT_TRUE(engine_.Predict({1, 1, 1}).ok());

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # End-to-end smoke checks over an already-built Release tree: the kernel
-# sweep, health, elastic, recall, ingest and trace gates. Each section runs
+# sweep and linkage, health, elastic, recall, ingest and trace gates. Each section runs
 # the tree's binaries in its own temporary directory, so no two sections
 # share a tensor, trace or metrics file; the first failing command or check
 # fails the script.
@@ -28,10 +28,10 @@ section() {
 }
 
 # Kernel sweep: the micro_kernels backend x precision sweep must hold the
-# vectorized MTTKRP, row-update (solve, Gram) and quantized top-K rows —
-# else the AVX2 backend silently stopped being compiled in or dispatched
-# (GitHub runners guarantee AVX2; AVX-512 rows appear when the runner has
-# it but are not required).
+# vectorized MTTKRP, row-update (solve, Gram), quantized top-K and ANN
+# shortlist (hamming) rows — else the AVX2 backend silently stopped being
+# compiled in or dispatched (GitHub runners guarantee AVX2; AVX-512 rows
+# appear when the runner has it but are not required).
 section kernel-sweep
 "${build}/bench/micro_kernels" --kernel-sweep=sweep.csv --sweep-only
 grep -q '^mttkrp,avx2,f64,' sweep.csv
@@ -39,6 +39,19 @@ grep -q '^solve,avx2,f64,' sweep.csv
 grep -q '^gram,avx2,f64,' sweep.csv
 grep -q '^topk,avx2,bf16,' sweep.csv
 grep -q '^topk,avx2,i8,' sweep.csv
+grep -q '^hamming,avx2,' sweep.csv
+
+# Kernel linkage: the helpers the backends share (kernels_detail.h) have
+# internal linkage, so each backend calls the copy compiled for its own
+# instruction set. A weak kernels::detail symbol means an inline helper
+# lost it, and the link keeps one arbitrary copy for every backend.
+section kernel-linkage
+kernels_lib="${build}/src/libdismastd_kernels.a"
+test -f "${kernels_lib}"
+if nm -C "${kernels_lib}" | grep -E ' [WV] dismastd::kernels::detail::'; then
+  echo "weak kernels::detail symbols in libdismastd_kernels.a" >&2
+  exit 1
+fi
 
 # Health: a streaming run with an injected worker crash + message drops,
 # SLO rules armed and the flight recorder on. The run survives, the flight
