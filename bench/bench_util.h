@@ -1,16 +1,14 @@
 #ifndef DISMASTD_BENCH_BENCH_UTIL_H_
 #define DISMASTD_BENCH_BENCH_UTIL_H_
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/driver.h"
@@ -131,8 +129,6 @@ class BenchObs {
         obs_args.trace_path_ = arg.substr(12);
       } else if (arg.rfind("--metrics-out=", 0) == 0) {
         obs_args.metrics_path_ = arg.substr(14);
-      } else if (arg.rfind("--bench-out=", 0) == 0) {
-        obs_args.bench_out_path_ = arg.substr(12);
       } else if (arg.rfind("--trace-detail=", 0) == 0) {
         detail_text = arg.substr(15);
       } else if (arg.rfind("--kernel=", 0) == 0) {
@@ -182,10 +178,6 @@ class BenchObs {
   obs::Tracer* tracer() const { return tracer_.get(); }
   obs::MetricRegistry* metrics() const { return metrics_.get(); }
 
-  /// --bench-out=FILE override for the BenchReport JSON; empty means the
-  /// report's default (BENCH_<name>.json).
-  const std::string& bench_out() const { return bench_out_path_; }
-
   void Finish() const {
     if (tracer_ != nullptr) {
       const Status written = tracer_->WriteChromeTraceFile(trace_path_);
@@ -215,176 +207,13 @@ class BenchObs {
   std::unique_ptr<obs::MetricRegistry> metrics_;
   std::string trace_path_;
   std::string metrics_path_;
-  std::string bench_out_path_;
-};
-
-/// `git describe --always --dirty` of the working tree, or "unknown" when
-/// git (or the repo) is unavailable — stamped into every bench report so
-/// two BENCH_*.json files can be attributed to the commits they measured.
-inline std::string GitDescribe() {
-  FILE* pipe = popen("git describe --always --dirty 2>/dev/null", "r");
-  if (pipe == nullptr) return "unknown";
-  char buffer[128] = {0};
-  std::string text;
-  while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) text += buffer;
-  const int status = pclose(pipe);
-  while (!text.empty() && (text.back() == '\n' || text.back() == '\r')) {
-    text.pop_back();
-  }
-  if (status != 0 || text.empty()) return "unknown";
-  return text;
-}
-
-/// Machine-readable bench output, schema `dismastd-bench-v1`:
-///
-///   {"schema":"dismastd-bench-v1","bench":NAME,"git":DESCRIBE,
-///    "config":{...},
-///    "metrics":[{"name":...,"unit":...,"direction":"higher_better"|
-///                "lower_better"|"info",
-///                "points":[{"label":...,"value":...}]}]}
-///
-/// Every harness emits one report (default file BENCH_<name>.json,
-/// overridden by --bench-out=FILE) so tools/bench_compare.py can diff two
-/// runs and flag direction-aware regressions. `direction` declares which
-/// way is better — throughput metrics are higher_better, latency metrics
-/// lower_better, and "info" points (counts, sizes) are never regressions.
-class BenchReport {
- public:
-  explicit BenchReport(std::string bench) : bench_(std::move(bench)) {}
-
-  const std::string& bench() const { return bench_; }
-
-  void SetConfig(const std::string& key, const std::string& value) {
-    config_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
-  }
-  void SetConfig(const std::string& key, const char* value) {
-    SetConfig(key, std::string(value));
-  }
-  void SetConfig(const std::string& key, double value) {
-    config_.emplace_back(key, FormatNumber(value));
-  }
-
-  /// Declares a metric; later AddPoint calls must name a declared metric.
-  void AddMetric(const std::string& name, const std::string& unit,
-                 const std::string& direction) {
-    metrics_.push_back(Metric{name, unit, direction, {}});
-  }
-
-  void AddPoint(const std::string& metric, const std::string& label,
-                double value) {
-    for (Metric& m : metrics_) {
-      if (m.name == metric) {
-        m.points.emplace_back(label, value);
-        return;
-      }
-    }
-    // Undeclared metric: record it as "info" rather than dropping the
-    // point, so a typo shows up in the report instead of vanishing.
-    metrics_.push_back(Metric{metric, "", "info", {{label, value}}});
-  }
-
-  std::string ToJson() const {
-    std::ostringstream os;
-    os << "{\"schema\":\"dismastd-bench-v1\",\"bench\":\""
-       << JsonEscape(bench_) << "\",\"git\":\"" << JsonEscape(GitDescribe())
-       << "\",\"config\":{";
-    for (size_t i = 0; i < config_.size(); ++i) {
-      if (i > 0) os << ",";
-      os << "\"" << JsonEscape(config_[i].first)
-         << "\":" << config_[i].second;
-    }
-    os << "},\"metrics\":[";
-    for (size_t i = 0; i < metrics_.size(); ++i) {
-      const Metric& m = metrics_[i];
-      if (i > 0) os << ",";
-      os << "{\"name\":\"" << JsonEscape(m.name) << "\",\"unit\":\""
-         << JsonEscape(m.unit) << "\",\"direction\":\""
-         << JsonEscape(m.direction) << "\",\"points\":[";
-      for (size_t p = 0; p < m.points.size(); ++p) {
-        if (p > 0) os << ",";
-        os << "{\"label\":\"" << JsonEscape(m.points[p].first)
-           << "\",\"value\":" << FormatNumber(m.points[p].second) << "}";
-      }
-      os << "]}";
-    }
-    os << "]}\n";
-    return os.str();
-  }
-
-  /// Writes the report to `path` (empty = BENCH_<bench>.json in the
-  /// working directory) and prints where it landed; a failed open is
-  /// reported on stderr but never fails the bench itself.
-  void WriteFile(const std::string& path = "") const {
-    const std::string target =
-        path.empty() ? "BENCH_" + bench_ + ".json" : path;
-    std::ofstream out(target);
-    if (!out) {
-      std::fprintf(stderr, "bench report write failed: %s\n",
-                   target.c_str());
-      return;
-    }
-    out << ToJson();
-    std::printf("bench report written to %s\n", target.c_str());
-  }
-
- private:
-  struct Metric {
-    std::string name;
-    std::string unit;
-    std::string direction;
-    std::vector<std::pair<std::string, double>> points;
-  };
-
-  static std::string JsonEscape(const std::string& text) {
-    std::string escaped;
-    escaped.reserve(text.size());
-    for (const char c : text) {
-      switch (c) {
-        case '"':
-          escaped += "\\\"";
-          break;
-        case '\\':
-          escaped += "\\\\";
-          break;
-        case '\n':
-          escaped += "\\n";
-          break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(
-                              static_cast<unsigned char>(c)));
-            escaped += buf;
-          } else {
-            escaped += c;
-          }
-      }
-    }
-    return escaped;
-  }
-
-  /// Shortest decimal that round-trips the double; JSON requires a finite
-  /// number, so NaN/inf degrade to 0 (with the precision of a bench table,
-  /// a non-finite measurement is a bug upstream anyway).
-  static std::string FormatNumber(double value) {
-    if (!std::isfinite(value)) return "0";
-    char buf[64];
-    for (int precision = 6; precision <= 17; ++precision) {
-      std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-      if (std::strtod(buf, nullptr) == value) break;
-    }
-    return buf;
-  }
-
-  std::string bench_;
-  std::vector<std::pair<std::string, std::string>> config_;
-  std::vector<Metric> metrics_;
 };
 
 /// Appends machine-readable rows next to the stdout tables so the figures
-/// can be re-plotted directly. Silently disabled if the file cannot be
-/// opened (e.g. read-only working directory).
+/// can be re-plotted directly. Doubles are printed with max_digits10, so
+/// every cell parses back to the same double and the paper-figure goldens
+/// (bench/golden/) compare bit for bit. Silently disabled if the file
+/// cannot be opened (e.g. read-only working directory).
 class CsvWriter {
  public:
   explicit CsvWriter(const std::string& path) : out_(path) {}
@@ -393,6 +222,7 @@ class CsvWriter {
   void Row(const Cells&... cells) {
     if (!out_) return;
     std::ostringstream line;
+    line.precision(std::numeric_limits<double>::max_digits10);
     bool first = true;
     ((line << (first ? "" : ","), line << cells, first = false), ...);
     out_ << line.str() << "\n";

@@ -16,7 +16,7 @@ namespace dismastd {
 namespace {
 
 void RunDataset(const DatasetSpec& spec, const bench::BenchObs& obs_sinks,
-                bench::CsvWriter* csv, bench::BenchReport* report) {
+                bench::CsvWriter* csv) {
   std::printf("\nFig. 5 (%s): time per iteration [simulated s] vs snapshot\n",
               spec.name.c_str());
   // The stream starts at 70% so the incremental method enters the measured
@@ -64,11 +64,6 @@ void RunDataset(const DatasetSpec& spec, const bench::BenchObs& obs_sinks,
       csv->Row(spec.name, MethodLabel(s.method, s.partitioner), 70 + 5 * t,
                s.metrics[t].snapshot_nnz,
                s.metrics[t].sim_seconds_per_iteration);
-      report->AddPoint(
-          "sim_seconds_per_iteration",
-          spec.name + "/" + MethodLabel(s.method, s.partitioner) + "/" +
-              std::to_string(70 + 5 * t) + "%",
-          s.metrics[t].sim_seconds_per_iteration);
     }
     std::printf("\n");
   }
@@ -86,16 +81,10 @@ int main(int argc, char** argv) {
   dismastd::bench::CsvWriter csv("fig5_streaming.csv");
   csv.Row("dataset", "method", "snapshot_pct", "snapshot_nnz",
           "sim_seconds_per_iteration");
-  dismastd::bench::BenchReport report("fig5_streaming");
-  report.SetConfig("scale", dismastd::bench::BenchScale());
-  report.SetConfig("threads",
-                   static_cast<double>(dismastd::bench::BenchThreads()));
-  report.AddMetric("sim_seconds_per_iteration", "s", "lower_better");
   for (const auto& spec : dismastd::bench::ScaledPaperDatasets()) {
-    dismastd::RunDataset(spec, obs_sinks, &csv, &report);
+    dismastd::RunDataset(spec, obs_sinks, &csv);
   }
   std::printf("\n(series also written to fig5_streaming.csv)\n");
-  report.WriteFile(obs_sinks.bench_out());
   obs_sinks.Finish();
   return 0;
 }

@@ -40,8 +40,7 @@ struct SweepRow {
 };
 
 void RunRow(const SweepRow& row, const ingest::EventLogReader& log,
-            const DistributedOptions& options, bench::CsvWriter* csv,
-            bench::BenchReport* report) {
+            const DistributedOptions& options, bench::CsvWriter* csv) {
   ingest::IngestSessionOptions session;
   session.decompose = options;
   session.num_producers = row.producers;
@@ -66,12 +65,6 @@ void RunRow(const SweepRow& row, const ingest::EventLogReader& log,
               static_cast<unsigned long long>(r.batch_fingerprint));
   csv->Row(row.label, row.producers, events_per_second, lat.p50, lat.p95,
            r.steps.size(), r.max_queue_depth, r.batch_fingerprint);
-  const std::string point =
-      row.label + "/" + std::to_string(row.producers) + "producers";
-  report->AddPoint("events_per_sec", point, events_per_second);
-  report->AddPoint("publish_p95_us", point, lat.p95);
-  report->AddPoint("max_queue_depth", point,
-                   static_cast<double>(r.max_queue_depth));
 }
 
 /// Sweep 3 rows: the same barrier log through both ingest policies.
@@ -82,8 +75,7 @@ void RunRow(const SweepRow& row, const ingest::EventLogReader& log,
 /// policy, fused event groups for continuous).
 void RunPolicyRow(const std::string& label, double fit, uint64_t updates,
                   double wall_seconds, uint64_t events,
-                  const obs::Pow2Histogram& latency, bench::CsvWriter* csv,
-                  bench::BenchReport* report) {
+                  const obs::Pow2Histogram& latency, bench::CsvWriter* csv) {
   const obs::HistogramSummary lat = obs::Summarize(latency, 1e-3);  // -> us
   const double events_per_second =
       wall_seconds > 0.0 ? static_cast<double>(events) / wall_seconds : 0.0;
@@ -93,10 +85,6 @@ void RunPolicyRow(const std::string& label, double fit, uint64_t updates,
               fit, events_per_second, lat.p50, lat.p95, updates_per_second);
   csv->Row(label, fit, events_per_second, lat.p50, lat.p95,
            updates_per_second);
-  report->AddPoint("final_fit", label, fit);
-  report->AddPoint("policy_publish_p50_us", label, lat.p50);
-  report->AddPoint("policy_publish_p95_us", label, lat.p95);
-  report->AddPoint("updates_per_sec", label, updates_per_second);
 }
 
 }  // namespace
@@ -151,23 +139,19 @@ int main(int argc, char** argv) {
   bench::CsvWriter csv("ingest_throughput.csv");
   csv.Row("label", "producers", "events_per_sec", "p50_us", "p95_us",
           "batches", "max_queue_depth", "fingerprint");
-  bench::BenchReport report("ingest_throughput");
-  report.SetConfig("scale", scale);
-  report.AddMetric("events_per_sec", "1/s", "higher_better");
-  report.AddMetric("publish_p95_us", "us", "lower_better");
-  report.AddMetric("max_queue_depth", "events", "info");
   std::printf("%-22s %9s %12s %10s %10s %8s %9s  %s\n", "config",
               "producers", "events/s", "p50(us)", "p95(us)", "batches",
               "max_depth", "fingerprint");
   bench::PrintRule();
 
   // Sweep 1: producer threads, barrier-driven batches. The fingerprint
-  // column must not change — that is the determinism contract.
+  // column must not change — that is the determinism contract, and
+  // tools/smoke.sh asserts it on the CSV.
   for (size_t producers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     SweepRow row;
     row.label = "barriers";
     row.producers = producers;
-    RunRow(row, barriers.value(), options, &csv, &report);
+    RunRow(row, barriers.value(), options, &csv);
   }
   bench::PrintRule();
 
@@ -179,7 +163,7 @@ int main(int argc, char** argv) {
     row.label = "count=" + std::to_string(batch_events);
     row.producers = 4;
     row.builder.max_batch_events = batch_events;
-    RunRow(row, events_only.value(), options, &csv, &report);
+    RunRow(row, events_only.value(), options, &csv);
   }
   {
     SweepRow row;
@@ -187,7 +171,7 @@ int main(int argc, char** argv) {
     row.producers = 4;
     row.builder.max_batch_events = 0;
     row.builder.horizon_ticks = 500;
-    RunRow(row, events_only.value(), options, &csv, &report);
+    RunRow(row, events_only.value(), options, &csv);
   }
 
   // Sweep 3: ingest policy. The same barrier log replayed through the
@@ -200,10 +184,6 @@ int main(int argc, char** argv) {
   // The rate must sit below the continuous consumer's capacity, or the
   // queue wait re-enters the measurement.
   const double policy_rate = 20000.0;  // events/s
-  report.AddMetric("final_fit", "fit", "higher_better");
-  report.AddMetric("policy_publish_p50_us", "us", "lower_better");
-  report.AddMetric("policy_publish_p95_us", "us", "lower_better");
-  report.AddMetric("updates_per_sec", "1/s", "higher_better");
   bench::CsvWriter policy_csv("ingest_policy.csv");
   policy_csv.Row("policy", "final_fit", "events_per_sec", "p50_us", "p95_us",
                  "updates_per_sec");
@@ -226,7 +206,7 @@ int main(int argc, char** argv) {
     const ingest::IngestSessionResult& r = run.value();
     RunPolicyRow("policy=batch", r.steps.empty() ? 0.0 : r.steps.back().fit,
                  r.steps.size(), r.wall_seconds, r.events,
-                 *r.event_to_publish_nanos, &policy_csv, &report);
+                 *r.event_to_publish_nanos, &policy_csv);
   }
   {
     cwin::ContinuousSessionOptions continuous;
@@ -249,10 +229,9 @@ int main(int argc, char** argv) {
     const cwin::ContinuousSessionResult& r = run.value();
     RunPolicyRow("policy=continuous", r.final_fit, r.updates,
                  r.wall_seconds, r.events, *r.event_to_publish_nanos,
-                 &policy_csv, &report);
+                 &policy_csv);
   }
 
-  report.WriteFile(obs_sinks.bench_out());
   obs_sinks.Finish();
   return 0;
 }

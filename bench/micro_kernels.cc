@@ -17,10 +17,6 @@
 //                                 rows op,backend,precision,rank,items,
 //                                 seconds,rows_per_s,gb_per_s to FILE
 //   --sweep-only                  skip the google-benchmark suite
-//   --bench-out=FILE              write the sweep as a BenchReport JSON
-//                                 (schema dismastd-bench-v1; implies the
-//                                 sweep runs, with the CSV defaulting to
-//                                 micro_kernels_sweep.csv)
 
 #include <benchmark/benchmark.h>
 
@@ -184,7 +180,8 @@ BENCHMARK(BM_KruskalValueAt)->Arg(5)->Arg(10)->Arg(20)->Arg(40);
 
 void BM_TopKScore(benchmark::State& state) {
   // The serving recommendation kernel: one R-vector x factor-matrix
-  // product over all J candidates plus a partial sort of the best K.
+  // product over all J candidates plus a k-entry heap selection of the
+  // best K.
   // Sweep R and K; J is fixed at the product-mode size.
   const size_t rank = static_cast<size_t>(state.range(0));
   const size_t k = static_cast<size_t>(state.range(1));
@@ -250,8 +247,9 @@ BENCHMARK(BM_DisMastdStep)->Arg(8)->Unit(benchmark::kMillisecond);
 // ---------------------------------------------------------------------------
 // Backend x precision sweep (--kernel-sweep=FILE)
 //
-// Times the kernel-table entry points directly — no engine or partial-sort
-// overhead — on every backend this host supports, and appends CSV rows
+// Times the kernel-table entry points directly — no engine or top-K
+// selection overhead — on every backend this host supports, and appends
+// CSV rows
 //   op,backend,precision,rank,items,seconds,rows_per_s,gb_per_s
 // to FILE. "mttkrp" (the COO MTTKRP over one non-zero list), "solve" (the
 // row-list Eq. 5 solve, old-row numerators included) and "gram" (the
@@ -270,25 +268,20 @@ double TimeSeconds(size_t reps, Fn&& fn) {
   return std::chrono::duration<double>(stop - start).count();
 }
 
-void EmitSweepRow(std::ofstream& csv, bench::BenchReport* report,
-                  const char* op, kernels::Backend backend,
-                  const char* precision, size_t rank, double items,
-                  double seconds, double bytes) {
+void EmitSweepRow(std::ofstream& csv, const char* op,
+                  kernels::Backend backend, const char* precision,
+                  size_t rank, double items, double seconds, double bytes) {
   const double rows_per_s = items / seconds;
   const double gb_per_s = bytes / seconds * 1e-9;
   csv << op << ',' << kernels::BackendName(backend) << ',' << precision << ','
       << rank << ',' << static_cast<uint64_t>(items) << ',' << seconds << ','
       << rows_per_s << ',' << gb_per_s << '\n';
-  const std::string label = std::string(op) + "/" +
-                            kernels::BackendName(backend) + "/" + precision;
-  report->AddPoint("rows_per_s", label, rows_per_s);
-  report->AddPoint("gb_per_s", label, gb_per_s);
   std::printf("sweep %-6s %-6s %-4s rank=%zu  %10.3e rows/s  %7.2f GB/s\n",
               op, kernels::BackendName(backend), precision, rank, rows_per_s,
               gb_per_s);
 }
 
-int RunKernelSweep(const std::string& path, const std::string& bench_out) {
+int RunKernelSweep(const std::string& path) {
   std::ofstream csv(path);
   if (!csv) {
     std::fprintf(stderr, "cannot open kernel-sweep output %s\n", path.c_str());
@@ -297,10 +290,6 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
   csv << "op,backend,precision,rank,items,seconds,rows_per_s,gb_per_s\n";
 
   constexpr size_t kRank = 16;
-  bench::BenchReport report("micro_kernels");
-  report.SetConfig("rank", static_cast<double>(kRank));
-  report.AddMetric("rows_per_s", "1/s", "higher_better");
-  report.AddMetric("gb_per_s", "GB/s", "info");
   Rng rng(99);
 
   // MTTKRP inputs: one synthetic 3-mode COO list — an accumulator row and
@@ -383,7 +372,7 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
       const double items = static_cast<double>(kMttkrpItems) * kReps;
       // Two factor-row reads plus an accumulator read-modify-write.
       const double bytes = items * 4.0 * kRank * sizeof(double);
-      EmitSweepRow(csv, &report, "mttkrp", backend, "f64", kRank, items, secs, bytes);
+      EmitSweepRow(csv, "mttkrp", backend, "f64", kRank, items, secs, bytes);
     }
 
     {
@@ -398,8 +387,7 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
       const double items = static_cast<double>(kSolveRows) * kReps;
       // Each row reads its MTTKRP and previous-factor rows and writes one.
       const double bytes = items * 3.0 * kRank * sizeof(double);
-      EmitSweepRow(csv, &report, "solve", backend, "f64", kRank, items, secs,
-                   bytes);
+      EmitSweepRow(csv, "solve", backend, "f64", kRank, items, secs, bytes);
     }
     {
       constexpr size_t kReps = 16;
@@ -412,8 +400,7 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
       const double items = static_cast<double>(kGramRows) * kReps;
       // One row of each input matrix per listed row.
       const double bytes = items * 2.0 * kRank * sizeof(double);
-      EmitSweepRow(csv, &report, "gram", backend, "f64", kRank, items, secs,
-                   bytes);
+      EmitSweepRow(csv, "gram", backend, "f64", kRank, items, secs, bytes);
     }
 
     constexpr size_t kScanReps = 64;
@@ -426,8 +413,7 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
       });
       const double bytes =
           scan_items * (kRank * sizeof(double) + sizeof(double));
-      EmitSweepRow(csv, &report, "topk", backend, "f64", kRank, scan_items, secs,
-                   bytes);
+      EmitSweepRow(csv, "topk", backend, "f64", kRank, scan_items, secs, bytes);
     }
     {
       const double secs = TimeSeconds(kScanReps, [&] {
@@ -437,7 +423,7 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
       });
       const double bytes =
           scan_items * (kRank * sizeof(kernels::Bf16) + sizeof(double));
-      EmitSweepRow(csv, &report, "topk", backend, "bf16", kRank, scan_items, secs,
+      EmitSweepRow(csv, "topk", backend, "bf16", kRank, scan_items, secs,
                    bytes);
     }
     {
@@ -448,8 +434,7 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
       });
       const double bytes =
           scan_items * (kRank * sizeof(int8_t) + sizeof(double));
-      EmitSweepRow(csv, &report, "topk", backend, "i8", kRank, scan_items, secs,
-                   bytes);
+      EmitSweepRow(csv, "topk", backend, "i8", kRank, scan_items, secs, bytes);
     }
     const std::pair<size_t, const char*> kWidths[] = {
         {1, "b64"}, {2, "b128"}, {4, "b256"}};
@@ -465,11 +450,9 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
       // Each row's code words and its distance.
       const double bytes =
           items * (words * sizeof(uint64_t) + sizeof(uint32_t));
-      EmitSweepRow(csv, &report, "hamming", backend, width, 0, items, secs,
-                   bytes);
+      EmitSweepRow(csv, "hamming", backend, width, 0, items, secs, bytes);
     }
   }
-  report.WriteFile(bench_out);
   std::printf("sweep: wrote %s\n", path.c_str());
   return 0;
 }
@@ -478,12 +461,11 @@ int RunKernelSweep(const std::string& path, const std::string& bench_out) {
 }  // namespace dismastd
 
 // Custom main: benchmark_main rejects flags it does not know, so strip our
-// --threads / --kernel / --kernel-sweep / --sweep-only / --bench-out flags
+// --threads / --kernel / --kernel-sweep / --sweep-only flags
 // before handing argv to the benchmark library.
 int main(int argc, char** argv) {
   std::string sweep_path;
   std::string kernel_name;
-  std::string bench_out;
   bool sweep_only = false;
   int out = 1;  // keep argv[0]
   for (int i = 1; i < argc; ++i) {
@@ -501,8 +483,6 @@ int main(int argc, char** argv) {
       sweep_path = argv[++i];
     } else if (std::strncmp(argv[i], "--kernel-sweep=", 15) == 0) {
       sweep_path = argv[i] + 15;
-    } else if (std::strncmp(argv[i], "--bench-out=", 12) == 0) {
-      bench_out = argv[i] + 12;
     } else if (std::strcmp(argv[i], "--sweep-only") == 0) {
       sweep_only = true;
     } else {
@@ -510,11 +490,6 @@ int main(int argc, char** argv) {
     }
   }
   argc = out;
-  // A JSON report is produced by the sweep path; asking for one without a
-  // CSV destination runs the sweep with a default CSV.
-  if (!bench_out.empty() && sweep_path.empty()) {
-    sweep_path = "micro_kernels_sweep.csv";
-  }
 
   if (!kernel_name.empty()) {
     dismastd::Result<dismastd::kernels::Backend> backend =
@@ -534,7 +509,7 @@ int main(int argc, char** argv) {
               dismastd::kernels::DispatchExplanation().c_str());
 
   if (!sweep_path.empty()) {
-    const int rc = dismastd::RunKernelSweep(sweep_path, bench_out);
+    const int rc = dismastd::RunKernelSweep(sweep_path);
     if (rc != 0) return rc;
     if (sweep_only) return 0;
   } else if (sweep_only) {

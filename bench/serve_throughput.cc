@@ -129,12 +129,6 @@ SweepRow RunAnnSweep(serve::ServeSession& session,
 int main(int argc, char** argv) {
   bench::PrintHeader("Serve throughput: versioned model store + query engine");
   const bench::BenchObs obs_sinks = bench::BenchObs::FromArgs(argc, argv);
-  bench::BenchReport bench_report("serve_throughput");
-  bench_report.SetConfig("scale", bench::BenchScale());
-  bench_report.AddMetric("qps", "1/s", "higher_better");
-  bench_report.AddMetric("topk_p99_us", "us", "lower_better");
-  bench_report.AddMetric("recall_at_10", "ratio", "higher_better");
-  bench_report.AddMetric("rows_per_query", "rows", "info");
 
   GeneratorOptions gen;
   gen.dims = {20000, 4000, 200};
@@ -229,9 +223,6 @@ int main(int argc, char** argv) {
     csv.Row(clients, stats.answered, qps, point.p50_seconds * 1e6,
             point.p99_seconds * 1e6, topk.p50_seconds * 1e6,
             topk.p99_seconds * 1e6);
-    const std::string label = "steady/" + std::to_string(clients) + "clients";
-    bench_report.AddPoint("qps", label, qps);
-    bench_report.AddPoint("topk_p99_us", label, topk.p99_seconds * 1e6);
   }
   std::printf("\nstaleness during overlap: %s",
               session.metrics().Report().ToString().c_str());
@@ -322,28 +313,15 @@ int main(int argc, char** argv) {
                   row.topk.p50_seconds * 1e6, row.topk.p95_seconds * 1e6,
                   row.topk.p99_seconds * 1e6, row.rows_per_query, row.recall,
                   row.cache_hit_rate);
-    const std::string label =
-        std::string("ann/") + serve::SearchModeName(mode);
-    bench_report.AddPoint("qps", label, row.qps);
-    bench_report.AddPoint("topk_p99_us", label, row.topk.p99_seconds * 1e6);
-    bench_report.AddPoint("recall_at_10", label, row.recall);
-    bench_report.AddPoint("rows_per_query", label, row.rows_per_query);
   }
-  const std::shared_ptr<const ann::AnnIndex> index =
-      big.store().Current()->ann_index();
-  if (index != nullptr) {
-    std::printf("index: %llu rows hashed, %llu reused\n",
-                (unsigned long long)index->hashed_rows(),
-                (unsigned long long)index->reused_rows());
-  }
+  const auto model = big.store().Current();
+  std::printf("index: %llu rows hashed, %llu reused\n",
+              (unsigned long long)model->ann_index()->hashed_rows(),
+              (unsigned long long)model->ann_index()->reused_rows());
   if (obs_sinks.metrics() != nullptr) {
     big.store().PublishTo(obs_sinks.metrics());
   }
 
-  bench_report.SetConfig("users", static_cast<double>(users));
-  bench_report.SetConfig("bits", static_cast<double>(bits));
-  bench_report.SetConfig("probes", static_cast<double>(probes));
-  bench_report.WriteFile(obs_sinks.bench_out());
   obs_sinks.Finish();
   return 0;
 }

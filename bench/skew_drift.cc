@@ -195,14 +195,9 @@ void PrintSeries(const SeriesResult& series, bench::CsvWriter* csv) {
 }  // namespace
 }  // namespace dismastd
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dismastd;
   bench::PrintHeader("Skew drift — static partitioning vs elastic cluster");
-  std::string bench_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--bench-out=", 0) == 0) bench_out = arg.substr(12);
-  }
   const uint64_t nnz_per_step = std::max<uint64_t>(
       1500, static_cast<uint64_t>(20000.0 * bench::BenchScale()));
   std::printf("Setup: R=10, mu=0.8, 5 iterations, %u workers, %zu steps, "
@@ -263,25 +258,6 @@ int main(int argc, char** argv) {
           elastic.totals.migration_bytes,
           elastic.totals.migration_sim_seconds,
           elastic.totals.repartition_sim_seconds, elastic_total);
-
-  bench::BenchReport report("skew_drift");
-  report.SetConfig("scale", bench::BenchScale());
-  report.SetConfig("workers", static_cast<double>(kWorkers));
-  report.SetConfig("steps", static_cast<double>(kSteps));
-  report.AddMetric("stream_sim_seconds", "s", "lower_better");
-  report.AddMetric("mean_imbalance", "ratio", "lower_better");
-  report.AddMetric("peak_imbalance", "ratio", "info");
-  report.AddMetric("migration_bytes", "bytes", "info");
-  for (const SeriesResult* s : {&fixed, &elastic}) {
-    double total = 0.0;
-    for (const StreamStepMetrics& m : s->steps) total += m.sim_seconds_total;
-    report.AddPoint("stream_sim_seconds", s->label, total);
-    report.AddPoint("mean_imbalance", s->label, MeanImbalance(*s));
-    report.AddPoint("peak_imbalance", s->label, PeakImbalance(*s));
-  }
-  report.AddPoint("migration_bytes", "elastic",
-                  static_cast<double>(elastic.totals.migration_bytes));
-  report.WriteFile(bench_out);
 
   int failures = 0;
   const auto expect = [&](bool ok, const char* what) {

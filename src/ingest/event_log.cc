@@ -253,11 +253,5 @@ EventLogWriter ExportSequenceAsEvents(const StreamingTensorSequence& stream,
   return writer;
 }
 
-EventLogWriter ExportTensorAsEvents(const SparseTensor& tensor,
-                                    const EventExportOptions& options) {
-  return ExportSequenceAsEvents(
-      StreamingTensorSequence(tensor, {tensor.dims()}), options);
-}
-
 }  // namespace ingest
 }  // namespace dismastd

@@ -161,9 +161,6 @@ struct EventExportOptions {
 
 EventLogWriter ExportSequenceAsEvents(const StreamingTensorSequence& stream,
                                       const EventExportOptions& options);
-/// Whole tensor as a single-step sequence (one burst, one barrier).
-EventLogWriter ExportTensorAsEvents(const SparseTensor& tensor,
-                                    const EventExportOptions& options);
 
 }  // namespace ingest
 }  // namespace dismastd

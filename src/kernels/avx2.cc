@@ -673,14 +673,6 @@ void HammingShortlistAvx2(const uint64_t* codes, size_t num_rows,
   SelectAvx2(dists, num_rows, cutoff, n - below, rows);
 }
 
-void F64ToBf16Plain(const double* src, size_t n, Bf16* dst) {
-  for (size_t i = 0; i < n; ++i) dst[i] = detail::F64ToBf16(src[i]);
-}
-
-void Bf16ToF64Plain(const Bf16* src, size_t n, double* dst) {
-  for (size_t i = 0; i < n; ++i) dst[i] = detail::Bf16ToF64(src[i]);
-}
-
 }  // namespace
 
 const KernelTable& Avx2Kernels() {
@@ -693,8 +685,6 @@ const KernelTable& Avx2Kernels() {
     t.solve_rows = SolveRowsAvx2;
     t.dot_strided = DotStridedAvx2;
     t.topk_score_block = TopKScoreBlockAvx2;
-    t.f64_to_bf16 = F64ToBf16Plain;
-    t.bf16_to_f64 = Bf16ToF64Plain;
     t.bf16_dot = Bf16DotAvx2;
     t.topk_score_block_bf16 = TopKScoreBlockBf16Avx2;
     t.i8_dot = I8DotAvx2;

@@ -473,14 +473,6 @@ void TopKScoreBlockI8Avx512(const int8_t* rows, size_t num_rows, size_t rank,
   }
 }
 
-void F64ToBf16Plain(const double* src, size_t n, Bf16* dst) {
-  for (size_t i = 0; i < n; ++i) dst[i] = detail::F64ToBf16(src[i]);
-}
-
-void Bf16ToF64Plain(const Bf16* src, size_t n, double* dst) {
-  for (size_t i = 0; i < n; ++i) dst[i] = detail::Bf16ToF64(src[i]);
-}
-
 #if defined(DISMASTD_KERNELS_HAVE_VPOPCNTDQ)
 // hamming_shortlist: a VPOPCNTDQ scan, then the counting-select's passes
 // over the distances (plain AVX-512F).
@@ -683,8 +675,6 @@ const KernelTable& Avx512Kernels() {
     t.solve_rows = SolveRowsAvx512;
     t.dot_strided = DotStridedAvx512;
     t.topk_score_block = TopKScoreBlockAvx512;
-    t.f64_to_bf16 = F64ToBf16Plain;
-    t.bf16_to_f64 = Bf16ToF64Plain;
     t.bf16_dot = Bf16DotAvx512;
     t.topk_score_block_bf16 = TopKScoreBlockBf16Avx512;
     t.i8_dot = I8DotAvx512;

@@ -115,10 +115,6 @@ struct KernelTable {
   void (*topk_score_block)(const double* rows, size_t num_rows, size_t rank,
                            const double* weights, double* scores);
 
-  /// Element-wise conversions (round-to-nearest-even via float32).
-  void (*f64_to_bf16)(const double* src, size_t n, Bf16* dst);
-  void (*bf16_to_f64)(const Bf16* src, size_t n, double* dst);
-
   /// sum_i widen(x[i]) * weights[i], accumulated in fp64 under the
   /// blocked-8 contract.
   double (*bf16_dot)(const Bf16* x, const double* weights, size_t n);

@@ -13,12 +13,11 @@ Bf16Matrix QuantizeBf16(const double* source, size_t rows, size_t cols) {
   q.cols = cols;
   q.data.resize(q.rows * q.cols);
   q.col_max_abs_err.assign(q.cols, 0.0);
-  if (q.data.empty()) return q;
-  Get().f64_to_bf16(source, q.data.size(), q.data.data());
   for (size_t r = 0; r < q.rows; ++r) {
     const double* src = source + r * q.cols;
-    const Bf16* dst = q.RowPtr(r);
+    Bf16* dst = q.data.data() + r * q.cols;
     for (size_t c = 0; c < q.cols; ++c) {
+      dst[c] = detail::F64ToBf16(src[c]);
       const double err = std::abs(src[c] - detail::Bf16ToF64(dst[c]));
       if (err > q.col_max_abs_err[c]) q.col_max_abs_err[c] = err;
     }
@@ -63,9 +62,7 @@ Int8Matrix QuantizeInt8(const double* source, size_t rows, size_t cols) {
 
 std::vector<double> Dequantize(const Bf16Matrix& q) {
   std::vector<double> m(q.data.size());
-  if (!q.data.empty()) {
-    Get().bf16_to_f64(q.data.data(), q.data.size(), m.data());
-  }
+  for (size_t i = 0; i < m.size(); ++i) m[i] = detail::Bf16ToF64(q.data[i]);
   return m;
 }
 

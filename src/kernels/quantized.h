@@ -53,8 +53,8 @@ struct Int8Matrix {
 };
 
 /// Quantizes the row-major rows x cols fp64 block `source` to bf16
-/// through the dispatched conversion kernel and measures the exact
-/// per-column max absolute error.
+/// (round-to-nearest-even via float32) and measures the exact per-column
+/// max absolute error.
 Bf16Matrix QuantizeBf16(const double* source, size_t rows, size_t cols);
 
 /// Quantizes the row-major rows x cols fp64 block `source` to int8 with

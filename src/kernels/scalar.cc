@@ -150,14 +150,6 @@ void SolveRowsScalar(const double* lower, size_t rank, const double* rhs,
   }
 }
 
-void F64ToBf16Scalar(const double* src, size_t n, Bf16* dst) {
-  for (size_t i = 0; i < n; ++i) dst[i] = detail::F64ToBf16(src[i]);
-}
-
-void Bf16ToF64Scalar(const Bf16* src, size_t n, double* dst) {
-  for (size_t i = 0; i < n; ++i) dst[i] = detail::Bf16ToF64(src[i]);
-}
-
 void TopKScoreBlockScalar(const double* rows, size_t num_rows, size_t rank,
                           const double* weights, double* scores) {
   for (size_t j = 0; j < num_rows; ++j) {
@@ -191,8 +183,6 @@ const KernelTable& ScalarKernels() {
     t.solve_rows = SolveRowsScalar;
     t.dot_strided = detail::DotBlocked;
     t.topk_score_block = TopKScoreBlockScalar;
-    t.f64_to_bf16 = F64ToBf16Scalar;
-    t.bf16_to_f64 = Bf16ToF64Scalar;
     t.bf16_dot = detail::Bf16DotScalar;
     t.topk_score_block_bf16 = TopKScoreBlockBf16Scalar;
     t.i8_dot = detail::I8DotScalar;

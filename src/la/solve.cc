@@ -127,8 +127,4 @@ Status LuSolve(const Matrix& a, const Matrix& b, Matrix* x) {
   return Status::OK();
 }
 
-Status Inverse(const Matrix& a, Matrix* inv) {
-  return LuSolve(a, Matrix::Identity(a.rows()), inv);
-}
-
 }  // namespace dismastd

@@ -42,9 +42,6 @@ Matrix SolveNormalEquationsRows(const Matrix& a, const Matrix& rhs_rows);
 /// A must be square and non-singular (checked with a tolerance).
 Status LuSolve(const Matrix& a, const Matrix& b, Matrix* x);
 
-/// Matrix inverse via LU; fails on singular input.
-Status Inverse(const Matrix& a, Matrix* inv);
-
 }  // namespace dismastd
 
 #endif  // DISMASTD_LA_SOLVE_H_

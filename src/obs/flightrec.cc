@@ -100,18 +100,6 @@ void HealthFrame::SetLastAlert(const char* text) {
   last_alert[sizeof(last_alert) - 1] = '\0';
 }
 
-void FlightRecorder::RecordFrame(const HealthFrame& frame) {
-  const uint64_t index = head_.fetch_add(1, std::memory_order_acq_rel);
-  Slot& slot = slots_[index % kCapacity];
-  slot.stamp.store(2 * index + 1, std::memory_order_release);
-  uint64_t words[kWords] = {0};
-  std::memcpy(words, &frame, sizeof(frame));
-  for (size_t w = 0; w < kWords; ++w) {
-    slot.words[w].store(words[w], std::memory_order_relaxed);
-  }
-  slot.stamp.store(2 * index + 2, std::memory_order_release);
-}
-
 void FlightRecorder::NoteEvent(const char* what, uint64_t step) {
   notes_head_.fetch_add(1, std::memory_order_acq_rel);
   std::lock_guard<std::mutex> lock(notes_mutex_);
@@ -133,30 +121,6 @@ void FlightRecorder::NoteEvent(const char* what, uint64_t step) {
     }
   }
   // All slots taken by other kinds: drop (notes_total still counts it).
-}
-
-std::vector<HealthFrame> FlightRecorder::Frames() const {
-  const uint64_t head = head_.load(std::memory_order_acquire);
-  const uint64_t retained = std::min<uint64_t>(head, kCapacity);
-  std::vector<HealthFrame> out;
-  out.reserve(retained);
-  for (uint64_t index = head - retained; index < head; ++index) {
-    const Slot& slot = slots_[index % kCapacity];
-    if (slot.stamp.load(std::memory_order_acquire) != 2 * index + 2) {
-      continue;  // overwritten or mid-write; drop rather than tear
-    }
-    uint64_t words[kWords];
-    for (size_t w = 0; w < kWords; ++w) {
-      words[w] = slot.words[w].load(std::memory_order_relaxed);
-    }
-    if (slot.stamp.load(std::memory_order_acquire) != 2 * index + 2) {
-      continue;
-    }
-    HealthFrame frame;
-    std::memcpy(&frame, words, sizeof(frame));
-    out.push_back(frame);
-  }
-  return out;
 }
 
 std::string FlightRecorder::ToJson(const char* reason) const {

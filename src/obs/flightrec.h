@@ -10,6 +10,7 @@
 
 #include "common/status.h"
 #include "obs/health.h"
+#include "obs/seqlock_ring.h"
 
 namespace dismastd {
 namespace obs {
@@ -49,25 +50,23 @@ static_assert(std::is_trivially_copyable<HealthFrame>::value,
 /// Always-on black box: a bounded ring of the most recent HealthFrames,
 /// dumped as JSON on crash recovery, orphaned-message leaks, a failed
 /// DISMASTD_CHECK / SIGABRT, or at exit (`--flight-out`). Recording is
-/// lock-free and allocation-free (same seqlock-stamped word ring as
-/// AlertRing), so it is cheap enough to leave on for every run.
+/// lock-free and allocation-free (the SeqlockRing AlertRing also uses), so
+/// it is cheap enough to leave on for every run.
 class FlightRecorder {
  public:
   static constexpr size_t kCapacity = 128;
 
-  void RecordFrame(const HealthFrame& frame);
+  void RecordFrame(const HealthFrame& frame) { frames_.Push(frame); }
   /// Notes an anomaly ("crash_recovery", "orphaned_messages",
   /// "check_failed", ...) with the step it happened at; the last few notes
   /// appear in the dump with their occurrence counts.
   void NoteEvent(const char* what, uint64_t step);
 
-  uint64_t frames_total() const {
-    return head_.load(std::memory_order_acquire);
-  }
+  uint64_t frames_total() const { return frames_.total(); }
   uint64_t notes_total() const {
     return notes_head_.load(std::memory_order_acquire);
   }
-  std::vector<HealthFrame> Frames() const;
+  std::vector<HealthFrame> Frames() const { return frames_.Snapshot(); }
 
   /// The dump: {"schema":"dismastd-flight-v1","reason":...,"notes":[...],
   /// "frames":[...]}, frames oldest first.
@@ -84,12 +83,6 @@ class FlightRecorder {
   static FlightRecorder* Global();
 
  private:
-  static constexpr size_t kWords =
-      (sizeof(HealthFrame) + sizeof(uint64_t) - 1) / sizeof(uint64_t);
-  struct Slot {
-    std::atomic<uint64_t> stamp{0};
-    std::array<std::atomic<uint64_t>, kWords> words{};
-  };
   struct Note {
     char what[32] = {0};
     uint64_t step = 0;
@@ -97,8 +90,7 @@ class FlightRecorder {
   };
   static constexpr size_t kMaxNotes = 8;
 
-  std::array<Slot, kCapacity> slots_;
-  std::atomic<uint64_t> head_{0};
+  SeqlockRing<HealthFrame, kCapacity> frames_;
 
   mutable std::mutex notes_mutex_;
   std::array<Note, kMaxNotes> notes_;

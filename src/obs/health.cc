@@ -91,42 +91,6 @@ std::string AlertEvent::ToString() const {
   return buf;
 }
 
-void AlertRing::Push(const AlertEvent& event) {
-  const uint64_t index = head_.fetch_add(1, std::memory_order_acq_rel);
-  Slot& slot = slots_[index % kCapacity];
-  slot.stamp.store(2 * index + 1, std::memory_order_release);
-  uint64_t words[kWords] = {0};
-  std::memcpy(words, &event, sizeof(event));
-  for (size_t w = 0; w < kWords; ++w) {
-    slot.words[w].store(words[w], std::memory_order_relaxed);
-  }
-  slot.stamp.store(2 * index + 2, std::memory_order_release);
-}
-
-std::vector<AlertEvent> AlertRing::Snapshot() const {
-  const uint64_t head = head_.load(std::memory_order_acquire);
-  const uint64_t retained = std::min<uint64_t>(head, kCapacity);
-  std::vector<AlertEvent> out;
-  out.reserve(retained);
-  for (uint64_t index = head - retained; index < head; ++index) {
-    const Slot& slot = slots_[index % kCapacity];
-    if (slot.stamp.load(std::memory_order_acquire) != 2 * index + 2) {
-      continue;  // overwritten or mid-write; drop rather than tear
-    }
-    uint64_t words[kWords];
-    for (size_t w = 0; w < kWords; ++w) {
-      words[w] = slot.words[w].load(std::memory_order_relaxed);
-    }
-    if (slot.stamp.load(std::memory_order_acquire) != 2 * index + 2) {
-      continue;
-    }
-    AlertEvent event;
-    std::memcpy(&event, words, sizeof(event));
-    out.push_back(event);
-  }
-  return out;
-}
-
 bool EwmaDetector::Observe(double value, double* z_out) {
   bool spike = false;
   double z = 0.0;

@@ -10,6 +10,7 @@
 
 #include "common/status.h"
 #include "obs/metrics.h"
+#include "obs/seqlock_ring.h"
 #include "obs/trace.h"
 
 namespace dismastd {
@@ -76,34 +77,8 @@ struct AlertEvent {
 static_assert(std::is_trivially_copyable<AlertEvent>::value,
               "AlertEvent must stay POD: it crosses the lock-free ring");
 
-/// Lock-free bounded MPMC ring of the most recent alerts. Writers claim a
-/// slot with one fetch_add; the payload is stored as relaxed atomic words
-/// guarded by a per-slot sequence stamp (odd = write in progress, even =
-/// published), so concurrent Snapshot() readers are race-free and simply
-/// drop slots that were overwritten mid-read. Capacity is a hard bound:
-/// old alerts are overwritten, total() keeps the true count.
-class AlertRing {
- public:
-  static constexpr size_t kCapacity = 256;
-
-  void Push(const AlertEvent& event);
-  uint64_t total() const { return head_.load(std::memory_order_acquire); }
-  /// Copies the retained alerts, oldest first. Best effort under
-  /// concurrent pushes: slots being overwritten are skipped.
-  std::vector<AlertEvent> Snapshot() const;
-
- private:
-  static constexpr size_t kWords =
-      (sizeof(AlertEvent) + sizeof(uint64_t) - 1) / sizeof(uint64_t);
-  struct Slot {
-    /// 2*index+1 while the writer owns the slot, 2*index+2 once published.
-    std::atomic<uint64_t> stamp{0};
-    std::array<std::atomic<uint64_t>, kWords> words{};
-  };
-
-  std::array<Slot, kCapacity> slots_;
-  std::atomic<uint64_t> head_{0};
-};
+/// The most recent 256 alerts; total() counts every alert ever pushed.
+using AlertRing = SeqlockRing<AlertEvent, 256>;
 
 /// Online spike detector: exponentially decayed mean and variance with a
 /// one-sided z-score test. Seed-free and deterministic — state is a pure

@@ -74,39 +74,6 @@ std::string FormatValue(double value) {
   return buf;
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        // Remaining control characters (e.g. \r) must be \u-escaped or the
-        // output is not valid JSON.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string RenderLabels(const LabelSet& labels) {
@@ -230,73 +197,13 @@ std::string MetricRegistry::ExposePrometheus() const {
   return os.str();
 }
 
-std::string MetricRegistry::ExposeJson() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream os;
-  os << "{\"metrics\":[";
-  bool first = true;
-  for (const auto& [key, series] : series_) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << JsonEscape(series.name) << "\",\"labels\":{";
-    bool first_label = true;
-    for (const auto& [k, v] : series.labels) {
-      if (!first_label) os << ",";
-      first_label = false;
-      os << "\"" << JsonEscape(k) << "\":\"" << JsonEscape(v) << "\"";
-    }
-    os << "},";
-    switch (series.kind) {
-      case Kind::kCounter:
-        os << "\"type\":\"counter\",\"value\":" << series.counter->Value();
-        break;
-      case Kind::kGauge:
-        os << "\"type\":\"gauge\",\"value\":"
-           << FormatValue(series.gauge->Value());
-        break;
-      case Kind::kHistogram: {
-        const Pow2Histogram& h = *series.histogram;
-        os << "\"type\":\"histogram\",\"count\":" << h.Count()
-           << ",\"sum\":" << h.Total() << ",\"buckets\":[";
-        const size_t used = h.UsedBuckets();
-        bool first_bucket = true;
-        for (size_t b = 0; b < used; ++b) {
-          const uint64_t c = h.BucketCount(b);
-          if (c == 0) continue;
-          if (!first_bucket) os << ",";
-          first_bucket = false;
-          os << "{\"le\":" << FormatValue(Pow2Histogram::BucketUpperBound(b))
-             << ",\"count\":" << c << "}";
-        }
-        os << "]";
-        break;
-      }
-    }
-    os << "}";
-  }
-  os << "]}";
-  return os.str();
-}
-
-namespace {
-
-Status WriteTextFile(const std::string& path, const std::string& content) {
+Status MetricRegistry::WritePrometheusFile(const std::string& path) const {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << content;
+  out << ExposePrometheus();
   out.flush();
   if (!out) return Status::IoError("write to " + path + " failed");
   return Status::OK();
-}
-
-}  // namespace
-
-Status MetricRegistry::WritePrometheusFile(const std::string& path) const {
-  return WriteTextFile(path, ExposePrometheus());
-}
-
-Status MetricRegistry::WriteJsonFile(const std::string& path) const {
-  return WriteTextFile(path, ExposeJson());
 }
 
 }  // namespace obs

@@ -85,12 +85,7 @@ class MetricRegistry {
   /// deterministic for a given set of values.
   std::string ExposePrometheus() const;
 
-  /// JSON dump of every series: {"metrics": [{"name", "type", "labels",
-  /// ...}]}, same deterministic ordering as the Prometheus exposition.
-  std::string ExposeJson() const;
-
   Status WritePrometheusFile(const std::string& path) const;
-  Status WriteJsonFile(const std::string& path) const;
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };

@@ -28,22 +28,32 @@ bool BetterScored(const ScoredIndex& a, const ScoredIndex& b) {
   return a.index < b.index;
 }
 
-/// The best k of `scores` (score descending, index ascending), selected
-/// into a k-sized answer so it does not keep the scan's buffer. scores[j]
+/// The best k of `scores` (score descending, index ascending). scores[j]
 /// belongs to candidate ids[j] (to j itself when `ids` is null), so a
 /// shortlist containing the true top-K yields exactly the exact scan's
-/// answer.
+/// answer. One pass feeds a k-entry heap whose front is the worst entry
+/// kept, so nothing but the answer is allocated; a score below that front
+/// is rejected before its entry is built.
 std::vector<ScoredIndex> SelectTopK(const std::vector<double>& scores,
                                     const std::vector<uint32_t>* ids,
                                     size_t k) {
-  std::vector<ScoredIndex> scored(scores.size());
-  for (size_t j = 0; j < scores.size(); ++j) {
-    scored[j] = {ids != nullptr ? (*ids)[j] : static_cast<uint64_t>(j),
-                 scores[j]};
+  const auto entry = [&](size_t j) {
+    return ScoredIndex{ids != nullptr ? (*ids)[j] : static_cast<uint64_t>(j),
+                       scores[j]};
+  };
+  std::vector<ScoredIndex> top(std::min(k, scores.size()));
+  if (top.empty()) return top;
+  for (size_t j = 0; j < top.size(); ++j) top[j] = entry(j);
+  std::make_heap(top.begin(), top.end(), BetterScored);
+  for (size_t j = top.size(); j < scores.size(); ++j) {
+    if (scores[j] < top.front().score) continue;
+    const ScoredIndex candidate = entry(j);
+    if (!BetterScored(candidate, top.front())) continue;
+    std::pop_heap(top.begin(), top.end(), BetterScored);
+    top.back() = candidate;
+    std::push_heap(top.begin(), top.end(), BetterScored);
   }
-  std::vector<ScoredIndex> top(std::min(k, scored.size()));
-  std::partial_sort_copy(scored.begin(), scored.end(), top.begin(),
-                         top.end(), BetterScored);
+  std::sort_heap(top.begin(), top.end(), BetterScored);
   return top;
 }
 
@@ -129,34 +139,22 @@ ServableModel::ServableModel(KruskalTensor factors, uint64_t version,
   norm_squared_ = SumAll(acc);
   fingerprint_ = FingerprintFactors(factors_);
 
-  if (options.publish_bf16) {
-    bf16_factors_.reserve(n);
-    for (size_t mode = 0; mode < n; ++mode) {
-      const Matrix& f = factors_.factor(mode);
-      bf16_factors_.push_back(
-          kernels::QuantizeBf16(f.data(), f.rows(), f.cols()));
-    }
-    has_bf16_ = true;
-  } else {
-    bf16_factors_.resize(n);
+  bf16_factors_.reserve(n);
+  for (size_t mode = 0; mode < n; ++mode) {
+    const Matrix& f = factors_.factor(mode);
+    bf16_factors_.push_back(
+        kernels::QuantizeBf16(f.data(), f.rows(), f.cols()));
   }
-  if (options.publish_int8) {
-    int8_factors_.reserve(n);
-    for (size_t mode = 0; mode < n; ++mode) {
-      const Matrix& f = factors_.factor(mode);
-      int8_factors_.push_back(
-          kernels::QuantizeInt8(f.data(), f.rows(), f.cols()));
-    }
-    has_int8_ = true;
-  } else {
-    int8_factors_.resize(n);
+  int8_factors_.reserve(n);
+  for (size_t mode = 0; mode < n; ++mode) {
+    const Matrix& f = factors_.factor(mode);
+    int8_factors_.push_back(
+        kernels::QuantizeInt8(f.data(), f.rows(), f.cols()));
   }
-  if (options.build_ann) {
-    ann_index_ = ann::AnnIndex::Build(
-        factors_, options.lsh,
-        previous != nullptr ? previous->ann_index_.get() : nullptr,
-        previous != nullptr ? &previous->factors_ : nullptr);
-  }
+  ann_index_ = ann::AnnIndex::Build(
+      factors_, options.lsh,
+      previous != nullptr ? previous->ann_index_.get() : nullptr,
+      previous != nullptr ? &previous->factors_ : nullptr);
 }
 
 std::shared_ptr<const ServableModel> ServableModel::Build(
@@ -170,18 +168,6 @@ std::shared_ptr<const ServableModel> ServableModel::Build(
 
 uint64_t ServableModel::ComputeFingerprint() const {
   return FingerprintFactors(factors_);
-}
-
-bool ServableModel::HasPrecision(Precision precision) const {
-  switch (precision) {
-    case Precision::kF64:
-      return true;
-    case Precision::kBf16:
-      return has_bf16_;
-    case Precision::kInt8:
-      return has_int8_;
-  }
-  return false;
 }
 
 Status ServableModel::ValidateIndex(
@@ -314,12 +300,6 @@ std::vector<ScoredIndex> ServableModel::TopK(
 Result<TopKResult> ServableModel::TopKWithPrecision(
     size_t target_mode, const std::vector<uint64_t>& anchor, size_t k,
     Precision precision) const {
-  if (!HasPrecision(precision)) {
-    return Status::FailedPrecondition(
-        std::string("model version ") + std::to_string(version_) +
-        " was published without a " + PrecisionName(precision) +
-        " factor copy");
-  }
   const std::vector<double> weights =
       CombinationWeights(target_mode, anchor);
   std::vector<double> scores;
@@ -335,17 +315,6 @@ Result<TopKResult> ServableModel::TopKWithPrecision(
 Result<TopKResult> ServableModel::TopKAnn(
     size_t target_mode, const std::vector<uint64_t>& anchor, size_t k,
     Precision precision, size_t probes) const {
-  if (ann_index_ == nullptr) {
-    return Status::FailedPrecondition(
-        "model version " + std::to_string(version_) +
-        " was published without an ANN index (build_ann = false)");
-  }
-  if (!HasPrecision(precision)) {
-    return Status::FailedPrecondition(
-        std::string("model version ") + std::to_string(version_) +
-        " was published without a " + PrecisionName(precision) +
-        " factor copy");
-  }
   const std::vector<double> weights =
       CombinationWeights(target_mode, anchor);
   const size_t candidates = static_cast<size_t>(dims_[target_mode]);

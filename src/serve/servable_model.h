@@ -71,15 +71,10 @@ struct TopKResult {
   bool from_cache = false;
 };
 
-/// Controls which quantized factor copies Build() materializes alongside
-/// the fp64 factors.
+/// How Build() hashes the LSH index (ann/lsh_index.h) it attaches for
+/// SearchMode::kAnn queries. The index rides inside the published model,
+/// so a query snapshot pins factors and index together.
 struct ServableBuildOptions {
-  bool publish_bf16 = true;
-  bool publish_int8 = true;
-  /// Whether Build() attaches an LSH index (ann/lsh_index.h) for
-  /// SearchMode::kAnn queries. The index rides inside the published model,
-  /// so a query snapshot pins factors and index together.
-  bool build_ann = true;
   ann::LshOptions lsh;
 };
 
@@ -93,8 +88,9 @@ struct ServableBuildOptions {
 ///     queries never touch the tall factors,
 ///   - per-mode column norms ‖A_n[:,f]‖,
 ///   - the model Frobenius norm derived from the Grams,
-///   - optional bf16/int8 factor copies with exact per-column max-abs
-///     quantization error (the quantized top-K scan and its error bound),
+///   - bf16/int8 factor copies with exact per-column max-abs quantization
+///     error (the quantized top-K scan and its error bound),
+///   - the LSH index of the ANN top-K,
 ///   - a fingerprint over the factor bytes, letting concurrency tests prove
 ///     a reader never observes a half-published model.
 ///
@@ -145,11 +141,7 @@ class ServableModel {
   /// a fully-published, untouched model (no torn reads).
   uint64_t ComputeFingerprint() const;
 
-  /// Whether a quantized copy at `precision` was published with this
-  /// model. Always true for kF64.
-  bool HasPrecision(Precision precision) const;
-
-  /// The quantized copy of mode `mode` (empty if not published).
+  /// The quantized copy of mode `mode`.
   const kernels::Bf16Matrix& bf16_factor(size_t mode) const {
     return bf16_factors_[mode];
   }
@@ -170,7 +162,7 @@ class ServableModel {
   /// Top-K recommendation over `target_mode`: with every other mode pinned
   /// to `anchor[n]` (anchor[target_mode] is ignored), scores all
   /// J = dims()[target_mode] candidates via one R-vector x factor-matrix
-  /// product and partial-sorts the best K. Scores tie-break on ascending
+  /// product and selects the best K. Scores tie-break on ascending
   /// index so results are deterministic. K is clamped to J.
   std::vector<ScoredIndex> TopK(size_t target_mode,
                                 const std::vector<uint64_t>& anchor,
@@ -178,14 +170,12 @@ class ServableModel {
 
   /// TopK at a chosen precision. Combination weights stay fp64 (the anchor
   /// rows are read from the fp64 factors); only the candidate scan reads
-  /// the quantized target-mode copy. Fails with FailedPrecondition if the
-  /// requested copy was not published.
+  /// the quantized target-mode copy.
   Result<TopKResult> TopKWithPrecision(size_t target_mode,
                                        const std::vector<uint64_t>& anchor,
                                        size_t k, Precision precision) const;
 
-  /// The LSH index built at publish time, or nullptr if the model was
-  /// published with build_ann = false.
+  /// The LSH index built at publish time; never null.
   const std::shared_ptr<const ann::AnnIndex>& ann_index() const {
     return ann_index_;
   }
@@ -194,9 +184,7 @@ class ServableModel {
   /// candidates from the LSH index, then re-ranks just those rows through
   /// the same blocked-8 dot the exact scan uses. Shortlisted rows'
   /// returned scores are therefore bit-identical to the exact scan's; the
-  /// only approximation is which rows make the shortlist. Fails with
-  /// FailedPrecondition if the model carries no index or the requested
-  /// precision copy was not published.
+  /// only approximation is which rows make the shortlist.
   Result<TopKResult> TopKAnn(size_t target_mode,
                              const std::vector<uint64_t>& anchor, size_t k,
                              Precision precision, size_t probes) const;
@@ -237,8 +225,6 @@ class ServableModel {
   std::vector<std::vector<double>> column_norms_;
   std::vector<kernels::Bf16Matrix> bf16_factors_;
   std::vector<kernels::Int8Matrix> int8_factors_;
-  bool has_bf16_ = false;
-  bool has_int8_ = false;
   double norm_squared_ = 0.0;
   uint64_t fingerprint_ = 0;
   std::shared_ptr<const ann::AnnIndex> ann_index_;

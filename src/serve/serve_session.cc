@@ -18,10 +18,7 @@ ServeSession::ServeSession(ServeSessionOptions options)
     : store_(options.store),
       query_pool_(std::make_unique<ThreadPool>(
           ResolveThreads(options.num_query_threads))),
-      cache_(options.result_cache_slots > 0
-                 ? std::make_unique<TopKResultCache>(
-                       options.result_cache_slots)
-                 : nullptr),
+      cache_(std::make_unique<TopKResultCache>(kResultCacheSlots)),
       engine_(&store_, query_pool_.get(), &metrics_, options.tracer,
               cache_.get()) {}
 

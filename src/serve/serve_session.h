@@ -22,10 +22,6 @@ struct ServeSessionOptions {
   /// Optional span tracer shared with the rest of the process (not owned,
   /// may be null); the query engine records per-query wall spans onto it.
   obs::Tracer* tracer = nullptr;
-  /// Slots of the hot-entity top-K result cache (rounded up to a power of
-  /// two); 0 disables the cache, making SearchMode::kAnnCached behave
-  /// like kAnn.
-  size_t result_cache_slots = 4096;
 };
 
 /// The assembled serving plane: store + metrics + engine + query pool,
@@ -54,7 +50,7 @@ class ServeSession {
   const ModelStore& store() const { return store_; }
   ServeMetrics& metrics() { return metrics_; }
   const QueryEngine& engine() const { return engine_; }
-  /// The session's result cache; nullptr when result_cache_slots was 0.
+  /// The hot-entity top-K result cache SearchMode::kAnnCached consults.
   TopKResultCache* cache() { return cache_.get(); }
 
   /// Publishes `factors` as the model of streaming step `step` and
@@ -71,6 +67,8 @@ class ServeSession {
   StreamStepObserver PublishObserver();
 
  private:
+  static constexpr size_t kResultCacheSlots = 4096;
+
   ModelStore store_;
   ServeMetrics metrics_;
   std::unique_ptr<ThreadPool> query_pool_;

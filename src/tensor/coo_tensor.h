@@ -42,7 +42,6 @@ class SparseTensor {
     return indices_.data() + e * order();
   }
   double Value(size_t e) const { return values_[e]; }
-  double& MutableValue(size_t e) { return values_[e]; }
 
   /// The raw storage: nnz() * order() indices, entry e's tuple at
   /// IndexData() + e * order(), and nnz() values.

@@ -3,15 +3,9 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/serialization.h"
 #include "common/string_util.h"
 
 namespace dismastd {
-
-namespace {
-constexpr uint32_t kBinaryMagic = 0x444D5354;  // "DMST"
-constexpr uint32_t kBinaryVersion = 1;
-}  // namespace
 
 Status WriteTensorText(const SparseTensor& tensor, std::ostream& os) {
   os << tensor.order();
@@ -83,64 +77,6 @@ Result<SparseTensor> ReadTensorTextFile(const std::string& path) {
   std::ifstream is(path);
   if (!is) return Status::IoError("cannot open for read: " + path);
   return ReadTensorText(is);
-}
-
-Status WriteTensorBinaryFile(const SparseTensor& tensor,
-                             const std::string& path) {
-  ByteWriter writer;
-  writer.WriteU32(kBinaryMagic);
-  writer.WriteU32(kBinaryVersion);
-  writer.WriteU64(tensor.order());
-  for (uint64_t d : tensor.dims()) writer.WriteU64(d);
-  writer.WriteU64(tensor.nnz());
-  for (size_t e = 0; e < tensor.nnz(); ++e) {
-    const uint64_t* idx = tensor.IndexTuple(e);
-    for (size_t m = 0; m < tensor.order(); ++m) writer.WriteU64(idx[m]);
-    writer.WriteDouble(tensor.Value(e));
-  }
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return Status::IoError("cannot open for write: " + path);
-  const auto& bytes = writer.bytes();
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
-  if (!os) return Status::IoError("failed writing binary tensor");
-  return Status::OK();
-}
-
-Result<SparseTensor> ReadTensorBinaryFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IoError("cannot open for read: " + path);
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(is)),
-                             std::istreambuf_iterator<char>());
-  ByteReader reader(bytes);
-  uint32_t magic = 0, version = 0;
-  DISMASTD_RETURN_IF_ERROR(reader.ReadU32(&magic));
-  DISMASTD_RETURN_IF_ERROR(reader.ReadU32(&version));
-  if (magic != kBinaryMagic) return Status::IoError("bad magic in " + path);
-  if (version != kBinaryVersion) {
-    return Status::IoError("unsupported version in " + path);
-  }
-  uint64_t order = 0;
-  DISMASTD_RETURN_IF_ERROR(reader.ReadU64(&order));
-  if (order == 0 || order > 16) return Status::IoError("bad order");
-  std::vector<uint64_t> dims(order);
-  for (auto& d : dims) DISMASTD_RETURN_IF_ERROR(reader.ReadU64(&d));
-  uint64_t nnz = 0;
-  DISMASTD_RETURN_IF_ERROR(reader.ReadU64(&nnz));
-  SparseTensor tensor(dims);
-  std::vector<uint64_t> index(order);
-  for (uint64_t e = 0; e < nnz; ++e) {
-    for (auto& i : index) DISMASTD_RETURN_IF_ERROR(reader.ReadU64(&i));
-    double value = 0.0;
-    DISMASTD_RETURN_IF_ERROR(reader.ReadDouble(&value));
-    for (size_t m = 0; m < order; ++m) {
-      if (index[m] >= dims[m]) {
-        return Status::OutOfRange("binary tensor index out of bounds");
-      }
-    }
-    tensor.Add(index, value);
-  }
-  return tensor;
 }
 
 }  // namespace dismastd

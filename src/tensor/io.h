@@ -20,12 +20,6 @@ Status WriteTensorTextFile(const SparseTensor& tensor,
 Result<SparseTensor> ReadTensorText(std::istream& is);
 Result<SparseTensor> ReadTensorTextFile(const std::string& path);
 
-/// Compact binary round-trip (little-endian): header + raw index/value
-/// arrays. Suited to large tensors.
-Status WriteTensorBinaryFile(const SparseTensor& tensor,
-                             const std::string& path);
-Result<SparseTensor> ReadTensorBinaryFile(const std::string& path);
-
 }  // namespace dismastd
 
 #endif  // DISMASTD_TENSOR_IO_H_

@@ -405,19 +405,14 @@ TEST(KernelsQuantizedTest, Bf16RoundTripWithinDocumentedRelativeBound) {
   Rng rng(6);
   for (size_t n : kLengths) {
     const std::vector<double> src = RandomVector(n, rng);
-    for (Backend backend : SupportedBackends()) {
-      std::vector<Bf16> q(n);
-      std::vector<double> back(n);
-      Get(backend).f64_to_bf16(src.data(), n, q.data());
-      Get(backend).bf16_to_f64(q.data(), n, back.data());
-      for (size_t i = 0; i < n; ++i) {
-        // 2^-8 on the float32 value; one half-ulp of float32 covers the
-        // f64 -> f32 rounding en route.
-        const double bound =
-            std::abs(src[i]) * (0x1p-8 + 0x1p-24) + 1e-300;
-        ASSERT_LE(std::abs(src[i] - back[i]), bound)
-            << BackendName(backend) << " n=" << n << " i=" << i;
-      }
+    const std::vector<double> back =
+        Dequantize(QuantizeBf16(src.data(), 1, n));
+    ASSERT_EQ(back.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      // 2^-8 on the float32 value; one half-ulp of float32 covers the
+      // f64 -> f32 rounding en route.
+      const double bound = std::abs(src[i]) * (0x1p-8 + 0x1p-24) + 1e-300;
+      ASSERT_LE(std::abs(src[i] - back[i]), bound) << "n=" << n << " i=" << i;
     }
   }
 }
@@ -427,8 +422,7 @@ TEST(KernelsQuantizedTest, Bf16AndInt8KernelsBackendInvariant) {
   for (size_t n : kLengths) {
     const std::vector<double> src = RandomVector(n, rng);
     const std::vector<double> weights = RandomVector(n, rng);
-    std::vector<Bf16> q(n);
-    Get(Backend::kScalar).f64_to_bf16(src.data(), n, q.data());
+    const std::vector<Bf16> q = QuantizeBf16(src.data(), 1, n).data;
     std::vector<int8_t> i8(n);
     for (size_t i = 0; i < n; ++i) {
       i8[i] = static_cast<int8_t>(
@@ -439,11 +433,6 @@ TEST(KernelsQuantizedTest, Bf16AndInt8KernelsBackendInvariant) {
     const double want_i8 =
         Get(Backend::kScalar).i8_dot(i8.data(), weights.data(), n);
     for (Backend backend : SupportedBackends()) {
-      std::vector<Bf16> q2(n);
-      Get(backend).f64_to_bf16(src.data(), n, q2.data());
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(q[i], q2[i]) << BackendName(backend) << " i=" << i;
-      }
       ASSERT_EQ(want_bf16,
                 Get(backend).bf16_dot(q.data(), weights.data(), n))
           << BackendName(backend) << " n=" << n;

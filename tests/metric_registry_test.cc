@@ -129,20 +129,6 @@ TEST(MetricRegistryTest, PrometheusEscapesHelpText) {
   EXPECT_EQ(text.compare(eol + 1, 6, "# TYPE"), 0) << text;
 }
 
-TEST(MetricRegistryTest, JsonEscapesControlCharacters) {
-  // \r and other control characters below 0x20 must come out \u-escaped
-  // or ExposeJson is not valid JSON.
-  MetricRegistry registry;
-  registry
-      .GetCounter("dismastd_test_ctrl_total",
-                  {{"path", std::string("a\rb\tc\x01") + "d"}})
-      ->Inc();
-  const std::string json = registry.ExposeJson();
-  EXPECT_NE(json.find("a\\u000db\\tc\\u0001d"), std::string::npos) << json;
-  EXPECT_EQ(json.find('\r'), std::string::npos);
-  EXPECT_EQ(json.find('\x01'), std::string::npos);
-}
-
 TEST(MetricRegistryTest, ExpositionIsDeterministicallyOrdered) {
   MetricRegistry a, b;
   // Register in opposite orders; exposition must match byte-for-byte.
@@ -151,22 +137,8 @@ TEST(MetricRegistryTest, ExpositionIsDeterministicallyOrdered) {
   b.GetCounter("dismastd_test_a_total")->Inc(2);
   b.GetCounter("dismastd_test_z_total")->Inc(1);
   EXPECT_EQ(a.ExposePrometheus(), b.ExposePrometheus());
-  EXPECT_EQ(a.ExposeJson(), b.ExposeJson());
   EXPECT_LT(a.ExposePrometheus().find("dismastd_test_a_total"),
             a.ExposePrometheus().find("dismastd_test_z_total"));
-}
-
-TEST(MetricRegistryTest, JsonDumpContainsEverySeries) {
-  MetricRegistry registry;
-  registry.GetCounter("dismastd_test_ops_total", {{"kind", "x"}})->Inc(9);
-  registry.GetGauge("dismastd_test_level")->Set(3.0);
-  registry.GetHistogram("dismastd_test_bytes")->Record(100);
-  const std::string json = registry.ExposeJson();
-  EXPECT_EQ(json.find("{\"metrics\":"), 0u);
-  EXPECT_NE(json.find("\"dismastd_test_ops_total\""), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"x\""), std::string::npos);
-  EXPECT_NE(json.find("\"dismastd_test_level\""), std::string::npos);
-  EXPECT_NE(json.find("\"dismastd_test_bytes\""), std::string::npos);
 }
 
 TEST(MetricRegistryTest, ConcurrentRegistrationAndUpdates) {
@@ -229,8 +201,6 @@ TEST(MetricRegistryTest, ConcurrentHealthPublishAndScrape) {
     while (!done.load(std::memory_order_acquire)) {
       const std::string text = registry.ExposePrometheus();
       EXPECT_FALSE(text.empty());
-      const std::string json = registry.ExposeJson();
-      EXPECT_FALSE(json.empty());
     }
   });
   std::thread alerter([&] {

@@ -154,25 +154,6 @@ TEST(ServableModelTest, TopKScoresAreCombinationWeightsDotRows) {
   }
 }
 
-TEST(ServableModelTest, QuantizedCopiesFollowBuildOptions) {
-  const KruskalTensor factors = MakeFactors(12);
-  const auto full = ServableModel::Build(factors, 1, 0);
-  EXPECT_TRUE(full->HasPrecision(Precision::kF64));
-  EXPECT_TRUE(full->HasPrecision(Precision::kBf16));
-  EXPECT_TRUE(full->HasPrecision(Precision::kInt8));
-
-  ServableBuildOptions f64_only;
-  f64_only.publish_bf16 = false;
-  f64_only.publish_int8 = false;
-  const auto lean = ServableModel::Build(factors, 1, 0, f64_only);
-  EXPECT_TRUE(lean->HasPrecision(Precision::kF64));
-  EXPECT_FALSE(lean->HasPrecision(Precision::kBf16));
-  EXPECT_FALSE(lean->HasPrecision(Precision::kInt8));
-  const Result<TopKResult> refused =
-      lean->TopKWithPrecision(1, {0, 0, 0}, 3, Precision::kBf16);
-  EXPECT_FALSE(refused.ok());
-}
-
 TEST(ServableModelTest, QuantizedTopKScoresWithinReportedBound) {
   const KruskalTensor factors = MakeFactors(13, {20, 40, 6}, 4);
   const auto model = ServableModel::Build(factors, 1, 0);
@@ -260,20 +241,47 @@ TEST(ServableModelTest, AnnQuantizedRerankStaysWithinReportedBound) {
   }
 }
 
-TEST(ServableModelTest, AnnRefusesWhenIndexOrPrecisionMissing) {
-  const KruskalTensor factors = MakeFactors(16);
-  ServableBuildOptions no_ann;
-  no_ann.build_ann = false;
-  const auto lean = ServableModel::Build(factors, 1, 0, no_ann);
-  EXPECT_EQ(lean->ann_index(), nullptr);
-  EXPECT_EQ(lean->TopKAnn(1, {0, 0, 0}, 3, Precision::kF64, 4).status().code(),
-            StatusCode::kFailedPrecondition);
+TEST(ServableModelTest, TopKBreaksExactTiesByIndexAcrossTheKBoundary) {
+  // Mode 1 repeats 6 distinct rows 4 times each, so every candidate's score
+  // ties exactly with three others, and k = 10 cuts the third tie group in
+  // half: the answer keeps that group's two lowest indices, as the oracle
+  // does, for the exact scan and for ANN with a full shortlist.
+  Rng rng(17);
+  const Matrix distinct = Matrix::Random(6, 3, rng);
+  Matrix repeated(24, 3);
+  for (size_t j = 0; j < repeated.rows(); ++j) {
+    for (size_t f = 0; f < repeated.cols(); ++f) {
+      repeated(j, f) = distinct(j % 6, f);
+    }
+  }
+  std::vector<Matrix> modes;
+  modes.push_back(Matrix::Random(9, 3, rng));
+  modes.push_back(repeated);
+  modes.push_back(Matrix::Random(5, 3, rng));
+  const KruskalTensor factors(std::move(modes));
+  const auto model = ServableModel::Build(factors, 1, 0);
+  const std::vector<uint64_t> anchor = {4, 0, 2};
+  const size_t k = 10;
+  const auto expected = BruteForceTopK(factors, 1, anchor, k + 1);
+  ASSERT_EQ(expected[k - 1].score, expected[k].score);
 
-  ServableBuildOptions f64_only;
-  f64_only.publish_bf16 = false;
-  f64_only.publish_int8 = false;
-  const auto no_bf16 = ServableModel::Build(factors, 1, 0, f64_only);
-  EXPECT_FALSE(no_bf16->TopKAnn(1, {0, 0, 0}, 3, Precision::kBf16, 4).ok());
+  const Result<TopKResult> exact =
+      model->TopKWithPrecision(1, anchor, k, Precision::kF64);
+  const Result<TopKResult> ann =
+      model->TopKAnn(1, anchor, k, Precision::kF64, /*probes=*/1000);
+  ASSERT_TRUE(exact.ok());
+  ASSERT_TRUE(ann.ok());
+  EXPECT_EQ(ann.value().rows_scored, 24u);
+  EXPECT_EQ(model->TopK(1, anchor, k), exact.value().items);
+  for (const Result<TopKResult>* got : {&exact, &ann}) {
+    ASSERT_EQ(got->value().items.size(), k);
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(got->value().items[i].index, expected[i].index)
+          << "position " << i;
+      EXPECT_NEAR(got->value().items[i].score, expected[i].score, 1e-12);
+      EXPECT_EQ(got->value().items[i].score, exact.value().items[i].score);
+    }
+  }
 }
 
 }  // namespace

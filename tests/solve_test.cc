@@ -152,13 +152,6 @@ TEST(LuSolveTest, SingularFails) {
             StatusCode::kNumericalError);
 }
 
-TEST(InverseTest, InverseTimesSelfIsIdentity) {
-  const Matrix a = RandomSpd(5, 29);
-  Matrix inv;
-  ASSERT_TRUE(Inverse(a, &inv).ok());
-  EXPECT_TRUE(MatMul(a, inv).AllClose(Matrix::Identity(5), 1e-8));
-}
-
 class SolveSizeTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(SolveSizeTest, CholeskyAndLuAgree) {

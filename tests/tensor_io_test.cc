@@ -82,57 +82,6 @@ TEST(TensorIoTest, TextFileMissingFails) {
             StatusCode::kIoError);
 }
 
-TEST(TensorIoTest, BinaryRoundTrip) {
-  const SparseTensor t = MakeTensor();
-  const std::string path = TempPath("tensor_io_bin.dms");
-  ASSERT_TRUE(WriteTensorBinaryFile(t, path).ok());
-  Result<SparseTensor> back = ReadTensorBinaryFile(path);
-  ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_TRUE(back.value() == t);
-  std::remove(path.c_str());
-}
-
-TEST(TensorIoTest, BinaryPreservesExactDoubles) {
-  SparseTensor t({2});
-  t.Add({0}, 0.1);  // not exactly representable; must survive bit-for-bit
-  t.Add({1}, 1e-300);
-  const std::string path = TempPath("tensor_io_exact.dms");
-  ASSERT_TRUE(WriteTensorBinaryFile(t, path).ok());
-  Result<SparseTensor> back = ReadTensorBinaryFile(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().Value(0), 0.1);
-  EXPECT_EQ(back.value().Value(1), 1e-300);
-  std::remove(path.c_str());
-}
-
-TEST(TensorIoTest, BinaryRejectsBadMagic) {
-  const std::string path = TempPath("tensor_io_garbage.dms");
-  {
-    std::ofstream os(path, std::ios::binary);
-    os << "this is not a tensor file at all, padding padding";
-  }
-  EXPECT_FALSE(ReadTensorBinaryFile(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(TensorIoTest, BinaryRejectsTruncation) {
-  const SparseTensor t = MakeTensor();
-  const std::string path = TempPath("tensor_io_trunc.dms");
-  ASSERT_TRUE(WriteTensorBinaryFile(t, path).ok());
-  // Truncate the file to half its size.
-  std::ifstream in(path, std::ios::binary);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  in.close();
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(content.data(),
-             static_cast<std::streamsize>(content.size() / 2));
-  }
-  EXPECT_FALSE(ReadTensorBinaryFile(path).ok());
-  std::remove(path.c_str());
-}
-
 TEST(TensorIoTest, EmptyTensorRoundTrips) {
   const SparseTensor t({5, 5});
   std::ostringstream os;

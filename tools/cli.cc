@@ -1056,15 +1056,14 @@ Status CmdServeBench(const Args& args, std::ostream& out) {
   out << "\nqueries answered   : " << stats.answered << " (" << stats.failed
       << " failed)\n";
 
-  // Quantized-serving error report: for each published quantized copy,
-  // replay a sample of the log's top-K anchors at that precision and
-  // compare every returned score against the exact fp64 score of the same
-  // candidate (Predict of the completed index tuple). The measured error
-  // must sit inside the model's analytic per-query bound.
+  // Quantized-serving error report: for each quantized copy, replay a
+  // sample of the log's top-K anchors at that precision and compare every
+  // returned score against the exact fp64 score of the same candidate
+  // (Predict of the completed index tuple). The measured error must sit
+  // inside the model's analytic per-query bound.
   if (const auto model = session.store().Current(); model != nullptr) {
     for (const serve::Precision precision :
          {serve::Precision::kBf16, serve::Precision::kInt8}) {
-      if (!model->HasPrecision(precision)) continue;
       double max_abs = 0.0, max_rel = 0.0, max_bound = 0.0;
       uint64_t sampled = 0;
       for (const serve::QueryRecord& record : log) {
@@ -1099,13 +1098,9 @@ Status CmdServeBench(const Args& args, std::ostream& out) {
                     max_rel, (unsigned long long)sampled);
       out << qline << "\n";
     }
-  }
-  if (const auto model = session.store().Current(); model != nullptr) {
-    if (const auto index = model->ann_index(); index != nullptr) {
-      out << "ann index          : " << index->hashed_rows()
-          << " rows hashed, " << index->reused_rows()
-          << " reused across publishes\n";
-    }
+    const ann::AnnIndex& index = *model->ann_index();
+    out << "ann index          : " << index.hashed_rows() << " rows hashed, "
+        << index.reused_rows() << " reused across publishes\n";
   }
   out << "\n";
   out << session.metrics().Report().ToString();

@@ -124,7 +124,10 @@ EOF
 # Ingest: export a tensor as a TEVT event log and replay it with two
 # producers under both ingest policies. Each replay's trace must validate
 # (for the continuous one, cwin_update / cwin_stitch spans tile the publish
-# steps) and its metric families must reach the Prometheus dump.
+# steps) and its metric families must reach the Prometheus dump. Then a
+# scaled-down bench/ingest_throughput sweep: its barrier-driven rows replay
+# one log with 1, 2, 4 and 8 producers, and their batch-sequence
+# fingerprint must be identical (the determinism contract).
 section ingest
 "${cli}" generate --output smoke.tns \
   --dims 60x40x20 --nnz 6000 --rank 3 --seed 11
@@ -145,6 +148,18 @@ grep -q '^dismastd_ingest_late_events_total' cwin-metrics.prom
 grep -q '^dismastd_ingest_duplicate_events_total' cwin-metrics.prom
 grep -q '^dismastd_cwin_updates_total' cwin-metrics.prom
 grep -q '^dismastd_cwin_stitches_total' cwin-metrics.prom
+DISMASTD_BENCH_SCALE=0.05 "${build}/bench/ingest_throughput"
+python3 - <<'EOF'
+import csv
+rows = [r for r in csv.DictReader(open("ingest_throughput.csv"))
+        if r["label"] == "barriers"]
+producers = sorted(int(r["producers"]) for r in rows)
+assert producers == [1, 2, 4, 8], producers
+fingerprints = {r["fingerprint"] for r in rows}
+assert len(fingerprints) == 1, f"fingerprint moves with producers: {rows}"
+print(f"ingest_throughput: fingerprint {fingerprints.pop()} "
+      "at 1, 2, 4 and 8 producers")
+EOF
 
 # Trace: the streaming benchmark with tracing and metrics on; the Chrome
 # trace must validate structurally (B/E pairing per lane, monotone
