@@ -10,11 +10,11 @@
 // Kernel flags:
 //   --kernel scalar|avx2|avx512   force the dispatched backend for the
 //                                 google-benchmark suite
-//   --kernel-sweep=FILE           run the backend x precision sweep
-//                                 (COO MTTKRP, row-list solve and
-//                                 row-list Gram fp64, top-K fp64/bf16/int8 on
+//   --kernel-sweep=FILE           run the per-backend kernel sweep
+//                                 (COO MTTKRP, row-list solve, row-list
+//                                 Gram, top-K scan and ANN shortlist on
 //                                 every supported backend) and append CSV
-//                                 rows op,backend,precision,rank,items,
+//                                 rows op,backend,variant,rank,items,
 //                                 seconds,rows_per_s,gb_per_s to FILE
 //   --sweep-only                  skip the google-benchmark suite
 
@@ -35,7 +35,6 @@
 #include "common/random.h"
 #include "core/dismastd.h"
 #include "kernels/kernels.h"
-#include "kernels/quantized.h"
 #include "la/ops.h"
 #include "la/solve.h"
 #include "partition/gtp.h"
@@ -197,7 +196,7 @@ void BM_TopKScore(benchmark::State& state) {
   size_t cursor = 0;
   for (auto _ : state) {
     const auto top = model->TopK(/*target_mode=*/1, anchors[cursor], k);
-    benchmark::DoNotOptimize(top.data());
+    benchmark::DoNotOptimize(top.items.data());
     cursor = (cursor + 1) % kNumAnchors;
   }
   // Candidates scored per second is the serving-relevant rate.
@@ -245,20 +244,19 @@ void BM_DisMastdStep(benchmark::State& state) {
 BENCHMARK(BM_DisMastdStep)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Backend x precision sweep (--kernel-sweep=FILE)
+// Per-backend kernel sweep (--kernel-sweep=FILE)
 //
 // Times the kernel-table entry points directly — no engine or top-K
 // selection overhead — on every backend this host supports, and appends
 // CSV rows
-//   op,backend,precision,rank,items,seconds,rows_per_s,gb_per_s
+//   op,backend,variant,rank,items,seconds,rows_per_s,gb_per_s
 // to FILE. "mttkrp" (the COO MTTKRP over one non-zero list), "solve" (the
-// row-list Eq. 5 solve, old-row numerators included) and "gram" (the
-// row-list Gram update) rows cover fp64 (the decomposition path
-// is fp64-only by the determinism contract); "topk" rows cover fp64, bf16
-// and int8 candidate scans; "hamming" rows time the ANN shortlist entry
-// (scan plus counting-select of 1000 rows over 120,000 codes) at 1, 2 and
-// 4 code words, named b64, b128 and b256 in the precision column. CI
-// greps this CSV to assert the vectorized backends actually ran.
+// row-list Eq. 5 solve, old-row numerators included), "gram" (the
+// row-list Gram update) and "topk" (the fp64 candidate scan) rows are
+// fp64, variant f64; "hamming" rows time the ANN shortlist entry (scan
+// plus counting-select of 1000 rows over 120,000 codes) at 1, 2 and 4
+// code words, variants b64, b128 and b256. CI greps this CSV to assert
+// the vectorized backends actually ran.
 
 template <typename Fn>
 double TimeSeconds(size_t reps, Fn&& fn) {
@@ -269,15 +267,15 @@ double TimeSeconds(size_t reps, Fn&& fn) {
 }
 
 void EmitSweepRow(std::ofstream& csv, const char* op,
-                  kernels::Backend backend, const char* precision,
-                  size_t rank, double items, double seconds, double bytes) {
+                  kernels::Backend backend, const char* variant, size_t rank,
+                  double items, double seconds, double bytes) {
   const double rows_per_s = items / seconds;
   const double gb_per_s = bytes / seconds * 1e-9;
-  csv << op << ',' << kernels::BackendName(backend) << ',' << precision << ','
+  csv << op << ',' << kernels::BackendName(backend) << ',' << variant << ','
       << rank << ',' << static_cast<uint64_t>(items) << ',' << seconds << ','
       << rows_per_s << ',' << gb_per_s << '\n';
   std::printf("sweep %-6s %-6s %-4s rank=%zu  %10.3e rows/s  %7.2f GB/s\n",
-              op, kernels::BackendName(backend), precision, rank, rows_per_s,
+              op, kernels::BackendName(backend), variant, rank, rows_per_s,
               gb_per_s);
 }
 
@@ -287,7 +285,7 @@ int RunKernelSweep(const std::string& path) {
     std::fprintf(stderr, "cannot open kernel-sweep output %s\n", path.c_str());
     return 1;
   }
-  csv << "op,backend,precision,rank,items,seconds,rows_per_s,gb_per_s\n";
+  csv << "op,backend,variant,rank,items,seconds,rows_per_s,gb_per_s\n";
 
   constexpr size_t kRank = 16;
   Rng rng(99);
@@ -324,19 +322,11 @@ int RunKernelSweep(const std::string& path) {
   for (uint64_t& r : gram_rows) r = rng.NextBounded(kSideRows);
   Matrix gram(kRank, kRank);
 
-  // Top-K inputs: one contiguous candidate block per precision.
+  // Top-K inputs: one contiguous candidate block.
   constexpr size_t kCandidates = 1 << 16;
   const Matrix cand = Matrix::Random(kCandidates, kRank, rng);
-  const kernels::Bf16Matrix cand_bf16 =
-      kernels::QuantizeBf16(cand.data(), kCandidates, kRank);
-  const kernels::Int8Matrix cand_i8 =
-      kernels::QuantizeInt8(cand.data(), kCandidates, kRank);
   std::vector<double> weights(kRank);
-  std::vector<double> wscaled(kRank);
-  for (size_t f = 0; f < kRank; ++f) {
-    weights[f] = rng.NextDouble(-1.0, 1.0);
-    wscaled[f] = weights[f] * cand_i8.col_scale[f];
-  }
+  for (double& w : weights) w = rng.NextDouble(-1.0, 1.0);
   std::vector<double> scores(kCandidates);
 
   // Hamming inputs: 120,000 random codes at the widest width swept; the
@@ -403,38 +393,17 @@ int RunKernelSweep(const std::string& path) {
       EmitSweepRow(csv, "gram", backend, "f64", kRank, items, secs, bytes);
     }
 
-    constexpr size_t kScanReps = 64;
-    const double scan_items = static_cast<double>(kCandidates) * kScanReps;
     {
-      const double secs = TimeSeconds(kScanReps, [&] {
+      constexpr size_t kReps = 64;
+      const double secs = TimeSeconds(kReps, [&] {
         kern.topk_score_block(cand.RowPtr(0), kCandidates, kRank,
                               weights.data(), scores.data());
         benchmark::DoNotOptimize(scores.data());
       });
-      const double bytes =
-          scan_items * (kRank * sizeof(double) + sizeof(double));
-      EmitSweepRow(csv, "topk", backend, "f64", kRank, scan_items, secs, bytes);
-    }
-    {
-      const double secs = TimeSeconds(kScanReps, [&] {
-        kern.topk_score_block_bf16(cand_bf16.RowPtr(0), kCandidates, kRank,
-                                   weights.data(), scores.data());
-        benchmark::DoNotOptimize(scores.data());
-      });
-      const double bytes =
-          scan_items * (kRank * sizeof(kernels::Bf16) + sizeof(double));
-      EmitSweepRow(csv, "topk", backend, "bf16", kRank, scan_items, secs,
-                   bytes);
-    }
-    {
-      const double secs = TimeSeconds(kScanReps, [&] {
-        kern.topk_score_block_i8(cand_i8.RowPtr(0), kCandidates, kRank,
-                                 wscaled.data(), scores.data());
-        benchmark::DoNotOptimize(scores.data());
-      });
-      const double bytes =
-          scan_items * (kRank * sizeof(int8_t) + sizeof(double));
-      EmitSweepRow(csv, "topk", backend, "i8", kRank, scan_items, secs, bytes);
+      const double items = static_cast<double>(kCandidates) * kReps;
+      // Each candidate row and its score.
+      const double bytes = items * (kRank * sizeof(double) + sizeof(double));
+      EmitSweepRow(csv, "topk", backend, "f64", kRank, items, secs, bytes);
     }
     const std::pair<size_t, const char*> kWidths[] = {
         {1, "b64"}, {2, "b128"}, {4, "b256"}};

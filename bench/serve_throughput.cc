@@ -93,11 +93,9 @@ SweepRow RunAnnSweep(serve::ServeSession& session,
   const std::shared_ptr<const serve::ServableModel> model =
       session.store().Current();
   for (const auto& [anchor, got] : sampled) {
-    const Result<serve::TopKResult> exact =
-        model->TopKWithPrecision(0, anchor, query.k, serve::Precision::kF64);
-    if (!exact.ok()) continue;
     std::set<uint64_t> truth;
-    for (const serve::ScoredIndex& entry : exact.value().items) {
+    for (const serve::ScoredIndex& entry :
+         model->TopK(0, anchor, query.k).items) {
       truth.insert(entry.index);
     }
     size_t overlap = 0;

@@ -15,9 +15,8 @@
 //      and the `shortlist_size` nearest codes are selected by an exact
 //      counting-select (no heap, deterministic index tie-breaking);
 //   2. exact re-rank: the caller rescores just the shortlist through the
-//      canonical fp64/bf16/int8 top-K kernels, so returned scores are
-//      bit-identical to what the brute-force scan would have produced for
-//      the same rows.
+//      canonical fp64 top-K dot, so returned scores are bit-identical to
+//      what the brute-force scan would have produced for the same rows.
 //
 // Inner products are reduced to angles with the classic MIPS augmentation
 // (Neyshabur & Srebro 2015): every row r is hashed as the (R+1)-vector

@@ -34,7 +34,6 @@ struct ResultCacheKey {
   uint64_t fingerprint = 0;  // factor content fingerprint
   uint32_t target_mode = 0;
   uint64_t k = 0;
-  uint32_t precision = 0;    // serve::Precision enum value
   uint32_t search = 0;       // serve::SearchMode enum value
   uint64_t probes = 0;
   std::vector<uint64_t> anchor;
@@ -45,8 +44,8 @@ struct ResultCacheKey {
 
   bool SameQuery(const ResultCacheKey& other) const {
     return target_mode == other.target_mode && k == other.k &&
-           precision == other.precision && search == other.search &&
-           probes == other.probes && anchor == other.anchor;
+           search == other.search && probes == other.probes &&
+           anchor == other.anchor;
   }
 
   bool operator==(const ResultCacheKey& other) const {
@@ -66,7 +65,6 @@ struct ResultCacheKey {
     };
     mix(target_mode);
     mix(k);
-    mix(precision);
     mix(search);
     mix(probes);
     for (uint64_t a : anchor) mix(a);

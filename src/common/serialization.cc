@@ -5,7 +5,8 @@ namespace dismastd {
 Status ByteReader::ReadString(std::string* out) {
   uint64_t len = 0;
   DISMASTD_RETURN_IF_ERROR(ReadU64(&len));
-  if (pos_ + len > size_) {
+  // Against remaining(): a corrupt length near 2^64 would wrap pos_ + len.
+  if (len > remaining()) {
     return Status::OutOfRange("ByteReader: string length exceeds buffer");
   }
   out->assign(reinterpret_cast<const char*>(data_ + pos_),
@@ -17,7 +18,7 @@ Status ByteReader::ReadString(std::string* out) {
 Status ByteReader::ReadDoubleVec(std::vector<double>* out) {
   uint64_t count = 0;
   DISMASTD_RETURN_IF_ERROR(ReadU64(&count));
-  if (pos_ + count * sizeof(double) > size_) {
+  if (count > remaining() / sizeof(double)) {
     return Status::OutOfRange("ByteReader: double span exceeds buffer");
   }
   out->resize(count);
@@ -31,7 +32,7 @@ Status ByteReader::ReadDoubleVec(std::vector<double>* out) {
 Status ByteReader::ReadU64Vec(std::vector<uint64_t>* out) {
   uint64_t count = 0;
   DISMASTD_RETURN_IF_ERROR(ReadU64(&count));
-  if (pos_ + count * sizeof(uint64_t) > size_) {
+  if (count > remaining() / sizeof(uint64_t)) {
     return Status::OutOfRange("ByteReader: u64 span exceeds buffer");
   }
   out->resize(count);

@@ -415,77 +415,6 @@ void TopKScoreBlockAvx2(const double* rows, size_t num_rows, size_t rank,
   }
 }
 
-/// Widens 8 bf16 lanes (u16) to 8 doubles: u16 -> u32 << 16 reinterpreted
-/// as float32 (exact), then converted to float64 (exact).
-inline void WidenBf16x8(const Bf16* x, __m256d* lo, __m256d* hi) {
-  const __m128i raw =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(x));
-  const __m256i fbits =
-      _mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16);
-  const __m256 f32 = _mm256_castsi256_ps(fbits);
-  *lo = _mm256_cvtps_pd(_mm256_castps256_ps128(f32));
-  *hi = _mm256_cvtps_pd(_mm256_extractf128_ps(f32, 1));
-}
-
-double Bf16DotAvx2(const Bf16* x, const double* weights, size_t n) {
-  __m256d acc_a = _mm256_setzero_pd();
-  __m256d acc_b = _mm256_setzero_pd();
-  const size_t n8 = n & ~static_cast<size_t>(7);
-  size_t i = 0;
-  for (; i < n8; i += 8) {
-    __m256d lo, hi;
-    WidenBf16x8(x + i, &lo, &hi);
-    acc_a = _mm256_add_pd(acc_a,
-                          _mm256_mul_pd(lo, _mm256_loadu_pd(weights + i)));
-    acc_b = _mm256_add_pd(
-        acc_b, _mm256_mul_pd(hi, _mm256_loadu_pd(weights + i + 4)));
-  }
-  alignas(32) double p[8];
-  _mm256_store_pd(p, acc_a);
-  _mm256_store_pd(p + 4, acc_b);
-  for (; i < n; ++i) p[i - n8] += detail::Bf16ToF64(x[i]) * weights[i];
-  return detail::CombinePartials8(p);
-}
-
-void TopKScoreBlockBf16Avx2(const Bf16* rows, size_t num_rows, size_t rank,
-                            const double* weights, double* scores) {
-  for (size_t j = 0; j < num_rows; ++j) {
-    scores[j] = Bf16DotAvx2(rows + j * rank, weights, rank);
-  }
-}
-
-double I8DotAvx2(const int8_t* x, const double* wscaled, size_t n) {
-  __m256d acc_a = _mm256_setzero_pd();
-  __m256d acc_b = _mm256_setzero_pd();
-  const size_t n8 = n & ~static_cast<size_t>(7);
-  size_t i = 0;
-  for (; i < n8; i += 8) {
-    const __m128i raw =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(x + i));
-    const __m256i i32 = _mm256_cvtepi8_epi32(raw);
-    const __m256d lo = _mm256_cvtepi32_pd(_mm256_castsi256_si128(i32));
-    const __m256d hi = _mm256_cvtepi32_pd(_mm256_extracti128_si256(i32, 1));
-    acc_a = _mm256_add_pd(acc_a,
-                          _mm256_mul_pd(lo, _mm256_loadu_pd(wscaled + i)));
-    acc_b = _mm256_add_pd(
-        acc_b, _mm256_mul_pd(hi, _mm256_loadu_pd(wscaled + i + 4)));
-  }
-  alignas(32) double p[8];
-  _mm256_store_pd(p, acc_a);
-  _mm256_store_pd(p + 4, acc_b);
-  for (; i < n; ++i) {
-    p[i - n8] += static_cast<double>(x[i]) * wscaled[i];
-  }
-  return detail::CombinePartials8(p);
-}
-
-void TopKScoreBlockI8Avx2(const int8_t* rows, size_t num_rows, size_t rank,
-                          const double* wscaled, double* scores) {
-  for (size_t j = 0; j < num_rows; ++j) {
-    scores[j] = I8DotAvx2(rows + j * rank, wscaled, rank);
-  }
-}
-
 /// Per-64-bit-lane popcount via the classic nibble lookup
 /// (_mm256_shuffle_epi8 against a 0..15 bit-count table, then horizontal
 /// byte sums with _mm256_sad_epu8). Exact, like every popcount.
@@ -685,10 +614,6 @@ const KernelTable& Avx2Kernels() {
     t.solve_rows = SolveRowsAvx2;
     t.dot_strided = DotStridedAvx2;
     t.topk_score_block = TopKScoreBlockAvx2;
-    t.bf16_dot = Bf16DotAvx2;
-    t.topk_score_block_bf16 = TopKScoreBlockBf16Avx2;
-    t.i8_dot = I8DotAvx2;
-    t.topk_score_block_i8 = TopKScoreBlockI8Avx2;
     t.hamming_shortlist = HammingShortlistAvx2;
     return t;
   }();

@@ -420,59 +420,6 @@ void TopKScoreBlockAvx512(const double* rows, size_t num_rows, size_t rank,
   }
 }
 
-/// Widens 8 bf16 lanes to 8 doubles: u16 -> u32 << 16 reinterpreted as
-/// float32 (exact), then converted to float64 (exact).
-inline __m512d WidenBf16x8(const Bf16* x) {
-  const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(x));
-  const __m256i fbits = _mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16);
-  return _mm512_cvtps_pd(_mm256_castsi256_ps(fbits));
-}
-
-double Bf16DotAvx512(const Bf16* x, const double* weights, size_t n) {
-  __m512d acc = _mm512_setzero_pd();
-  const size_t n8 = n & ~static_cast<size_t>(7);
-  size_t i = 0;
-  for (; i < n8; i += 8) {
-    acc = _mm512_add_pd(
-        acc, _mm512_mul_pd(WidenBf16x8(x + i), _mm512_loadu_pd(weights + i)));
-  }
-  alignas(64) double p[8];
-  _mm512_store_pd(p, acc);
-  for (; i < n; ++i) p[i - n8] += detail::Bf16ToF64(x[i]) * weights[i];
-  return detail::CombinePartials8(p);
-}
-
-void TopKScoreBlockBf16Avx512(const Bf16* rows, size_t num_rows, size_t rank,
-                              const double* weights, double* scores) {
-  for (size_t j = 0; j < num_rows; ++j) {
-    scores[j] = Bf16DotAvx512(rows + j * rank, weights, rank);
-  }
-}
-
-double I8DotAvx512(const int8_t* x, const double* wscaled, size_t n) {
-  __m512d acc = _mm512_setzero_pd();
-  const size_t n8 = n & ~static_cast<size_t>(7);
-  size_t i = 0;
-  for (; i < n8; i += 8) {
-    const __m128i raw =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(x + i));
-    const __m512d v = _mm512_cvtepi32_pd(_mm256_cvtepi8_epi32(raw));
-    acc = _mm512_add_pd(acc,
-                        _mm512_mul_pd(v, _mm512_loadu_pd(wscaled + i)));
-  }
-  alignas(64) double p[8];
-  _mm512_store_pd(p, acc);
-  for (; i < n; ++i) p[i - n8] += static_cast<double>(x[i]) * wscaled[i];
-  return detail::CombinePartials8(p);
-}
-
-void TopKScoreBlockI8Avx512(const int8_t* rows, size_t num_rows, size_t rank,
-                            const double* wscaled, double* scores) {
-  for (size_t j = 0; j < num_rows; ++j) {
-    scores[j] = I8DotAvx512(rows + j * rank, wscaled, rank);
-  }
-}
-
 #if defined(DISMASTD_KERNELS_HAVE_VPOPCNTDQ)
 // hamming_shortlist: a VPOPCNTDQ scan, then the counting-select's passes
 // over the distances (plain AVX-512F).
@@ -675,10 +622,6 @@ const KernelTable& Avx512Kernels() {
     t.solve_rows = SolveRowsAvx512;
     t.dot_strided = DotStridedAvx512;
     t.topk_score_block = TopKScoreBlockAvx512;
-    t.bf16_dot = Bf16DotAvx512;
-    t.topk_score_block_bf16 = TopKScoreBlockBf16Avx512;
-    t.i8_dot = I8DotAvx512;
-    t.topk_score_block_i8 = TopKScoreBlockI8Avx512;
 #if defined(DISMASTD_KERNELS_HAVE_AVX2)
     // Without VPOPCNTDQ (Skylake-SP, Cascade Lake) the AVX2 nibble-lookup
     // body runs; every AVX-512 host has AVX2.

@@ -10,11 +10,6 @@
 namespace dismastd {
 namespace kernels {
 
-/// bf16 (bfloat16) storage: the top 16 bits of an IEEE float32, rounded to
-/// nearest-even. 8 significand bits -> relative error <= 2^-8 per element
-/// over the float32 normal range.
-using Bf16 = uint16_t;
-
 /// The SIMD backends a kernel table can be built from. kScalar is always
 /// available and is the semantic reference: every fp64 kernel in every
 /// backend is bit-exact against it (see the determinism contract below).
@@ -33,12 +28,13 @@ Result<Backend> ParseBackend(const std::string& text);
 /// (kernels::Get()) and call through it; they never branch on CPU features
 /// themselves.
 ///
-/// Determinism contract (fp64 kernels): element-wise kernels (mttkrp_coo,
-/// hadamard_combine) perform the same scalar operations in the same order
-/// in every backend, lane-parallel over independent outputs, so they are
-/// bit-exact across backends by construction. Reductions (dot_strided,
-/// topk_score_block) share a fixed blocking: 8 independent partial sums,
-/// lane l accumulating elements l, l+8, l+16, ... with the tail element i
+/// Determinism contract: every entry computes in fp64 (hamming_shortlist
+/// in integers). Element-wise kernels (mttkrp_coo, hadamard_combine)
+/// perform the same scalar operations in the same order in every backend,
+/// lane-parallel over independent outputs, so they are bit-exact across
+/// backends by construction. Reductions (dot_strided, topk_score_block)
+/// share a fixed blocking: 8 independent partial sums, lane l
+/// accumulating elements l, l+8, l+16, ... with the tail element i
 /// folded into lane i mod 8, combined as ((p0+p4)+(p2+p6)) +
 /// ((p1+p5)+(p3+p7)) — exactly the tree an 8-lane vector reduction
 /// produces. Row-list entries give each listed row exactly the result it
@@ -49,11 +45,6 @@ Result<Backend> ParseBackend(const std::string& text);
 /// (backends are compiled with -ffp-contract=off and use separate mul/add
 /// intrinsics), so fp64 results are bit-identical across scalar, AVX2 and
 /// AVX-512.
-///
-/// Quantized kernels (bf16/int8) follow the same blocking, so their scores
-/// are also backend-invariant, but they are *not* bit-exact against the
-/// fp64 kernels; their error is bounded per query instead (see
-/// quantized.h).
 struct KernelTable {
   Backend backend = Backend::kScalar;
 
@@ -114,25 +105,6 @@ struct KernelTable {
   /// block.
   void (*topk_score_block)(const double* rows, size_t num_rows, size_t rank,
                            const double* weights, double* scores);
-
-  /// sum_i widen(x[i]) * weights[i], accumulated in fp64 under the
-  /// blocked-8 contract.
-  double (*bf16_dot)(const Bf16* x, const double* weights, size_t n);
-
-  /// scores[j] = bf16_dot(rows + j*rank, weights, rank): the quantized
-  /// candidate scan (4x less factor-row traffic than fp64).
-  void (*topk_score_block_bf16)(const Bf16* rows, size_t num_rows,
-                                size_t rank, const double* weights,
-                                double* scores);
-
-  /// sum_i double(x[i]) * wscaled[i] where wscaled[f] already folds the
-  /// per-column dequantization scale into the combination weight.
-  double (*i8_dot)(const int8_t* x, const double* wscaled, size_t n);
-
-  /// scores[j] = i8_dot(rows + j*rank, wscaled, rank) (8x less traffic).
-  void (*topk_score_block_i8)(const int8_t* rows, size_t num_rows,
-                              size_t rank, const double* wscaled,
-                              double* scores);
 
   /// The ANN shortlist (src/ann/) over packed sign codes, `words` u64s per
   /// row. First the scan: dists[j] = Σ_w popcount(codes[j*words + w] ^

@@ -2,12 +2,11 @@
 #define DISMASTD_KERNELS_KERNELS_DETAIL_H_
 
 // Shared pieces of the kernel backends: the blocked-8 fp64 reduction
-// contract, the lane layout of the row-list solve, the bf16 <-> float
-// conversions, and the scalar reference implementations the SIMD backends
-// fall back to for strided inputs and remainder lanes. Everything here
-// must stay free of FMA contraction — backend translation units are
-// compiled with -ffp-contract=off so that these helpers round identically
-// everywhere.
+// contract, the lane layout of the row-list solve, and the scalar
+// reference implementations the SIMD backends fall back to for strided
+// inputs and remainder lanes. Everything here must stay free of FMA
+// contraction — backend translation units are compiled with
+// -ffp-contract=off so that these helpers round identically everywhere.
 //
 // The helpers have internal linkage (the unnamed namespace below): each
 // backend translation unit is compiled for its own instruction set, and
@@ -18,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 
 #include "kernels/kernels.h"
 
@@ -73,39 +71,6 @@ inline void HadamardCombineScalar(const double* const* rows, size_t num_rows,
     for (size_t m = 0; m < num_rows; ++m) v *= rows[m][f];
     out[f] = v;
   }
-}
-
-/// float64 -> bf16 with round-to-nearest-even (via float32); NaN payloads
-/// are quieted so a NaN never rounds into an infinity.
-inline Bf16 F64ToBf16(double v) {
-  const float f = static_cast<float>(v);
-  uint32_t bits;
-  std::memcpy(&bits, &f, sizeof(bits));
-  if ((bits & 0x7FFFFFFFu) > 0x7F800000u) {
-    return static_cast<Bf16>((bits >> 16) | 0x0040u);
-  }
-  bits += 0x7FFFu + ((bits >> 16) & 1u);
-  return static_cast<Bf16>(bits >> 16);
-}
-
-inline double Bf16ToF64(Bf16 b) {
-  const uint32_t bits = static_cast<uint32_t>(b) << 16;
-  float f;
-  std::memcpy(&f, &bits, sizeof(f));
-  return static_cast<double>(f);
-}
-
-inline double Bf16DotScalar(const Bf16* x, const double* weights, size_t n) {
-  double p[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-  const size_t n8 = n & ~static_cast<size_t>(7);
-  size_t i = 0;
-  for (; i < n8; i += 8) {
-    for (size_t l = 0; l < 8; ++l) {
-      p[l] += Bf16ToF64(x[i + l]) * weights[i + l];
-    }
-  }
-  for (; i < n; ++i) p[i - n8] += Bf16ToF64(x[i]) * weights[i];
-  return CombinePartials8(p);
 }
 
 inline uint32_t Popcount64(uint64_t v) {
@@ -233,19 +198,6 @@ inline void HammingShortlistScalar(const uint64_t* codes, size_t num_rows,
       },
       num_rows, static_cast<uint32_t>(64 * words), n, &below);
   SelectScalar(dists, 0, num_rows, cutoff, n - below, rows);
-}
-
-inline double I8DotScalar(const int8_t* x, const double* wscaled, size_t n) {
-  double p[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-  const size_t n8 = n & ~static_cast<size_t>(7);
-  size_t i = 0;
-  for (; i < n8; i += 8) {
-    for (size_t l = 0; l < 8; ++l) {
-      p[l] += static_cast<double>(x[i + l]) * wscaled[i + l];
-    }
-  }
-  for (; i < n; ++i) p[i - n8] += static_cast<double>(x[i]) * wscaled[i];
-  return CombinePartials8(p);
 }
 
 }  // namespace

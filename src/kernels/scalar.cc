@@ -157,20 +157,6 @@ void TopKScoreBlockScalar(const double* rows, size_t num_rows, size_t rank,
   }
 }
 
-void TopKScoreBlockBf16Scalar(const Bf16* rows, size_t num_rows, size_t rank,
-                              const double* weights, double* scores) {
-  for (size_t j = 0; j < num_rows; ++j) {
-    scores[j] = detail::Bf16DotScalar(rows + j * rank, weights, rank);
-  }
-}
-
-void TopKScoreBlockI8Scalar(const int8_t* rows, size_t num_rows, size_t rank,
-                            const double* wscaled, double* scores) {
-  for (size_t j = 0; j < num_rows; ++j) {
-    scores[j] = detail::I8DotScalar(rows + j * rank, wscaled, rank);
-  }
-}
-
 }  // namespace
 
 const KernelTable& ScalarKernels() {
@@ -183,10 +169,6 @@ const KernelTable& ScalarKernels() {
     t.solve_rows = SolveRowsScalar;
     t.dot_strided = detail::DotBlocked;
     t.topk_score_block = TopKScoreBlockScalar;
-    t.bf16_dot = detail::Bf16DotScalar;
-    t.topk_score_block_bf16 = TopKScoreBlockBf16Scalar;
-    t.i8_dot = detail::I8DotScalar;
-    t.topk_score_block_i8 = TopKScoreBlockI8Scalar;
     t.hamming_shortlist = detail::HammingShortlistScalar;
     return t;
   }();

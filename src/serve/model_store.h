@@ -28,8 +28,8 @@ struct ModelStoreOptions {
   /// Must be >= 1.
   size_t keep_depth = 4;
 
-  /// Which quantized factor copies every publish materializes alongside
-  /// the fp64 factors (forwarded to ServableModel::Build).
+  /// How every publish hashes the LSH index of its ANN top-K (forwarded
+  /// to ServableModel::Build).
   ServableBuildOptions servable;
 };
 

@@ -79,7 +79,7 @@ Result<std::vector<double>> QueryEngine::PredictBatch(
   return values;
 }
 
-Result<TopKResult> QueryEngine::TopKWithBound(const TopKQuery& query) const {
+Result<TopKResult> QueryEngine::TopKWithStats(const TopKQuery& query) const {
   obs::SpanTimer timer(tracer_, "topk", "serve");
   Result<std::shared_ptr<const ServableModel>> snapshot = Snapshot();
   if (!snapshot.ok()) return snapshot.status();
@@ -106,33 +106,23 @@ Result<TopKResult> QueryEngine::TopKWithBound(const TopKQuery& query) const {
   if (query.k == 0) {
     // Asking for nothing is a well-formed request with an empty answer,
     // not an error — and it must not burn a candidate scan.
-    TopKResult empty;
-    empty.precision = query.precision;
     Record(QueryType::kTopK, timer.Stop(), model);
     if (metrics_ != nullptr) {
       metrics_->RecordTopKSearch(query.search, 0, false);
     }
-    return empty;
+    return TopKResult();
   }
 
   TopKResult out;
   bool cache_hit = false;
   switch (query.search) {
-    case SearchMode::kExact: {
-      Result<TopKResult> top = model.TopKWithPrecision(
-          query.target_mode, query.anchor, query.k, query.precision);
-      if (!top.ok()) return top.status();
-      out = std::move(top.value());
+    case SearchMode::kExact:
+      out = model.TopK(query.target_mode, query.anchor, query.k);
       break;
-    }
-    case SearchMode::kAnn: {
-      Result<TopKResult> top =
-          model.TopKAnn(query.target_mode, query.anchor, query.k,
-                        query.precision, query.probes);
-      if (!top.ok()) return top.status();
-      out = std::move(top.value());
+    case SearchMode::kAnn:
+      out = model.TopKAnn(query.target_mode, query.anchor, query.k,
+                          query.probes);
       break;
-    }
     case SearchMode::kAnnCached: {
       // Key the cache on the full query identity plus the snapshot's
       // version AND fingerprint: a publish changes both, so an entry
@@ -142,7 +132,6 @@ Result<TopKResult> QueryEngine::TopKWithBound(const TopKQuery& query) const {
       key.fingerprint = model.fingerprint();
       key.target_mode = static_cast<uint32_t>(query.target_mode);
       key.k = query.k;
-      key.precision = static_cast<uint32_t>(query.precision);
       key.search = static_cast<uint32_t>(query.search);
       key.probes = query.probes;
       key.anchor = query.anchor;
@@ -155,11 +144,8 @@ Result<TopKResult> QueryEngine::TopKWithBound(const TopKQuery& query) const {
         out.rows_scored = 0;
         break;
       }
-      Result<TopKResult> top =
-          model.TopKAnn(query.target_mode, query.anchor, query.k,
-                        query.precision, query.probes);
-      if (!top.ok()) return top.status();
-      out = std::move(top.value());
+      out = model.TopKAnn(query.target_mode, query.anchor, query.k,
+                          query.probes);
       if (cache_ != nullptr) cache_->Insert(key, out);
       break;
     }
@@ -173,7 +159,7 @@ Result<TopKResult> QueryEngine::TopKWithBound(const TopKQuery& query) const {
 
 Result<std::vector<ScoredIndex>> QueryEngine::TopK(
     const TopKQuery& query) const {
-  Result<TopKResult> result = TopKWithBound(query);
+  Result<TopKResult> result = TopKWithStats(query);
   if (!result.ok()) return result.status();
   return std::move(result.value().items);
 }

@@ -20,17 +20,14 @@ using TopKResultCache = ann::ResultCache<TopKResult>;
 
 /// A top-K recommendation request: pin every mode to `anchor[n]` except
 /// `target_mode`, rank that mode's slices. anchor[target_mode] is ignored
-/// (conventionally 0). `precision` picks which factor representation the
-/// candidate scan reads (f64 is exact; bf16/int8 are bandwidth-dense with
-/// a reported score error bound). `search` picks the candidate-finding
-/// path (exact scan / LSH shortlist + exact re-rank / shortlist behind the
-/// result cache); `probes` scales the ANN shortlist to
-/// min(J, max(k, probes * k)) candidates.
+/// (conventionally 0). `search` picks the candidate-finding path (exact
+/// scan / LSH shortlist + exact re-rank / shortlist behind the result
+/// cache); `probes` scales the ANN shortlist to min(J, max(k, probes * k))
+/// candidates.
 struct TopKQuery {
   size_t target_mode = 1;
   std::vector<uint64_t> anchor;
   size_t k = 10;
-  Precision precision = Precision::kF64;
   SearchMode search = SearchMode::kExact;
   size_t probes = 8;
 };
@@ -71,14 +68,12 @@ class QueryEngine {
   /// target_mode < order(). Degenerate shapes answer cleanly rather than
   /// erroring: k = 0 returns an empty list, k >= J returns all J
   /// candidates ranked, and a zero-row target mode returns an empty list.
-  /// Honors query.precision and query.search; returns just the ranked
-  /// items — use TopKWithBound to also get the error bound.
+  /// Honors query.search; returns just the ranked items.
   Result<std::vector<ScoredIndex>> TopK(const TopKQuery& query) const;
 
-  /// Like TopK but returns the full TopKResult: items, the precision the
-  /// scan ran at, and the guaranteed |score_quant - score_f64| bound
-  /// (0 for f64).
-  Result<TopKResult> TopKWithBound(const TopKQuery& query) const;
+  /// Like TopK but returns the full TopKResult: the items plus the rows
+  /// scored and whether the answer came from the result cache.
+  Result<TopKResult> TopKWithStats(const TopKQuery& query) const;
 
   /// Batch shards smaller than this run inline even with a pool — below
   /// it, the handoff costs more than the R-flops per tuple it hides.

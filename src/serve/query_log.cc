@@ -37,7 +37,6 @@ std::vector<QueryRecord> GenerateQueryLog(const std::vector<uint64_t>& dims,
       record.topk.anchor = sample_tuple();
       record.topk.anchor[options.topk_target_mode] = 0;
       record.topk.k = options.k;
-      record.topk.precision = options.topk_precision;
       record.topk.search = options.topk_search;
       record.topk.probes = options.topk_probes;
     } else if (draw < options.topk_fraction + options.batch_fraction) {

@@ -28,8 +28,6 @@ struct QueryLogOptions {
   size_t k = 10;
   /// Mode ranked by top-K queries (the "recommend products" axis).
   size_t topk_target_mode = 1;
-  /// Precision the generated top-K queries request (f64/bf16/int8).
-  Precision topk_precision = Precision::kF64;
   /// Search path and ANN shortlist multiplier copied into every generated
   /// top-K query (see TopKQuery).
   SearchMode topk_search = SearchMode::kExact;

@@ -57,37 +57,7 @@ std::vector<ScoredIndex> SelectTopK(const std::vector<double>& scores,
   return top;
 }
 
-/// A quantized scan's per-query score error bound: Σ_f |w_f| · err_f.
-double ScoreErrorBound(const std::vector<double>& weights,
-                       const std::vector<double>& col_max_abs_err) {
-  double bound = 0.0;
-  for (size_t f = 0; f < weights.size(); ++f) {
-    bound += std::abs(weights[f]) * col_max_abs_err[f];
-  }
-  return bound;
-}
-
 }  // namespace
-
-const char* PrecisionName(Precision precision) {
-  switch (precision) {
-    case Precision::kF64:
-      return "f64";
-    case Precision::kBf16:
-      return "bf16";
-    case Precision::kInt8:
-      return "int8";
-  }
-  return "unknown";
-}
-
-Result<Precision> ParsePrecision(const std::string& text) {
-  static constexpr EnumToken<Precision> kTokens[] = {
-      {"f64", Precision::kF64},   {"fp64", Precision::kF64},
-      {"bf16", Precision::kBf16}, {"int8", Precision::kInt8},
-      {"i8", Precision::kInt8}};
-  return ParseEnumToken<Precision>(text, "precision", kTokens);
-}
 
 const char* SearchModeName(SearchMode mode) {
   switch (mode) {
@@ -138,19 +108,6 @@ ServableModel::ServableModel(KruskalTensor factors, uint64_t version,
   }
   norm_squared_ = SumAll(acc);
   fingerprint_ = FingerprintFactors(factors_);
-
-  bf16_factors_.reserve(n);
-  for (size_t mode = 0; mode < n; ++mode) {
-    const Matrix& f = factors_.factor(mode);
-    bf16_factors_.push_back(
-        kernels::QuantizeBf16(f.data(), f.rows(), f.cols()));
-  }
-  int8_factors_.reserve(n);
-  for (size_t mode = 0; mode < n; ++mode) {
-    const Matrix& f = factors_.factor(mode);
-    int8_factors_.push_back(
-        kernels::QuantizeInt8(f.data(), f.rows(), f.cols()));
-  }
   ann_index_ = ann::AnnIndex::Build(
       factors_, options.lsh,
       previous != nullptr ? previous->ann_index_.get() : nullptr,
@@ -205,116 +162,24 @@ std::vector<double> ServableModel::CombinationWeights(
   return weights;
 }
 
-double ServableModel::ScoreCandidates(size_t target_mode,
-                                      const std::vector<double>& weights,
-                                      Precision precision,
-                                      std::vector<double>* scores) const {
-  const kernels::KernelTable& kern = kernels::Get();
-  const size_t r = rank();
-  const size_t candidates = static_cast<size_t>(dims_[target_mode]);
-  scores->resize(candidates);
-  switch (precision) {
-    case Precision::kF64: {
-      const Matrix& target = factors_.factor(target_mode);
-      kern.topk_score_block(target.data(), candidates, r, weights.data(),
-                            scores->data());
-      return 0.0;
-    }
-    case Precision::kBf16: {
-      const kernels::Bf16Matrix& target = bf16_factors_[target_mode];
-      kern.topk_score_block_bf16(target.data.data(), candidates, r,
-                                 weights.data(), scores->data());
-      return ScoreErrorBound(weights, target.col_max_abs_err);
-    }
-    case Precision::kInt8: {
-      const kernels::Int8Matrix& target = int8_factors_[target_mode];
-      // Fold the per-column dequantization scale into the weights once;
-      // the scan then reads raw int8 codes.
-      std::vector<double> wscaled(r);
-      for (size_t f = 0; f < r; ++f) {
-        wscaled[f] = weights[f] * target.col_scale[f];
-      }
-      kern.topk_score_block_i8(target.data.data(), candidates, r,
-                               wscaled.data(), scores->data());
-      return ScoreErrorBound(weights, target.col_max_abs_err);
-    }
-  }
-  return 0.0;
-}
-
-double ServableModel::ScoreShortlist(
-    size_t target_mode, const std::vector<double>& weights,
-    Precision precision, const std::vector<uint32_t>& shortlist,
-    std::vector<double>* scores) const {
-  const kernels::KernelTable& kern = kernels::Get();
-  const size_t r = rank();
-  const size_t n = shortlist.size();
-  scores->resize(n);
-  // Each listed row is scored where it lies by the one-row form of the
-  // scan kernel (dot_strided, bf16_dot, i8_dot): the same blocked-8 dot
-  // over the same inputs, so shortlisted rows score bit-identically to
-  // the full scan, with nothing gathered.
-  switch (precision) {
-    case Precision::kF64: {
-      const Matrix& target = factors_.factor(target_mode);
-      for (size_t j = 0; j < n; ++j) {
-        (*scores)[j] = kern.dot_strided(target.RowPtr(shortlist[j]), 1,
-                                        weights.data(), 1, r);
-      }
-      return 0.0;
-    }
-    case Precision::kBf16: {
-      const kernels::Bf16Matrix& target = bf16_factors_[target_mode];
-      for (size_t j = 0; j < n; ++j) {
-        (*scores)[j] =
-            kern.bf16_dot(target.RowPtr(shortlist[j]), weights.data(), r);
-      }
-      return ScoreErrorBound(weights, target.col_max_abs_err);
-    }
-    case Precision::kInt8: {
-      const kernels::Int8Matrix& target = int8_factors_[target_mode];
-      std::vector<double> wscaled(r);
-      for (size_t f = 0; f < r; ++f) {
-        wscaled[f] = weights[f] * target.col_scale[f];
-      }
-      for (size_t j = 0; j < n; ++j) {
-        (*scores)[j] =
-            kern.i8_dot(target.RowPtr(shortlist[j]), wscaled.data(), r);
-      }
-      return ScoreErrorBound(weights, target.col_max_abs_err);
-    }
-  }
-  return 0.0;
-}
-
-std::vector<ScoredIndex> ServableModel::TopK(
-    size_t target_mode, const std::vector<uint64_t>& anchor,
-    size_t k) const {
+TopKResult ServableModel::TopK(size_t target_mode,
+                                const std::vector<uint64_t>& anchor,
+                                size_t k) const {
   const std::vector<double> weights =
       CombinationWeights(target_mode, anchor);
-  std::vector<double> scores;
-  ScoreCandidates(target_mode, weights, Precision::kF64, &scores);
-  return SelectTopK(scores, nullptr, k);
-}
-
-Result<TopKResult> ServableModel::TopKWithPrecision(
-    size_t target_mode, const std::vector<uint64_t>& anchor, size_t k,
-    Precision precision) const {
-  const std::vector<double> weights =
-      CombinationWeights(target_mode, anchor);
-  std::vector<double> scores;
+  const Matrix& target = factors_.factor(target_mode);
+  std::vector<double> scores(static_cast<size_t>(dims_[target_mode]));
+  kernels::Get().topk_score_block(target.data(), scores.size(), rank(),
+                                  weights.data(), scores.data());
   TopKResult result;
-  result.precision = precision;
-  result.score_error_bound =
-      ScoreCandidates(target_mode, weights, precision, &scores);
   result.items = SelectTopK(scores, nullptr, k);
   result.rows_scored = scores.size();
   return result;
 }
 
-Result<TopKResult> ServableModel::TopKAnn(
-    size_t target_mode, const std::vector<uint64_t>& anchor, size_t k,
-    Precision precision, size_t probes) const {
+TopKResult ServableModel::TopKAnn(size_t target_mode,
+                                  const std::vector<uint64_t>& anchor,
+                                  size_t k, size_t probes) const {
   const std::vector<double> weights =
       CombinationWeights(target_mode, anchor);
   const size_t candidates = static_cast<size_t>(dims_[target_mode]);
@@ -325,11 +190,18 @@ Result<TopKResult> ServableModel::TopKAnn(
   const std::vector<uint32_t> shortlist =
       ann_index_->Shortlist(target_mode, weights.data(), shortlist_size);
 
+  // Each listed row is scored where it lies by dot_strided, the one-row
+  // form of the full scan's kernel: the same blocked-8 dot over the same
+  // inputs, so shortlisted rows score bit-identically to the full scan,
+  // with nothing gathered.
+  const kernels::KernelTable& kern = kernels::Get();
+  const Matrix& target = factors_.factor(target_mode);
+  std::vector<double> scores(shortlist.size());
+  for (size_t j = 0; j < shortlist.size(); ++j) {
+    scores[j] = kern.dot_strided(target.RowPtr(shortlist[j]), 1,
+                                 weights.data(), 1, rank());
+  }
   TopKResult result;
-  result.precision = precision;
-  std::vector<double> scores;
-  result.score_error_bound =
-      ScoreShortlist(target_mode, weights, precision, shortlist, &scores);
   result.items = SelectTopK(scores, &shortlist, k);
   result.rows_scored = shortlist.size();
   return result;

@@ -8,7 +8,6 @@
 
 #include "ann/lsh_index.h"
 #include "common/status.h"
-#include "kernels/quantized.h"
 #include "la/matrix.h"
 #include "tensor/kruskal.h"
 
@@ -26,19 +25,6 @@ struct ScoredIndex {
   }
 };
 
-/// Numeric representation a query scores candidates from. fp64 is the
-/// source of truth; bf16/int8 are bandwidth-dense side-car copies carried
-/// by the published model (4x / 8x less factor-row traffic) with a
-/// per-query error bound.
-enum class Precision : int {
-  kF64 = 0,
-  kBf16 = 1,
-  kInt8 = 2,
-};
-
-const char* PrecisionName(Precision precision);
-Result<Precision> ParsePrecision(const std::string& text);
-
 /// How a top-K query finds its candidates. kExact scans every row of the
 /// target mode; kAnn scans the LSH index's Hamming codes and exactly
 /// re-ranks a shortlist (same kernels, so shortlisted rows score
@@ -54,15 +40,9 @@ enum class SearchMode : int {
 const char* SearchModeName(SearchMode mode);
 Result<SearchMode> ParseSearchMode(const std::string& text);
 
-/// A top-K answer plus the precision it was computed at and a guaranteed
-/// bound on how far any reported score can be from the fp64 score of the
-/// same candidate: |score_quant - score_f64| <= score_error_bound
-/// (0 for fp64). The bound is Σ_f |w_f| · max-col-abs-err_f, computed from
-/// the exact per-column quantization errors recorded at publish time.
+/// A top-K answer plus what it cost to compute.
 struct TopKResult {
   std::vector<ScoredIndex> items;
-  Precision precision = Precision::kF64;
-  double score_error_bound = 0.0;
   /// Candidate rows the scoring kernel actually read: J for an exact scan,
   /// the shortlist size for ANN, 0 for a cache hit. The per-query cost
   /// denominator of the ANN speedup claim.
@@ -88,8 +68,6 @@ struct ServableBuildOptions {
 ///     queries never touch the tall factors,
 ///   - per-mode column norms ‖A_n[:,f]‖,
 ///   - the model Frobenius norm derived from the Grams,
-///   - bf16/int8 factor copies with exact per-column max-abs quantization
-///     error (the quantized top-K scan and its error bound),
 ///   - the LSH index of the ANN top-K,
 ///   - a fingerprint over the factor bytes, letting concurrency tests prove
 ///     a reader never observes a half-published model.
@@ -141,14 +119,6 @@ class ServableModel {
   /// a fully-published, untouched model (no torn reads).
   uint64_t ComputeFingerprint() const;
 
-  /// The quantized copy of mode `mode`.
-  const kernels::Bf16Matrix& bf16_factor(size_t mode) const {
-    return bf16_factors_[mode];
-  }
-  const kernels::Int8Matrix& int8_factor(size_t mode) const {
-    return int8_factors_[mode];
-  }
-
   /// Model value at `index` (order() entries). The caller is responsible
   /// for bounds; the query engine validates against dims() first. Routes
   /// through the canonical KruskalValueAtRows implementation.
@@ -164,16 +134,8 @@ class ServableModel {
   /// J = dims()[target_mode] candidates via one R-vector x factor-matrix
   /// product and selects the best K. Scores tie-break on ascending
   /// index so results are deterministic. K is clamped to J.
-  std::vector<ScoredIndex> TopK(size_t target_mode,
-                                const std::vector<uint64_t>& anchor,
-                                size_t k) const;
-
-  /// TopK at a chosen precision. Combination weights stay fp64 (the anchor
-  /// rows are read from the fp64 factors); only the candidate scan reads
-  /// the quantized target-mode copy.
-  Result<TopKResult> TopKWithPrecision(size_t target_mode,
-                                       const std::vector<uint64_t>& anchor,
-                                       size_t k, Precision precision) const;
+  TopKResult TopK(size_t target_mode, const std::vector<uint64_t>& anchor,
+                  size_t k) const;
 
   /// The LSH index built at publish time; never null.
   const std::shared_ptr<const ann::AnnIndex>& ann_index() const {
@@ -185,9 +147,8 @@ class ServableModel {
   /// the same blocked-8 dot the exact scan uses. Shortlisted rows'
   /// returned scores are therefore bit-identical to the exact scan's; the
   /// only approximation is which rows make the shortlist.
-  Result<TopKResult> TopKAnn(size_t target_mode,
-                             const std::vector<uint64_t>& anchor, size_t k,
-                             Precision precision, size_t probes) const;
+  TopKResult TopKAnn(size_t target_mode, const std::vector<uint64_t>& anchor,
+                     size_t k, size_t probes) const;
 
   /// The combination weights w[f] = Π_{n != target_mode} A_n[anchor[n], f]
   /// of a TopK query — exposed for the microbenchmark and brute-force
@@ -201,30 +162,12 @@ class ServableModel {
                 const ServableBuildOptions& options,
                 const ServableModel* previous);
 
-  /// Scores all candidates of `target_mode` at `precision` into `scores`
-  /// and returns the query's score error bound.
-  double ScoreCandidates(size_t target_mode,
-                         const std::vector<double>& weights,
-                         Precision precision,
-                         std::vector<double>* scores) const;
-
-  /// Scores just the `shortlist` rows of `target_mode` in place, through
-  /// the one-row forms of the topk_score_block kernels, and returns the
-  /// query's score error bound.
-  double ScoreShortlist(size_t target_mode,
-                        const std::vector<double>& weights,
-                        Precision precision,
-                        const std::vector<uint32_t>& shortlist,
-                        std::vector<double>* scores) const;
-
   KruskalTensor factors_;
   std::vector<uint64_t> dims_;
   uint64_t version_ = 0;
   uint64_t step_ = 0;
   std::vector<Matrix> grams_;
   std::vector<std::vector<double>> column_norms_;
-  std::vector<kernels::Bf16Matrix> bf16_factors_;
-  std::vector<kernels::Int8Matrix> int8_factors_;
   double norm_squared_ = 0.0;
   uint64_t fingerprint_ = 0;
   std::shared_ptr<const ann::AnnIndex> ann_index_;

@@ -28,7 +28,12 @@ Result<Matrix> ParseMatrix(ByteReader* reader) {
   DISMASTD_RETURN_IF_ERROR(reader->ReadU64(&cols));
   std::vector<double> data;
   DISMASTD_RETURN_IF_ERROR(reader->ReadDoubleVec(&data));
-  if (data.size() != rows * cols) {
+  // rows * cols == data.size(), checked by division: a corrupt shape can
+  // wrap the product onto the payload size.
+  const bool shape_matches = cols == 0 ? data.empty()
+                                        : data.size() % cols == 0 &&
+                                              data.size() / cols == rows;
+  if (!shape_matches) {
     return Status::IoError("factor payload size mismatch");
   }
   Matrix m(static_cast<size_t>(rows), static_cast<size_t>(cols));

@@ -290,7 +290,6 @@ TEST(LshIndexTest, MaxNormGrowthRehashesTheWholeMode) {
 }
 
 TEST(LshIndexTest, AnnRecallIsHighOnSkinnyFactors) {
-  using serve::Precision;
   using serve::ServableModel;
   const auto model = ServableModel::Build(MakeFactors(8, {2000, 30, 10}, 8),
                                           1, 0);
@@ -299,17 +298,13 @@ TEST(LshIndexTest, AnnRecallIsHighOnSkinnyFactors) {
   for (uint64_t anchor1 = 0; anchor1 < 20; ++anchor1) {
     const std::vector<uint64_t> anchor = {0, anchor1, anchor1 % 10};
     const auto exact = model->TopK(0, anchor, k);
-    const auto ann =
-        model->TopKAnn(0, anchor, k, Precision::kF64, /*probes=*/16);
-    ASSERT_TRUE(ann.ok()) << ann.status();
+    const auto ann = model->TopKAnn(0, anchor, k, /*probes=*/16);
     std::set<uint64_t> exact_ids;
-    for (const auto& item : exact) exact_ids.insert(item.index);
-    for (const auto& item : ann.value().items) {
-      hits += exact_ids.count(item.index);
-    }
+    for (const auto& item : exact.items) exact_ids.insert(item.index);
+    for (const auto& item : ann.items) hits += exact_ids.count(item.index);
     total += k;
     // The shortlist scanned far fewer rows than the exact scan.
-    EXPECT_LE(ann.value().rows_scored, 16 * k);
+    EXPECT_LE(ann.rows_scored, 16 * k);
   }
   const double recall =
       static_cast<double>(hits) / static_cast<double>(total);
@@ -341,7 +336,7 @@ TEST(LshIndexTest, ConcurrentPublishWhileAnnQuerying) {
       while (!stop.load(std::memory_order_relaxed)) {
         query.anchor = {0, i % 30, i % 10};
         ++i;
-        if (!engine.TopKWithBound(query).ok()) {
+        if (!engine.TopKWithStats(query).ok()) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
       }

@@ -103,9 +103,6 @@ TEST(DriverTest, ParseAcceptsKindNameOutput) {
     signals.push_back(static_cast<obs::HealthSignal>(i));
   }
   ExpectNamesParse(signals, obs::HealthSignalName, obs::ParseHealthSignal);
-  ExpectNamesParse({serve::Precision::kF64, serve::Precision::kBf16,
-                    serve::Precision::kInt8},
-                   serve::PrecisionName, serve::ParsePrecision);
   ExpectNamesParse({serve::SearchMode::kExact, serve::SearchMode::kAnn,
                     serve::SearchMode::kAnnCached},
                    serve::SearchModeName, serve::ParseSearchMode);

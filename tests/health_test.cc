@@ -6,13 +6,10 @@
 // zero-allocation discipline when the monitor is off.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,37 +17,11 @@
 #include "common/status.h"
 #include "core/dismastd.h"
 #include "core/driver.h"
+#include "counting_new.h"
 #include "obs/flightrec.h"
 #include "obs/health.h"
 #include "stream/snapshot.h"
 #include "test_util.h"
-
-// Counting global operator new backs the disabled-mode zero-allocation
-// test: observing a disabled monitor must not allocate. The noinline
-// helpers keep the compiler from pairing the malloc in the replaced new
-// with the free in the replaced delete across inlining
-// (-Wmismatched-new-delete false positive).
-static std::atomic<uint64_t> g_new_calls{0};
-
-__attribute__((noinline)) static void* CountedAlloc(std::size_t size) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-__attribute__((noinline)) static void CountedFree(void* p) { std::free(p); }
-
-void* operator new(std::size_t size) {
-  void* p = CountedAlloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { CountedFree(p); }
-void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
-void operator delete[](void* p) noexcept { CountedFree(p); }
-void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 
 namespace dismastd {
 namespace {

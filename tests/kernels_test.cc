@@ -1,8 +1,7 @@
 // The compute-kernel determinism contract (kernels.h): every fp64 kernel is
 // bit-exact against the scalar reference on every compiled-in backend the
 // host supports, across shapes that exercise full vector widths, remainder
-// lanes and the blocked-8 tail fold. Quantized kernels are backend-invariant
-// and land within the documented error model of quantized.h.
+// lanes and the blocked-8 tail fold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 
 #include "common/random.h"
 #include "kernels/kernels.h"
-#include "kernels/quantized.h"
 #include "la/matrix.h"
 #include "test_util.h"
 
@@ -397,134 +395,6 @@ TEST(KernelsParityTest, GramRowsMatchPerRowRankOneOracle) {
           }
         }
       }
-    }
-  }
-}
-
-TEST(KernelsQuantizedTest, Bf16RoundTripWithinDocumentedRelativeBound) {
-  Rng rng(6);
-  for (size_t n : kLengths) {
-    const std::vector<double> src = RandomVector(n, rng);
-    const std::vector<double> back =
-        Dequantize(QuantizeBf16(src.data(), 1, n));
-    ASSERT_EQ(back.size(), n);
-    for (size_t i = 0; i < n; ++i) {
-      // 2^-8 on the float32 value; one half-ulp of float32 covers the
-      // f64 -> f32 rounding en route.
-      const double bound = std::abs(src[i]) * (0x1p-8 + 0x1p-24) + 1e-300;
-      ASSERT_LE(std::abs(src[i] - back[i]), bound) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(KernelsQuantizedTest, Bf16AndInt8KernelsBackendInvariant) {
-  Rng rng(7);
-  for (size_t n : kLengths) {
-    const std::vector<double> src = RandomVector(n, rng);
-    const std::vector<double> weights = RandomVector(n, rng);
-    const std::vector<Bf16> q = QuantizeBf16(src.data(), 1, n).data;
-    std::vector<int8_t> i8(n);
-    for (size_t i = 0; i < n; ++i) {
-      i8[i] = static_cast<int8_t>(
-          static_cast<int>(std::nearbyint(src[i] * 20.0)) % 127);
-    }
-    const double want_bf16 =
-        Get(Backend::kScalar).bf16_dot(q.data(), weights.data(), n);
-    const double want_i8 =
-        Get(Backend::kScalar).i8_dot(i8.data(), weights.data(), n);
-    for (Backend backend : SupportedBackends()) {
-      ASSERT_EQ(want_bf16,
-                Get(backend).bf16_dot(q.data(), weights.data(), n))
-          << BackendName(backend) << " n=" << n;
-      ASSERT_EQ(want_i8, Get(backend).i8_dot(i8.data(), weights.data(), n))
-          << BackendName(backend) << " n=" << n;
-    }
-  }
-}
-
-TEST(KernelsQuantizedTest, QuantizeRecordsExactColumnErrorBounds) {
-  Rng rng(8);
-  const Matrix source = Matrix::RandomGaussian(41, 13, rng);
-
-  const Bf16Matrix bf16 =
-      QuantizeBf16(source.data(), source.rows(), source.cols());
-  const std::vector<double> bf16_back = Dequantize(bf16);
-  for (size_t c = 0; c < source.cols(); ++c) {
-    double observed = 0.0;
-    for (size_t r = 0; r < source.rows(); ++r) {
-      observed = std::max(observed, std::abs(source.At(r, c) -
-                                             bf16_back[r * source.cols() + c]));
-    }
-    // Recorded bound is the exact max, so equality must hold.
-    EXPECT_EQ(observed, bf16.col_max_abs_err[c]) << "col " << c;
-  }
-
-  const Int8Matrix i8 =
-      QuantizeInt8(source.data(), source.rows(), source.cols());
-  const std::vector<double> i8_back = Dequantize(i8);
-  for (size_t c = 0; c < source.cols(); ++c) {
-    double observed = 0.0;
-    for (size_t r = 0; r < source.rows(); ++r) {
-      observed = std::max(observed, std::abs(source.At(r, c) -
-                                             i8_back[r * source.cols() + c]));
-    }
-    EXPECT_EQ(observed, i8.col_max_abs_err[c]) << "col " << c;
-    // And by construction the error is at most half a quantization step.
-    EXPECT_LE(i8.col_max_abs_err[c], i8.col_scale[c] * 0.5 + 1e-300)
-        << "col " << c;
-  }
-}
-
-TEST(KernelsQuantizedTest, ZeroColumnsQuantizeExactlyInInt8) {
-  Matrix source(9, 3);
-  source.Fill(0.0);
-  const Int8Matrix q = QuantizeInt8(source.data(), 9, 3);
-  for (size_t c = 0; c < 3; ++c) {
-    EXPECT_EQ(q.col_scale[c], 0.0);
-    EXPECT_EQ(q.col_max_abs_err[c], 0.0);
-  }
-  const std::vector<double> back = Dequantize(q);
-  ASSERT_EQ(back.size(), 27u);
-  for (double v : back) EXPECT_EQ(v, 0.0);
-}
-
-TEST(KernelsQuantizedTest, QuantizedScanErrorWithinPerQueryBound) {
-  Rng rng(9);
-  const size_t rank = 12;
-  const size_t num_rows = 101;
-  const Matrix cand = Matrix::RandomGaussian(num_rows, rank, rng);
-  const Bf16Matrix bf16 = QuantizeBf16(cand.data(), num_rows, rank);
-  const Int8Matrix i8 = QuantizeInt8(cand.data(), num_rows, rank);
-  const std::vector<double> weights = RandomVector(rank, rng);
-
-  double bf16_bound = 0.0;
-  double i8_bound = 0.0;
-  std::vector<double> wscaled(rank);
-  for (size_t f = 0; f < rank; ++f) {
-    bf16_bound += std::abs(weights[f]) * bf16.col_max_abs_err[f];
-    i8_bound += std::abs(weights[f]) * i8.col_max_abs_err[f];
-    wscaled[f] = weights[f] * i8.col_scale[f];
-  }
-
-  for (Backend backend : SupportedBackends()) {
-    const KernelTable& kern = Get(backend);
-    std::vector<double> exact(num_rows);
-    kern.topk_score_block(cand.RowPtr(0), num_rows, rank, weights.data(),
-                          exact.data());
-    std::vector<double> got(num_rows);
-    kern.topk_score_block_bf16(bf16.RowPtr(0), num_rows, rank,
-                               weights.data(), got.data());
-    for (size_t j = 0; j < num_rows; ++j) {
-      // A hair of slack: the bound is on exact arithmetic; the blocked
-      // fp64 accumulation adds rounding of its own.
-      ASSERT_LE(std::abs(exact[j] - got[j]), bf16_bound * (1.0 + 1e-12))
-          << BackendName(backend) << " bf16 j=" << j;
-    }
-    kern.topk_score_block_i8(i8.RowPtr(0), num_rows, rank, wscaled.data(),
-                             got.data());
-    for (size_t j = 0; j < num_rows; ++j) {
-      ASSERT_LE(std::abs(exact[j] - got[j]), i8_bound * (1.0 + 1e-12))
-          << BackendName(backend) << " i8 j=" << j;
     }
   }
 }

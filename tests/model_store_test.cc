@@ -260,7 +260,7 @@ TEST(ModelStoreTest, ConcurrentReadersDuringStreamedPublication) {
         // against the same snapshot.
         std::vector<uint64_t> anchor = index;
         anchor[1] = 0;
-        const auto got = model->TopK(1, anchor, 5);
+        const auto got = model->TopK(1, anchor, 5).items;
         const auto expected = BruteForceTopK(*model, 1, anchor, 5);
         if (got != expected) {
           topk_mismatches.fetch_add(1);

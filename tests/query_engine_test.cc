@@ -104,7 +104,7 @@ TEST_F(QueryEngineTest, TopKMatchesModelKernel) {
   query.k = 4;
   Result<std::vector<ScoredIndex>> top = engine_.TopK(query);
   ASSERT_TRUE(top.ok()) << top.status();
-  EXPECT_EQ(top.value(), store_.Current()->TopK(1, query.anchor, 4));
+  EXPECT_EQ(top.value(), store_.Current()->TopK(1, query.anchor, 4).items);
 }
 
 TEST_F(QueryEngineTest, TopKValidatesQuery) {
@@ -131,14 +131,14 @@ TEST_F(QueryEngineTest, TopKBoundaryShapesAnswerCleanly) {
   TopKQuery query;
   query.anchor = {0, 0, 0};
   query.k = 0;
-  Result<TopKResult> none = engine_.TopKWithBound(query);
+  Result<TopKResult> none = engine_.TopKWithStats(query);
   ASSERT_TRUE(none.ok()) << none.status();
   EXPECT_TRUE(none.value().items.empty());
   EXPECT_EQ(none.value().rows_scored, 0u);
 
   // k >= J: every candidate comes back, ranked, exactly once.
   query.k = 1000;  // mode 1 has 8 rows
-  Result<TopKResult> all = engine_.TopKWithBound(query);
+  Result<TopKResult> all = engine_.TopKWithStats(query);
   ASSERT_TRUE(all.ok()) << all.status();
   ASSERT_EQ(all.value().items.size(), 8u);
   for (size_t i = 1; i < all.value().items.size(); ++i) {
@@ -153,11 +153,11 @@ TEST_F(QueryEngineTest, TopKBoundaryShapesAnswerCleanly) {
   // Same boundary shapes through the ANN path.
   query.search = SearchMode::kAnn;
   query.k = 0;
-  Result<TopKResult> ann_none = engine_.TopKWithBound(query);
+  Result<TopKResult> ann_none = engine_.TopKWithStats(query);
   ASSERT_TRUE(ann_none.ok()) << ann_none.status();
   EXPECT_TRUE(ann_none.value().items.empty());
   query.k = 1000;
-  Result<TopKResult> ann_all = engine_.TopKWithBound(query);
+  Result<TopKResult> ann_all = engine_.TopKWithStats(query);
   ASSERT_TRUE(ann_all.ok()) << ann_all.status();
   EXPECT_EQ(ann_all.value().items.size(), 8u);
 }
@@ -180,7 +180,7 @@ TEST_F(QueryEngineTest, TopKOnZeroRowTargetModeIsEmpty) {
   for (SearchMode mode :
        {SearchMode::kExact, SearchMode::kAnn, SearchMode::kAnnCached}) {
     query.search = mode;
-    Result<TopKResult> top = engine.TopKWithBound(query);
+    Result<TopKResult> top = engine.TopKWithStats(query);
     ASSERT_TRUE(top.ok()) << SearchModeName(mode) << ": " << top.status();
     EXPECT_TRUE(top.value().items.empty()) << SearchModeName(mode);
   }
@@ -197,8 +197,8 @@ TEST_F(QueryEngineTest, AnnFullShortlistMatchesExactBitForBit) {
   TopKQuery ann = exact;
   ann.search = SearchMode::kAnn;
   ann.probes = 100;  // 100 * 5 >= 8 rows -> full coverage
-  Result<TopKResult> exact_top = engine_.TopKWithBound(exact);
-  Result<TopKResult> ann_top = engine_.TopKWithBound(ann);
+  Result<TopKResult> exact_top = engine_.TopKWithStats(exact);
+  Result<TopKResult> ann_top = engine_.TopKWithStats(ann);
   ASSERT_TRUE(exact_top.ok());
   ASSERT_TRUE(ann_top.ok());
   EXPECT_EQ(ann_top.value().items, exact_top.value().items);
@@ -216,10 +216,10 @@ TEST_F(QueryEngineTest, CachedSearchHitsAndNeverServesStaleVersions) {
   query.search = SearchMode::kAnnCached;
   query.probes = 100;
 
-  Result<TopKResult> first = engine.TopKWithBound(query);
+  Result<TopKResult> first = engine.TopKWithStats(query);
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_FALSE(first.value().from_cache);
-  Result<TopKResult> second = engine.TopKWithBound(query);
+  Result<TopKResult> second = engine.TopKWithStats(query);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second.value().from_cache);
   EXPECT_EQ(second.value().rows_scored, 0u);
@@ -228,13 +228,13 @@ TEST_F(QueryEngineTest, CachedSearchHitsAndNeverServesStaleVersions) {
   // Publish a different model: the cached v1 answer must not come back.
   store_.Publish(MakeFactors(2), 1);
   const uint64_t fresh_fingerprint = store_.Current()->fingerprint();
-  Result<TopKResult> after = engine.TopKWithBound(query);
+  Result<TopKResult> after = engine.TopKWithStats(query);
   ASSERT_TRUE(after.ok());
   EXPECT_FALSE(after.value().from_cache);
   // And the recomputed answer matches a from-scratch exact query against
   // the fresh model (full shortlist -> bit-exact).
   EXPECT_EQ(after.value().items,
-            store_.Current()->TopK(1, query.anchor, 3));
+            store_.Current()->TopK(1, query.anchor, 3).items);
   EXPECT_EQ(store_.Current()->fingerprint(), fresh_fingerprint);
 
   const ServeMetricsReport report = metrics.Report();
@@ -251,10 +251,11 @@ TEST_F(QueryEngineTest, CachedSearchWithoutCacheDegradesToAnn) {
   query.k = 3;
   query.search = SearchMode::kAnnCached;
   query.probes = 100;
-  Result<TopKResult> top = engine_.TopKWithBound(query);
+  Result<TopKResult> top = engine_.TopKWithStats(query);
   ASSERT_TRUE(top.ok()) << top.status();
   EXPECT_FALSE(top.value().from_cache);
-  EXPECT_EQ(top.value().items, store_.Current()->TopK(1, query.anchor, 3));
+  EXPECT_EQ(top.value().items,
+            store_.Current()->TopK(1, query.anchor, 3).items);
 }
 
 TEST(QueryEngineAnswerTest, TopKAnswersKeepOnlyKItems) {
@@ -272,7 +273,7 @@ TEST(QueryEngineAnswerTest, TopKAnswersKeepOnlyKItems) {
     query.k = 3;
     query.search = mode;
     query.probes = 10;
-    Result<TopKResult> top = engine.TopKWithBound(query);
+    Result<TopKResult> top = engine.TopKWithStats(query);
     ASSERT_TRUE(top.ok()) << top.status();
     EXPECT_EQ(top.value().items.size(), 3u) << SearchModeName(mode);
     EXPECT_LE(top.value().items.capacity(), 3u) << SearchModeName(mode);
@@ -293,18 +294,18 @@ TEST(QueryEngineAnswerTest, CacheKeysKeepTheFullKAndProbes) {
   // k = 2^32 + 10 ranks every row; a later k = 10 query must not be
   // answered from that entry, as it would be under a 32-bit key.
   query.k = (uint64_t{1} << 32) + 10;
-  Result<TopKResult> all = engine.TopKWithBound(query);
+  Result<TopKResult> all = engine.TopKWithStats(query);
   ASSERT_TRUE(all.ok()) << all.status();
   EXPECT_EQ(all.value().items.size(), 200u);
   query.k = 10;
-  Result<TopKResult> ten = engine.TopKWithBound(query);
+  Result<TopKResult> ten = engine.TopKWithStats(query);
   ASSERT_TRUE(ten.ok()) << ten.status();
   EXPECT_FALSE(ten.value().from_cache);
   EXPECT_EQ(ten.value().items.size(), 10u);
 
   // Likewise probes = 2^32 + 1 must not share probes = 1's entry.
   query.probes = (uint64_t{1} << 32) + 1;
-  Result<TopKResult> wide = engine.TopKWithBound(query);
+  Result<TopKResult> wide = engine.TopKWithStats(query);
   ASSERT_TRUE(wide.ok()) << wide.status();
   EXPECT_FALSE(wide.value().from_cache);
 
@@ -312,11 +313,11 @@ TEST(QueryEngineAnswerTest, CacheKeysKeepTheFullKAndProbes) {
   // size instead: the whole mode is scored and the answer is exact.
   query.search = SearchMode::kAnn;
   query.probes = uint64_t{1} << 63;
-  Result<TopKResult> saturated = engine.TopKWithBound(query);
+  Result<TopKResult> saturated = engine.TopKWithStats(query);
   ASSERT_TRUE(saturated.ok()) << saturated.status();
   EXPECT_EQ(saturated.value().rows_scored, 200u);
   EXPECT_EQ(saturated.value().items,
-            store.Current()->TopK(0, query.anchor, 10));
+            store.Current()->TopK(0, query.anchor, 10).items);
 }
 
 TEST_F(QueryEngineTest, QueriesAreRecordedPerTypeAndVersion) {

@@ -117,7 +117,7 @@ TEST(ServableModelTest, TopKMatchesBruteForceRescore) {
   const auto model = ServableModel::Build(factors, 1, 0);
   for (size_t target_mode = 0; target_mode < 3; ++target_mode) {
     const std::vector<uint64_t> anchor = {3, 5, 2};
-    const auto got = model->TopK(target_mode, anchor, 5);
+    const auto got = model->TopK(target_mode, anchor, 5).items;
     const auto expected = BruteForceTopK(factors, target_mode, anchor, 5);
     ASSERT_EQ(got.size(), expected.size());
     for (size_t i = 0; i < got.size(); ++i) {
@@ -130,7 +130,7 @@ TEST(ServableModelTest, TopKMatchesBruteForceRescore) {
 
 TEST(ServableModelTest, TopKClampsKToCandidateCount) {
   const auto model = ServableModel::Build(MakeFactors(10), 1, 0);
-  const auto all = model->TopK(1, {0, 0, 0}, 1000);
+  const auto all = model->TopK(1, {0, 0, 0}, 1000).items;
   EXPECT_EQ(all.size(), 7u);
   // Clamped result is fully sorted.
   for (size_t i = 1; i < all.size(); ++i) {
@@ -143,7 +143,7 @@ TEST(ServableModelTest, TopKScoresAreCombinationWeightsDotRows) {
   const auto model = ServableModel::Build(factors, 1, 0);
   const std::vector<uint64_t> anchor = {4, 0, 3};
   const std::vector<double> weights = model->CombinationWeights(1, anchor);
-  const auto top = model->TopK(1, anchor, 7);
+  const auto top = model->TopK(1, anchor, 7).items;
   for (const ScoredIndex& entry : top) {
     double expected = 0.0;
     for (size_t f = 0; f < model->rank(); ++f) {
@@ -154,90 +154,22 @@ TEST(ServableModelTest, TopKScoresAreCombinationWeightsDotRows) {
   }
 }
 
-TEST(ServableModelTest, QuantizedTopKScoresWithinReportedBound) {
-  const KruskalTensor factors = MakeFactors(13, {20, 40, 6}, 4);
-  const auto model = ServableModel::Build(factors, 1, 0);
-  const std::vector<uint64_t> anchor = {3, 0, 2};
-  const size_t candidates = 40;  // rank every candidate so none is hidden
-  const Result<TopKResult> exact =
-      model->TopKWithPrecision(1, anchor, candidates, Precision::kF64);
-  ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(exact.value().score_error_bound, 0.0);
-
-  for (Precision precision : {Precision::kBf16, Precision::kInt8}) {
-    const Result<TopKResult> quant =
-        model->TopKWithPrecision(1, anchor, candidates, precision);
-    ASSERT_TRUE(quant.ok()) << PrecisionName(precision);
-    EXPECT_EQ(quant.value().precision, precision);
-    const double bound = quant.value().score_error_bound;
-    EXPECT_GT(bound, 0.0);
-
-    // Index the exact scores and check each quantized score against its
-    // candidate's exact score: |s_quant - s_f64| <= bound for every item.
-    std::vector<double> exact_by_index(candidates, 0.0);
-    for (const ScoredIndex& entry : exact.value().items) {
-      exact_by_index[static_cast<size_t>(entry.index)] = entry.score;
-    }
-    for (const ScoredIndex& entry : quant.value().items) {
-      const double f64_score =
-          exact_by_index[static_cast<size_t>(entry.index)];
-      EXPECT_LE(std::abs(entry.score - f64_score), bound * (1.0 + 1e-12))
-          << PrecisionName(precision) << " index " << entry.index;
-    }
-  }
-}
-
-TEST(ServableModelTest, AnnExactPrecisionFullShortlistIsBitExact) {
+TEST(ServableModelTest, AnnFullShortlistIsBitExact) {
   // With the shortlist covering every candidate, ANN + exact re-rank is the
   // same computation as the brute-force scan: scores must match bit for bit.
   const KruskalTensor factors = MakeFactors(14, {64, 48, 6}, 4);
   const auto model = ServableModel::Build(factors, 1, 0);
   ASSERT_NE(model->ann_index(), nullptr);
   const std::vector<uint64_t> anchor = {3, 0, 2};
-  const Result<TopKResult> exact =
-      model->TopKWithPrecision(1, anchor, 10, Precision::kF64);
-  const Result<TopKResult> ann =
-      model->TopKAnn(1, anchor, 10, Precision::kF64, /*probes=*/1000);
-  ASSERT_TRUE(exact.ok());
-  ASSERT_TRUE(ann.ok());
-  EXPECT_EQ(ann.value().rows_scored, 48u);
-  ASSERT_EQ(ann.value().items.size(), exact.value().items.size());
-  for (size_t i = 0; i < exact.value().items.size(); ++i) {
-    EXPECT_EQ(ann.value().items[i].index, exact.value().items[i].index);
+  const TopKResult exact = model->TopK(1, anchor, 10);
+  const TopKResult ann = model->TopKAnn(1, anchor, 10, /*probes=*/1000);
+  EXPECT_EQ(ann.rows_scored, 48u);
+  ASSERT_EQ(ann.items.size(), exact.items.size());
+  for (size_t i = 0; i < exact.items.size(); ++i) {
+    EXPECT_EQ(ann.items[i].index, exact.items[i].index);
     // Bit-exact, not approximately equal: the shortlist rows go through the
-    // same topk_score_block kernel as the full scan.
-    EXPECT_EQ(ann.value().items[i].score, exact.value().items[i].score);
-  }
-}
-
-TEST(ServableModelTest, AnnQuantizedRerankStaysWithinReportedBound) {
-  // Quantized ANN composition: the shortlist is re-ranked through the bf16
-  // / int8 kernels, and every returned score must sit within the published
-  // score_error_bound of the fp64 score for that same row.
-  const KruskalTensor factors = MakeFactors(15, {30, 64, 6}, 4);
-  const auto model = ServableModel::Build(factors, 1, 0);
-  const std::vector<uint64_t> anchor = {7, 0, 3};
-  const std::vector<double> weights = model->CombinationWeights(1, anchor);
-
-  for (Precision precision : {Precision::kBf16, Precision::kInt8}) {
-    const Result<TopKResult> quant =
-        model->TopKAnn(1, anchor, 8, precision, /*probes=*/4);
-    ASSERT_TRUE(quant.ok()) << PrecisionName(precision);
-    EXPECT_EQ(quant.value().precision, precision);
-    const double bound = quant.value().score_error_bound;
-    EXPECT_GT(bound, 0.0);
-    EXPECT_GT(quant.value().rows_scored, 0u);
-    EXPECT_LT(quant.value().rows_scored, 64u);  // genuinely a shortlist
-
-    for (const ScoredIndex& entry : quant.value().items) {
-      double f64_score = 0.0;
-      for (size_t f = 0; f < model->rank(); ++f) {
-        f64_score += factors.factor(1)(static_cast<size_t>(entry.index), f) *
-                     weights[f];
-      }
-      EXPECT_LE(std::abs(entry.score - f64_score), bound * (1.0 + 1e-12))
-          << PrecisionName(precision) << " index " << entry.index;
-    }
+    // one-row form of the full scan's blocked-8 dot.
+    EXPECT_EQ(ann.items[i].score, exact.items[i].score);
   }
 }
 
@@ -265,21 +197,16 @@ TEST(ServableModelTest, TopKBreaksExactTiesByIndexAcrossTheKBoundary) {
   const auto expected = BruteForceTopK(factors, 1, anchor, k + 1);
   ASSERT_EQ(expected[k - 1].score, expected[k].score);
 
-  const Result<TopKResult> exact =
-      model->TopKWithPrecision(1, anchor, k, Precision::kF64);
-  const Result<TopKResult> ann =
-      model->TopKAnn(1, anchor, k, Precision::kF64, /*probes=*/1000);
-  ASSERT_TRUE(exact.ok());
-  ASSERT_TRUE(ann.ok());
-  EXPECT_EQ(ann.value().rows_scored, 24u);
-  EXPECT_EQ(model->TopK(1, anchor, k), exact.value().items);
-  for (const Result<TopKResult>* got : {&exact, &ann}) {
-    ASSERT_EQ(got->value().items.size(), k);
+  const TopKResult exact = model->TopK(1, anchor, k);
+  const TopKResult ann = model->TopKAnn(1, anchor, k, /*probes=*/1000);
+  EXPECT_EQ(ann.rows_scored, 24u);
+  EXPECT_EQ(model->TopK(1, anchor, k).items, exact.items);
+  for (const TopKResult* got : {&exact, &ann}) {
+    ASSERT_EQ(got->items.size(), k);
     for (size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(got->value().items[i].index, expected[i].index)
-          << "position " << i;
-      EXPECT_NEAR(got->value().items[i].score, expected[i].score, 1e-12);
-      EXPECT_EQ(got->value().items[i].score, exact.value().items[i].score);
+      EXPECT_EQ(got->items[i].index, expected[i].index) << "position " << i;
+      EXPECT_NEAR(got->items[i].score, expected[i].score, 1e-12);
+      EXPECT_EQ(got->items[i].score, exact.items[i].score);
     }
   }
 }

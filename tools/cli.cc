@@ -1,7 +1,6 @@
 #include "tools/cli.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <ostream>
 #include <thread>
@@ -993,12 +992,6 @@ Status CmdServeBench(const Args& args, std::ostream& out) {
   if (!query_seed.ok()) return query_seed.status();
   log_options.seed = query_seed.value();
   log_options.topk_probes = static_cast<size_t>(probes.value());
-  if (args.Has("precision")) {
-    Result<serve::Precision> precision =
-        serve::ParsePrecision(args.Get("precision"));
-    if (!precision.ok()) return precision.status();
-    log_options.topk_precision = precision.value();
-  }
   if (args.Has("search-mode")) {
     Result<serve::SearchMode> search =
         serve::ParseSearchMode(args.Get("search-mode"));
@@ -1045,8 +1038,6 @@ Status CmdServeBench(const Args& args, std::ostream& out) {
       << options.num_workers << " workers, " << clients.value()
       << " query clients\n";
   out << "kernels : " << kernels::DispatchExplanation() << "\n";
-  out << "topk precision     : "
-      << serve::PrecisionName(log_options.topk_precision) << "\n";
   out << "topk search        : "
       << serve::SearchModeName(log_options.topk_search) << " (probes "
       << log_options.topk_probes << ", " << bits.value() << "-bit codes)\n";
@@ -1056,48 +1047,7 @@ Status CmdServeBench(const Args& args, std::ostream& out) {
   out << "\nqueries answered   : " << stats.answered << " (" << stats.failed
       << " failed)\n";
 
-  // Quantized-serving error report: for each quantized copy, replay a
-  // sample of the log's top-K anchors at that precision and compare every
-  // returned score against the exact fp64 score of the same candidate
-  // (Predict of the completed index tuple). The measured error must sit
-  // inside the model's analytic per-query bound.
   if (const auto model = session.store().Current(); model != nullptr) {
-    for (const serve::Precision precision :
-         {serve::Precision::kBf16, serve::Precision::kInt8}) {
-      double max_abs = 0.0, max_rel = 0.0, max_bound = 0.0;
-      uint64_t sampled = 0;
-      for (const serve::QueryRecord& record : log) {
-        if (record.type != serve::QueryType::kTopK) continue;
-        if (sampled >= 32) break;
-        if (record.topk.target_mode >= model->order() ||
-            record.topk.anchor.size() != model->order()) {
-          continue;
-        }
-        Result<serve::TopKResult> quant = model->TopKWithPrecision(
-            record.topk.target_mode, record.topk.anchor, record.topk.k,
-            precision);
-        if (!quant.ok()) continue;
-        ++sampled;
-        max_bound = std::max(max_bound, quant.value().score_error_bound);
-        std::vector<uint64_t> tuple = record.topk.anchor;
-        for (const serve::ScoredIndex& item : quant.value().items) {
-          tuple[record.topk.target_mode] = item.index;
-          const double exact = model->Predict(tuple.data());
-          const double err = std::abs(item.score - exact);
-          max_abs = std::max(max_abs, err);
-          if (exact != 0.0) {
-            max_rel = std::max(max_rel, err / std::abs(exact));
-          }
-        }
-      }
-      char qline[160];
-      std::snprintf(qline, sizeof(qline),
-                    "quantized %-4s     : max |dscore| %.3e (bound %.3e), "
-                    "max rel %.3e over %llu queries",
-                    serve::PrecisionName(precision), max_abs, max_bound,
-                    max_rel, (unsigned long long)sampled);
-      out << qline << "\n";
-    }
     const ann::AnnIndex& index = *model->ann_index();
     out << "ann index          : " << index.hashed_rows() << " rows hashed, "
         << index.reused_rows() << " reused across publishes\n";
@@ -1195,7 +1145,6 @@ std::string UsageText() {
       "                  [--publish-interval N] [--stitch-interval N]\n"
       "  serve-bench     --input F [stream flags above]\n"
       "                  [--queries N --clients C --k K --batch B]\n"
-      "                  [--precision f64|bf16|int8]  (top-K scan factors)\n"
       "                  [--search-mode exact|ann|ann_cached]\n"
       "                  [--probes P]  (ANN shortlist = P * K candidates)\n"
       "                  [--bits B]    (LSH code width per row)\n"

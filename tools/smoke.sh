@@ -27,8 +27,8 @@ section() {
   cd "${work}/$1"
 }
 
-# Kernel sweep: the micro_kernels backend x precision sweep must hold the
-# vectorized MTTKRP, row-update (solve, Gram), quantized top-K and ANN
+# Kernel sweep: the micro_kernels per-backend sweep must hold the
+# vectorized MTTKRP, row-update (solve, Gram), top-K scan and ANN
 # shortlist (hamming) rows — else the AVX2 backend silently stopped being
 # compiled in or dispatched (GitHub runners guarantee AVX2; AVX-512 rows
 # appear when the runner has it but are not required).
@@ -37,8 +37,7 @@ section kernel-sweep
 grep -q '^mttkrp,avx2,f64,' sweep.csv
 grep -q '^solve,avx2,f64,' sweep.csv
 grep -q '^gram,avx2,f64,' sweep.csv
-grep -q '^topk,avx2,bf16,' sweep.csv
-grep -q '^topk,avx2,i8,' sweep.csv
+grep -q '^topk,avx2,f64,' sweep.csv
 grep -q '^hamming,avx2,' sweep.csv
 
 # Kernel linkage: the helpers the backends share (kernels_detail.h) have
