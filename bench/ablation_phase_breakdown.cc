@@ -1,8 +1,11 @@
-// Phase breakdown of DisMASTD's per-iteration simulated time: the
+// Phase breakdown of one DisMASTD step's simulated time: a row per phase of
+// the step's phase table — partitioning, the replicated products, the
 // fetch+MTTKRP+row-update supersteps, the all-to-all Gram reductions
-// (§IV-B3), and the loss computation (§IV-B4). Shows where the time goes
-// per dataset and how the composition shifts with the worker count (the
-// reduction term grows with M², everything else shrinks).
+// (§IV-B3), the loss computation (§IV-B4), and the elastic and recovery
+// phases, which stay zero here — then the step total they sum to and the
+// mean per-iteration time. Shows where the time goes per dataset and how
+// the composition shifts with the worker count (the reduction term grows
+// with M², everything else shrinks).
 
 #include <cstdio>
 
@@ -30,15 +33,17 @@ void Run(const DatasetSpec& spec) {
     DistributedOptions options = bench::PaperOptions();
     options.num_workers = workers;
     options.parts_per_mode = workers;
-    const DistributedResult result =
-        DisMastdDecompose(delta, prev_dims, prev, options);
-    const StreamStepMetrics& m = result.metrics;
-    const double iters = static_cast<double>(result.als.iterations);
-    std::printf("%-10s %7u %12.4f %12.4f %12.4f %12.4f %12.4f\n",
-                spec.name.c_str(), workers, m.sim_seconds_partitioning,
-                m.sim_seconds_mttkrp_update / iters,
-                m.sim_seconds_gram_reduce / iters,
-                m.sim_seconds_loss / iters, m.sim_seconds_per_iteration);
+    const StreamStepMetrics m =
+        DisMastdDecompose(delta, prev_dims, prev, options).metrics;
+    const auto row = [&](const char* label, double seconds) {
+      std::printf("%-10s %7u %-14s %12.4f\n", spec.name.c_str(), workers,
+                  label, seconds);
+    };
+    for (StepPhase phase : kStepPhases) {
+      row(StepPhaseName(phase), m.phase_seconds[phase].sim);
+    }
+    row("total", m.sim_seconds_total);
+    row("total/iter", m.sim_seconds_per_iteration);
   }
 }
 
@@ -48,9 +53,8 @@ void Run(const DatasetSpec& spec) {
 int main() {
   dismastd::bench::PrintHeader(
       "Phase breakdown — where DisMASTD's simulated time goes");
-  std::printf("%-10s %7s %12s %12s %12s %12s %12s\n", "Dataset", "workers",
-              "partition s", "mttkrp+upd/i", "gram red./i", "loss/i",
-              "total/iter");
+  std::printf("%-10s %7s %-14s %12s\n", "Dataset", "workers", "phase",
+              "sim s");
   dismastd::bench::PrintRule();
   for (const auto& spec : dismastd::bench::ScaledPaperDatasets()) {
     dismastd::Run(spec);

@@ -5,16 +5,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/driver.h"
 #include "kernels/kernels.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/sinks.h"
 #include "stream/datasets.h"
 
 namespace dismastd {
@@ -79,7 +78,7 @@ inline std::vector<DatasetSpec> ScaledPaperDatasets() {
 ///   --users=N       population size (default 1e6)
 ///   --zipf-s=S      Zipf exponent; 0 = uniform (default 1.0)
 ///   --query-seed=X  RNG seed for query sampling (default 7)
-/// BenchObs::FromArgs recognizes (and skips) the same flags, so harnesses
+/// BenchObs recognizes (and skips) the same flags, so harnesses
 /// can hand the full argv to both parsers.
 struct ZipfPopulation {
   uint64_t users = 1000000;
@@ -116,34 +115,26 @@ struct ZipfPopulation {
 ///   --kernel=scalar|avx2|avx512   (forces the compute-kernel backend;
 ///                                  the banner prints what was dispatched)
 /// All are optional; with none given, tracer()/metrics() stay null and
-/// the instrumented run pays only the Active() branch. Finish() writes the
-/// requested files once the harness is done.
+/// the instrumented run pays only the Active() branch. An invalid value
+/// exits with status 1. Finish() writes the requested files once the
+/// harness is done.
 class BenchObs {
  public:
-  static BenchObs FromArgs(int argc, const char* const* argv) {
-    BenchObs obs_args;
-    std::string detail_text;
+  BenchObs(int argc, const char* const* argv) {
+    obs::SinkOptions options;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg.rfind("--trace-out=", 0) == 0) {
-        obs_args.trace_path_ = arg.substr(12);
+        options.trace_path = arg.substr(12);
       } else if (arg.rfind("--metrics-out=", 0) == 0) {
-        obs_args.metrics_path_ = arg.substr(14);
+        options.metrics_path = arg.substr(14);
       } else if (arg.rfind("--trace-detail=", 0) == 0) {
-        detail_text = arg.substr(15);
+        options.trace_detail = arg.substr(15);
       } else if (arg.rfind("--kernel=", 0) == 0) {
         const Result<kernels::Backend> backend =
             kernels::ParseBackend(arg.substr(9));
-        if (!backend.ok()) {
-          std::fprintf(stderr, "%s\n",
-                       backend.status().message().c_str());
-          std::exit(1);
-        }
-        const Status forced = kernels::ForceBackend(backend.value());
-        if (!forced.ok()) {
-          std::fprintf(stderr, "%s\n", forced.message().c_str());
-          std::exit(1);
-        }
+        ExitUnlessOk(backend.status());
+        ExitUnlessOk(kernels::ForceBackend(backend.value()));
       } else if (ZipfPopulation::IsPopulationFlag(arg) ||
                  arg.rfind("--search-mode=", 0) == 0 ||
                  arg.rfind("--probes=", 0) == 0 ||
@@ -156,57 +147,22 @@ class BenchObs {
     }
     std::printf("kernels: %s\n",
                 kernels::DispatchExplanation().c_str());
-    if (!obs_args.trace_path_.empty()) {
-      obs::TraceDetail detail = obs::TraceDetail::kPhases;
-      if (!detail_text.empty()) {
-        const Result<obs::TraceDetail> parsed =
-            obs::ParseTraceDetail(detail_text);
-        if (parsed.ok()) {
-          detail = parsed.value();
-        } else {
-          std::fprintf(stderr, "%s\n", parsed.status().message().c_str());
-        }
-      }
-      obs_args.tracer_ = std::make_unique<obs::Tracer>(detail);
-    }
-    if (!obs_args.metrics_path_.empty()) {
-      obs_args.metrics_ = std::make_unique<obs::MetricRegistry>();
-    }
-    return obs_args;
+    ExitUnlessOk(sinks_.Open(options));
   }
 
-  obs::Tracer* tracer() const { return tracer_.get(); }
-  obs::MetricRegistry* metrics() const { return metrics_.get(); }
+  obs::Tracer* tracer() const { return sinks_.tracer(); }
+  obs::MetricRegistry* metrics() const { return sinks_.metrics(); }
 
-  void Finish() const {
-    if (tracer_ != nullptr) {
-      const Status written = tracer_->WriteChromeTraceFile(trace_path_);
-      if (written.ok()) {
-        std::printf("trace written to %s (%llu events)\n",
-                    trace_path_.c_str(),
-                    static_cast<unsigned long long>(tracer_->event_count()));
-      } else {
-        std::fprintf(stderr, "trace write failed: %s\n",
-                     written.message().c_str());
-      }
-    }
-    if (metrics_ != nullptr) {
-      const Status written = metrics_->WritePrometheusFile(metrics_path_);
-      if (written.ok()) {
-        std::printf("metrics written to %s (%zu series)\n",
-                    metrics_path_.c_str(), metrics_->NumSeries());
-      } else {
-        std::fprintf(stderr, "metrics write failed: %s\n",
-                     written.message().c_str());
-      }
-    }
-  }
+  void Finish() const { ExitUnlessOk(sinks_.Write(std::cout)); }
 
  private:
-  std::unique_ptr<obs::Tracer> tracer_;
-  std::unique_ptr<obs::MetricRegistry> metrics_;
-  std::string trace_path_;
-  std::string metrics_path_;
+  static void ExitUnlessOk(const Status& status) {
+    if (status.ok()) return;
+    std::fprintf(stderr, "%s\n", status.message().c_str());
+    std::exit(1);
+  }
+
+  obs::RunSinks sinks_;
 };
 
 /// Appends machine-readable rows next to the stdout tables so the figures

@@ -76,8 +76,7 @@ int main(int argc, char** argv) {
   dismastd::bench::PrintHeader(
       "Fig. 5 — running time per iteration vs multi-aspect streaming tensor");
   std::printf("Setup: R=10, mu=0.8, 10 iterations, 15 workers, p=15/mode\n");
-  const dismastd::bench::BenchObs obs_sinks =
-      dismastd::bench::BenchObs::FromArgs(argc, argv);
+  const dismastd::bench::BenchObs obs_sinks(argc, argv);
   dismastd::bench::CsvWriter csv("fig5_streaming.csv");
   csv.Row("dataset", "method", "snapshot_pct", "snapshot_nnz",
           "sim_seconds_per_iteration");

@@ -92,7 +92,7 @@ void RunPolicyRow(const std::string& label, double fit, uint64_t updates,
 int main(int argc, char** argv) {
   bench::PrintHeader(
       "Ingest throughput: event log -> queue -> micro-batches -> DisMASTD");
-  const bench::BenchObs obs_sinks = bench::BenchObs::FromArgs(argc, argv);
+  const bench::BenchObs obs_sinks(argc, argv);
 
   GeneratorOptions gen;
   gen.dims = {4000, 1000, 200};

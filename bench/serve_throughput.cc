@@ -126,7 +126,7 @@ SweepRow RunAnnSweep(serve::ServeSession& session,
 
 int main(int argc, char** argv) {
   bench::PrintHeader("Serve throughput: versioned model store + query engine");
-  const bench::BenchObs obs_sinks = bench::BenchObs::FromArgs(argc, argv);
+  const bench::BenchObs obs_sinks(argc, argv);
 
   GeneratorOptions gen;
   gen.dims = {20000, 4000, 200};

@@ -182,13 +182,14 @@ void PrintSeries(const SeriesResult& series, bench::CsvWriter* csv) {
         m.load_imbalance, m.elastic_repartitioned ? "yes" : "-",
         static_cast<unsigned long long>(m.migrated_rows),
         static_cast<unsigned long long>(m.migration_bytes),
-        m.sim_seconds_migrate, m.sim_seconds_repartition,
-        m.sim_seconds_total);
+        m.phase_seconds[StepPhase::kMigrate].sim,
+        m.phase_seconds[StepPhase::kRepartition].sim, m.sim_seconds_total);
     csv->Row(m.step, series.label, m.num_workers, m.busy_seconds_max,
              m.busy_seconds_avg, m.load_imbalance,
              m.elastic_repartitioned ? 1 : 0, m.migrated_rows,
-             m.migration_bytes, m.sim_seconds_migrate,
-             m.sim_seconds_repartition, m.sim_seconds_total);
+             m.migration_bytes, m.phase_seconds[StepPhase::kMigrate].sim,
+             m.phase_seconds[StepPhase::kRepartition].sim,
+             m.sim_seconds_total);
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef DISMASTD_CORE_DISMASTD_H_
 #define DISMASTD_CORE_DISMASTD_H_
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -94,6 +95,57 @@ struct DistributedOptions {
   Status Validate() const;
 };
 
+/// The supersteps a DisMASTD step commits, in the order a step first
+/// runs them: the elastic coordinator's online rebalance (repartition,
+/// migrate), data partitioning (§IV-A), the replicated R x R products, per
+/// sweep and mode the MTTKRP with the Eq. 5 row update and the all-to-all
+/// Gram reduction (§IV-B3), the loss (§IV-B4), and crash recovery.
+enum class StepPhase : uint8_t {
+  kRepartition,
+  kMigrate,
+  kPartition,
+  kProducts,
+  kMttkrpUpdate,
+  kGramReduce,
+  kLoss,
+  kRecovery,
+};
+
+inline constexpr std::array<StepPhase, 8> kStepPhases = {
+    StepPhase::kRepartition,  StepPhase::kMigrate,
+    StepPhase::kPartition,    StepPhase::kProducts,
+    StepPhase::kMttkrpUpdate, StepPhase::kGramReduce,
+    StepPhase::kLoss,         StepPhase::kRecovery,
+};
+
+/// The phase's one name: its trace span, its
+/// `dismastd_core_sim_seconds{phase=...}` label and its `stream` table row.
+const char* StepPhaseName(StepPhase phase);
+
+/// Seconds one phase took within a step, summed over its commits:
+/// simulated (the cost model's clock advance) and wall (from the phase
+/// function's entry to its commit).
+struct PhaseSeconds {
+  double sim = 0.0;
+  double wall = 0.0;
+};
+
+/// One PhaseSeconds per StepPhase. Every simulated second of a step is
+/// committed under exactly one phase, so the sim entries tile
+/// sim_seconds_total the way the trace's phase spans do.
+class StepPhaseTable {
+ public:
+  PhaseSeconds& operator[](StepPhase phase) {
+    return entries_[static_cast<size_t>(phase)];
+  }
+  const PhaseSeconds& operator[](StepPhase phase) const {
+    return entries_[static_cast<size_t>(phase)];
+  }
+
+ private:
+  std::array<PhaseSeconds, kStepPhases.size()> entries_{};
+};
+
 /// Sentinel for "no event time attached": schedule-driven runs have no
 /// event-time axis; the ingest pipeline stamps real values.
 inline constexpr int64_t kNoEventTime = std::numeric_limits<int64_t>::min();
@@ -113,16 +165,10 @@ struct StreamStepMetrics {
   /// and each sweep's own.
   double sim_seconds_per_iteration = 0.0;
   std::vector<double> sim_seconds_per_sweep;
-  /// Simulated elapsed seconds (BSP cost model) of the whole step and of
-  /// its data-partitioning phase.
+  /// Simulated elapsed seconds (BSP cost model) of the whole step.
   double sim_seconds_total = 0.0;
-  double sim_seconds_partitioning = 0.0;
-  /// Phase breakdown of the iteration time (sums to ~the iteration total):
-  /// the fetch+MTTKRP+row-update supersteps, the Gram all-to-all
-  /// reductions, and the loss supersteps.
-  double sim_seconds_mttkrp_update = 0.0;
-  double sim_seconds_gram_reduce = 0.0;
-  double sim_seconds_loss = 0.0;
+  /// Where the step's simulated and wall seconds went, per phase.
+  StepPhaseTable phase_seconds;
   /// Network totals (real serialized/accounted payload bytes).
   uint64_t comm_bytes = 0;
   uint64_t comm_messages = 0;
@@ -165,8 +211,6 @@ struct StreamStepMetrics {
   uint32_t workers_drained = 0;
   uint64_t migrated_rows = 0;
   uint64_t migration_bytes = 0;
-  double sim_seconds_repartition = 0.0;
-  double sim_seconds_migrate = 0.0;
 };
 
 /// Result of one distributed decomposition step.

@@ -35,19 +35,16 @@ Result<Matrix> DeserializeMatrix(const std::vector<uint8_t>& bytes) {
 Cluster::Cluster(uint32_t num_workers, CostModelConfig config)
     : network_(num_workers),
       config_(config),
-      busy_seconds_(num_workers, 0.0),
-      processed_elements_(num_workers, 0) {}
+      busy_seconds_(num_workers, 0.0) {}
 
 void Cluster::AddWorkers(uint32_t count) {
   network_.AddWorkers(count);
   busy_seconds_.resize(network_.num_workers(), 0.0);
-  processed_elements_.resize(network_.num_workers(), 0);
 }
 
 Status Cluster::DrainWorkers(uint32_t count) {
   DISMASTD_RETURN_IF_ERROR(network_.RemoveWorkers(count));
   busy_seconds_.resize(network_.num_workers());
-  processed_elements_.resize(network_.num_workers());
   return Status::OK();
 }
 
@@ -58,7 +55,6 @@ double Cluster::CommitSuperstep(const SuperstepAccounting& acct,
   for (uint32_t w = 0; w < acct.num_workers() && w < busy_seconds_.size();
        ++w) {
     busy_seconds_[w] += WorkerSeconds(config_, acct, w);
-    processed_elements_[w] += acct.per_worker_sparse_elements()[w];
   }
   // Fault overhead accrued during this superstep (straggler delays,
   // retransmission backoff, recovery penalties) lands on the clock here,

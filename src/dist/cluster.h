@@ -51,10 +51,6 @@ class Cluster {
   const std::vector<double>& per_worker_busy_seconds() const {
     return busy_seconds_;
   }
-  /// Cumulative per-worker sparse elements (nnz) processed.
-  const std::vector<uint64_t>& per_worker_processed_elements() const {
-    return processed_elements_;
-  }
 
   /// Attaches a deterministic fault source to this cluster and its network
   /// fabric. Collectives then retransmit dropped/corrupt messages with
@@ -87,9 +83,8 @@ class Cluster {
   double CommitSuperstep(const SuperstepAccounting& acct,
                          const char* phase = "superstep");
 
-  /// Simulated elapsed seconds since construction / last ResetClock().
+  /// Simulated elapsed seconds since construction.
   double ElapsedSimSeconds() const { return sim_seconds_; }
-  void ResetClock() { sim_seconds_ = 0.0; }
 
   uint64_t total_flops() const { return total_flops_; }
   uint64_t committed_supersteps() const { return supersteps_; }
@@ -135,7 +130,6 @@ class Cluster {
   obs::Tracer* tracer_ = nullptr;      // not owned
   double sim_seconds_ = 0.0;
   std::vector<double> busy_seconds_;
-  std::vector<uint64_t> processed_elements_;
   uint64_t total_flops_ = 0;
   uint64_t total_comm_bytes_ = 0;
   uint64_t total_comm_messages_ = 0;

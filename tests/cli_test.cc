@@ -422,7 +422,10 @@ TEST(CliTest, StreamWritesTraceAndMetricsFiles) {
                          &output)
                   .ok())
       << output;
-  EXPECT_NE(output.find("sim phases: total"), std::string::npos);
+  EXPECT_NE(output.find("phase          sim_s     wall_s\n"),
+            std::string::npos);
+  EXPECT_NE(output.find("\nproducts       "), std::string::npos);
+  EXPECT_NE(output.find("\ntotal          "), std::string::npos);
   EXPECT_NE(output.find("trace written to"), std::string::npos);
   EXPECT_NE(output.find("metrics written to"), std::string::npos);
 

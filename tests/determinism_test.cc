@@ -28,15 +28,15 @@ void ExpectFactorsIdentical(const KruskalTensor& a, const KruskalTensor& b) {
 void ExpectMetricsIdentical(const StreamStepMetrics& a,
                             const StreamStepMetrics& b) {
   EXPECT_EQ(a.sim_seconds_total, b.sim_seconds_total);
-  EXPECT_EQ(a.sim_seconds_partitioning, b.sim_seconds_partitioning);
+  for (StepPhase phase : kStepPhases) {
+    EXPECT_EQ(a.phase_seconds[phase].sim, b.phase_seconds[phase].sim)
+        << StepPhaseName(phase);
+  }
   ASSERT_EQ(a.sim_seconds_per_sweep.size(), b.sim_seconds_per_sweep.size());
   for (size_t i = 0; i < a.sim_seconds_per_sweep.size(); ++i) {
     EXPECT_EQ(a.sim_seconds_per_sweep[i], b.sim_seconds_per_sweep[i])
         << "sweep " << i;
   }
-  EXPECT_EQ(a.sim_seconds_mttkrp_update, b.sim_seconds_mttkrp_update);
-  EXPECT_EQ(a.sim_seconds_gram_reduce, b.sim_seconds_gram_reduce);
-  EXPECT_EQ(a.sim_seconds_loss, b.sim_seconds_loss);
   EXPECT_EQ(a.comm_messages, b.comm_messages);
   EXPECT_EQ(a.comm_bytes, b.comm_bytes);
   EXPECT_EQ(a.flops, b.flops);
@@ -214,10 +214,10 @@ uint64_t FingerprintStep(const DistributedResult& r, uint64_t hash) {
 /// the per-mode partition balance.
 uint64_t FingerprintRecord(const StreamStepMetrics& m, uint64_t hash) {
   const double seconds[] = {m.sim_seconds_total,
-                            m.sim_seconds_partitioning,
-                            m.sim_seconds_mttkrp_update,
-                            m.sim_seconds_gram_reduce,
-                            m.sim_seconds_loss,
+                            m.phase_seconds[StepPhase::kPartition].sim,
+                            m.phase_seconds[StepPhase::kMttkrpUpdate].sim,
+                            m.phase_seconds[StepPhase::kGramReduce].sim,
+                            m.phase_seconds[StepPhase::kLoss].sim,
                             m.sim_seconds_per_iteration,
                             m.load_imbalance};
   hash = Fnv1a(seconds, sizeof(seconds), hash);

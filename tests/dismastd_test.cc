@@ -110,8 +110,9 @@ TEST(DisMastdTest, MetricsArePopulated) {
       DisMastdDecompose(fx.delta, fx.old_dims, fx.prev, options);
   const StreamStepMetrics& m = result.metrics;
   EXPECT_GT(m.sim_seconds_total, 0.0);
-  EXPECT_GT(m.sim_seconds_partitioning, 0.0);
-  EXPECT_LT(m.sim_seconds_partitioning, m.sim_seconds_total);
+  const PhaseSeconds& partition = m.phase_seconds[StepPhase::kPartition];
+  EXPECT_GT(partition.sim, 0.0);
+  EXPECT_LT(partition.sim, m.sim_seconds_total);
   ASSERT_EQ(m.sim_seconds_per_sweep.size(), 5u);
   for (double s : m.sim_seconds_per_sweep) EXPECT_GT(s, 0.0);
   EXPECT_GT(m.sim_seconds_per_iteration, 0.0);
@@ -120,15 +121,33 @@ TEST(DisMastdTest, MetricsArePopulated) {
   EXPECT_GT(m.flops, 0u);
   EXPECT_GT(m.wall_seconds, 0.0);
   ASSERT_EQ(m.balance_per_mode.size(), 3u);
-  // Phase breakdown: each phase positive and the phases account for the
-  // iteration time (everything after partitioning + initial products).
-  EXPECT_GT(m.sim_seconds_mttkrp_update, 0.0);
-  EXPECT_GT(m.sim_seconds_gram_reduce, 0.0);
-  EXPECT_GT(m.sim_seconds_loss, 0.0);
+  // Phase table: every phase this fault-free, coordinator-free step ran is
+  // positive and the others are zero; the sim entries tile the step's
+  // clock, the wall entries fit inside its wall time, and the three sweep
+  // phases account for the iteration time.
+  double sim_sum = 0.0, wall_sum = 0.0;
+  for (StepPhase phase : kStepPhases) {
+    const PhaseSeconds& entry = m.phase_seconds[phase];
+    const bool ran = phase != StepPhase::kRepartition &&
+                     phase != StepPhase::kMigrate &&
+                     phase != StepPhase::kRecovery;
+    if (ran) {
+      EXPECT_GT(entry.sim, 0.0) << StepPhaseName(phase);
+    } else {
+      EXPECT_EQ(entry.sim, 0.0) << StepPhaseName(phase);
+      EXPECT_EQ(entry.wall, 0.0) << StepPhaseName(phase);
+    }
+    EXPECT_GE(entry.wall, 0.0) << StepPhaseName(phase);
+    sim_sum += entry.sim;
+    wall_sum += entry.wall;
+  }
+  EXPECT_NEAR(sim_sum, m.sim_seconds_total, 1e-9 * m.sim_seconds_total);
+  EXPECT_LE(wall_sum, m.wall_seconds);
   double iteration_total = 0.0;
   for (double s : m.sim_seconds_per_sweep) iteration_total += s;
-  EXPECT_NEAR(m.sim_seconds_mttkrp_update + m.sim_seconds_gram_reduce +
-                  m.sim_seconds_loss,
+  EXPECT_NEAR(m.phase_seconds[StepPhase::kMttkrpUpdate].sim +
+                  m.phase_seconds[StepPhase::kGramReduce].sim +
+                  m.phase_seconds[StepPhase::kLoss].sim,
               iteration_total, 1e-9);
 }
 

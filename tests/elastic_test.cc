@@ -291,9 +291,9 @@ TEST(ElasticStreamingTest, ScalePlanExecutesWithStateMigration) {
     EXPECT_TRUE(run.metrics[step].elastic_repartitioned) << "step " << step;
     EXPECT_GT(run.metrics[step].migrated_rows, 0u) << "step " << step;
     EXPECT_GT(run.metrics[step].migration_bytes, 0u) << "step " << step;
-    EXPECT_GT(run.metrics[step].sim_seconds_migrate, 0.0) << "step " << step;
-    EXPECT_GT(run.metrics[step].sim_seconds_repartition, 0.0)
-        << "step " << step;
+    const StepPhaseTable& phases = run.metrics[step].phase_seconds;
+    EXPECT_GT(phases[StepPhase::kMigrate].sim, 0.0) << "step " << step;
+    EXPECT_GT(phases[StepPhase::kRepartition].sim, 0.0) << "step " << step;
   }
   EXPECT_EQ(run.totals.repartitions, 2u);
   EXPECT_EQ(run.totals.workers_added, 2u);

@@ -305,15 +305,16 @@ TEST(HealthMonitorTest, AlertsToStringListsRetainedAlerts) {
 // sim-time spike at step 16. The flat stretch is twice the z-score
 // warmup (8) so the expensive cold-start step's contribution to the
 // decayed variance has died off by the spike; the non-growing modes are
-// wide so the slab nnz dominates the per-step fixed costs.
+// wide enough (a 1,200-nnz row) that the slab nnz dominates the per-step
+// fixed costs.
 StreamingTensorSequence MakeSpikeStream(uint64_t seed) {
   SparseTensor full =
-      test::MakeDenseLowRank({52, 80, 60}, 2, seed, 0.05).tensor;
+      test::MakeDenseLowRank({52, 40, 30}, 2, seed, 0.05).tensor;
   std::vector<std::vector<uint64_t>> schedule;
   for (uint64_t t = 0; t < 16; ++t) {
-    schedule.push_back({16 + t, 80, 60});
+    schedule.push_back({16 + t, 40, 30});
   }
-  schedule.push_back({52, 80, 60});
+  schedule.push_back({52, 40, 30});
   return StreamingTensorSequence(std::move(full), std::move(schedule));
 }
 
@@ -324,7 +325,7 @@ std::vector<AlertEvent> RunSpikeScenario(size_t num_threads) {
   HealthMonitor monitor;
   DistributedOptions options;
   options.als.rank = 3;
-  options.als.max_iterations = 4;
+  options.als.max_iterations = 2;
   options.num_workers = 4;
   options.partitioner = PartitionerKind::kMaxMin;
   options.execution.num_threads = num_threads;

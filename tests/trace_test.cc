@@ -69,10 +69,11 @@ std::vector<SimEvent> ParseSimEvents(const std::string& json) {
 
 /// Checks per-lane stack discipline (every E closes the most recent B at a
 /// timestamp >= its start) and per-lane monotonically non-decreasing
-/// timestamps, accumulating closed-span durations by category and name.
+/// timestamps, accumulating closed-span durations by category, and by
+/// name among the 'phase'-category spans.
 struct SpanAccounting {
   std::map<std::string, double> us_by_category;
-  std::map<std::string, double> us_by_name;
+  std::map<std::string, double> us_by_phase;
   size_t spans = 0;
 };
 
@@ -97,7 +98,7 @@ SpanAccounting CheckPairingAndAccount(const std::vector<SimEvent>& events) {
       const double dur = e.ts_us - begin.ts_us;
       EXPECT_GE(dur, -1e-9) << begin.name;
       acct.us_by_category[begin.cat] += dur;
-      acct.us_by_name[begin.name] += dur;
+      if (begin.cat == "phase") acct.us_by_phase[begin.name] += dur;
       ++acct.spans;
     }
   }
@@ -235,6 +236,43 @@ TEST(TracerDeterminismTest, SimLanesBitIdenticalAcrossExecutionThreads) {
   EXPECT_GT(acct.us_by_category["worker"], 0.0);
 }
 
+/// Every sim-clock advance happens inside a committed superstep, and each
+/// commit records exactly one phase span and one phase-table entry, so the
+/// record and the trace agree phase by phase: for every StepPhase the
+/// table's sim seconds, summed over steps, equal the summed 'phase' spans
+/// of that name. The table tiles each step's sim_seconds_total within 1e-9
+/// relative; the phase spans and the per-step 'stream' spans tile the
+/// total within the export's rounding (each timestamp is printed to
+/// 1e-3 us, so each span's duration is off by at most 1e-3 us).
+void ExpectPhaseTableMatchesTrace(const std::vector<StreamStepMetrics>& metrics,
+                                  const Tracer& tracer) {
+  const SpanAccounting acct = CheckPairingAndAccount(
+      ParseSimEvents(tracer.ToChromeTraceJson(/*include_wall=*/false)));
+  double total_us = 0.0;
+  std::map<std::string, double> table_us;
+  for (const StreamStepMetrics& sm : metrics) {
+    total_us += sm.sim_seconds_total * 1e6;
+    double step_sim = 0.0;
+    for (StepPhase phase : kStepPhases) {
+      table_us[StepPhaseName(phase)] += sm.phase_seconds[phase].sim * 1e6;
+      step_sim += sm.phase_seconds[phase].sim;
+    }
+    EXPECT_NEAR(step_sim, sm.sim_seconds_total, 1e-9 * sm.sim_seconds_total)
+        << "step " << sm.step;
+  }
+  const double tol = 1e-3 * static_cast<double>(acct.spans) + 1e-9 * total_us;
+  EXPECT_GT(total_us, 0.0);
+  EXPECT_NEAR(acct.us_by_category.at("stream"), total_us, tol);
+  EXPECT_NEAR(acct.us_by_category.at("phase"), total_us, tol);
+  for (StepPhase phase : kStepPhases) {
+    const std::string name = StepPhaseName(phase);
+    const auto spans = acct.us_by_phase.find(name);
+    EXPECT_NEAR(spans == acct.us_by_phase.end() ? 0.0 : spans->second,
+                table_us[name], tol)
+        << name;
+  }
+}
+
 TEST(TracerStreamTest, PhaseSpansPartitionTheSimulatedTimeline) {
   const StreamingTensorSequence stream = MakeStream(1);
   Tracer tracer;  // default detail: kPhases
@@ -242,34 +280,45 @@ TEST(TracerStreamTest, PhaseSpansPartitionTheSimulatedTimeline) {
   options.tracer = &tracer;
   const std::vector<StreamStepMetrics> metrics =
       RunStreamingExperiment(stream, MethodKind::kDisMastd, options);
+  ExpectPhaseTableMatchesTrace(metrics, tracer);
 
-  const std::string json = tracer.ToChromeTraceJson(/*include_wall=*/false);
-  const std::vector<SimEvent> events = ParseSimEvents(json);
-  SpanAccounting acct = CheckPairingAndAccount(events);
-
-  double total_us = 0.0, mttkrp_us = 0.0, gram_us = 0.0, loss_us = 0.0;
-  for (const StreamStepMetrics& sm : metrics) {
-    total_us += sm.sim_seconds_total * 1e6;
-    mttkrp_us += sm.sim_seconds_mttkrp_update * 1e6;
-    gram_us += sm.sim_seconds_gram_reduce * 1e6;
-    loss_us += sm.sim_seconds_loss * 1e6;
-  }
-  // Every sim-clock advance happens inside a committed superstep, and each
-  // commit records exactly one phase span, so the phase spans tile the
-  // timeline: their sum equals the total simulated time (and the sum of
-  // the per-step "stream" spans) up to the export's 1e-3 us rounding.
-  const double tol = 1.0 + total_us * 1e-6;
-  EXPECT_GT(total_us, 0.0);
-  EXPECT_NEAR(acct.us_by_category["stream"], total_us, tol);
-  EXPECT_NEAR(acct.us_by_category["phase"], total_us, tol);
-  EXPECT_NEAR(acct.us_by_name["mttkrp_update"], mttkrp_us, tol);
-  EXPECT_NEAR(acct.us_by_name["gram_reduce"], gram_us, tol);
-  EXPECT_NEAR(acct.us_by_name["loss"], loss_us, tol);
   // The hierarchy is present: steps, iterations, modes, phases.
+  const std::string json = tracer.ToChromeTraceJson(/*include_wall=*/false);
   EXPECT_NE(json.find("\"name\":\"step 0\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"iteration\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"mode\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"partition\""), std::string::npos);
+}
+
+TEST(TracerStreamTest, PhaseTableMatchesTraceUnderElasticCoordinatorAndCrash) {
+  // Every phase runs: the scale plan's two events repartition and migrate
+  // (so the partition superstep no longer starts the step's clock), and a
+  // worker crash in step 2 replays its sweeps from the checkpoint.
+  const StreamingTensorSequence stream = MakeStream(2);
+  Tracer tracer;
+  DistributedOptions options = Opts();
+  options.tracer = &tracer;
+  options.fault_plan.crash_worker = 1;
+  options.fault_plan.crash_stream_step = 2;
+  options.fault_plan.crash_superstep = 0;
+  options.recovery = RecoveryMode::kCheckpoint;
+  ElasticOptions elastic_options;
+  elastic_options.imbalance_threshold = 1000.0;  // only the plan fires
+  elastic_options.scale_plan = ParseScalePlan("add=2@1,drain=1@2").value();
+  ElasticCoordinator coordinator(elastic_options, options.partitioner,
+                                 options.num_workers, options.parts_per_mode);
+  options.elastic = &coordinator;
+  const std::vector<StreamStepMetrics> metrics =
+      RunStreamingExperiment(stream, MethodKind::kDisMastd, options);
+
+  for (StepPhase phase : kStepPhases) {
+    double sim = 0.0;
+    for (const StreamStepMetrics& sm : metrics) {
+      sim += sm.phase_seconds[phase].sim;
+    }
+    EXPECT_GT(sim, 0.0) << StepPhaseName(phase);
+  }
+  ExpectPhaseTableMatchesTrace(metrics, tracer);
 }
 
 TEST(TracerOverheadTest, DisabledHooksRecordAndAllocateNothing) {

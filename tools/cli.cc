@@ -11,10 +11,8 @@
 #include "kernels/kernels.h"
 #include "ingest/event_log.h"
 #include "ingest/ingest_session.h"
-#include "obs/flightrec.h"
-#include "obs/health.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/histogram.h"
+#include "obs/sinks.h"
 #include "serve/query_log.h"
 #include "serve/serve_session.h"
 #include "stream/generator.h"
@@ -387,106 +385,25 @@ Result<std::unique_ptr<ElasticCoordinator>> MakeElasticCoordinator(
       options.parts_per_mode);
 }
 
-/// Observability sinks requested on the command line. The tracer, the
-/// registry, the health monitor and the flight recorder outlive the run
-/// they instrument; their files are written once the command's work is
-/// done. The flight recorder doubles as the process-wide black box while
-/// the sinks are alive, so a DISMASTD_CHECK failure or SIGABRT mid-run
-/// still dumps to --flight-out.
-struct ObsSinks {
-  std::unique_ptr<obs::Tracer> tracer;
-  std::unique_ptr<obs::MetricRegistry> metrics;
-  std::unique_ptr<obs::HealthMonitor> health;
-  std::unique_ptr<obs::FlightRecorder> flight;
-  std::string trace_path;
-  std::string metrics_path;
-  std::string flight_path;
-
-  ~ObsSinks() {
-    if (flight != nullptr) obs::FlightRecorder::InstallGlobal(nullptr, "");
+/// Opens the observability sinks requested on the command line
+/// (--trace-out/--trace-detail, --metrics-out, --slo, --flight-out) and
+/// attaches them to `options`. The sinks outlive the run they instrument;
+/// RunSinks::Write writes their files once the command's work is done.
+Status OpenObsSinks(const Args& args, obs::RunSinks* sinks,
+                    DistributedOptions* options) {
+  obs::SinkOptions sink_options;
+  sink_options.trace_path = args.Get("trace-out");
+  if (args.Has("trace-detail")) {
+    sink_options.trace_detail = args.Get("trace-detail");
   }
-};
-
-Status SetUpObsSinks(const Args& args, ObsSinks* sinks) {
-  sinks->trace_path = args.Get("trace-out");
-  sinks->metrics_path = args.Get("metrics-out");
-  sinks->flight_path = args.Get("flight-out");
-  if (!sinks->trace_path.empty()) {
-    obs::TraceDetail detail = obs::TraceDetail::kPhases;
-    if (args.Has("trace-detail")) {
-      Result<obs::TraceDetail> parsed =
-          obs::ParseTraceDetail(args.Get("trace-detail"));
-      if (!parsed.ok()) return parsed.status();
-      detail = parsed.value();
-    }
-    sinks->tracer = std::make_unique<obs::Tracer>(detail);
-  } else if (args.Has("trace-detail")) {
-    return Status::InvalidArgument("--trace-detail needs --trace-out");
-  }
-  if (!sinks->metrics_path.empty()) {
-    sinks->metrics = std::make_unique<obs::MetricRegistry>();
-  }
-  if (args.Has("slo") || !sinks->flight_path.empty()) {
-    // --slo arms the declarative rules; --flight-out alone still gets the
-    // default detectors so a post-mortem carries alert context.
-    obs::HealthOptions health_options;
-    if (args.Has("slo")) {
-      Result<std::vector<obs::SloRule>> rules =
-          obs::ParseSloSpec(args.Get("slo"));
-      if (!rules.ok()) return rules.status();
-      health_options.slo = std::move(rules).value();
-    }
-    sinks->health = std::make_unique<obs::HealthMonitor>(health_options);
-  }
-  if (!sinks->flight_path.empty()) {
-    sinks->flight = std::make_unique<obs::FlightRecorder>();
-    obs::FlightRecorder::InstallGlobal(sinks->flight.get(),
-                                       sinks->flight_path);
-  }
-  return Status::OK();
-}
-
-Status WriteObsSinks(const ObsSinks& sinks, std::ostream& out) {
-  if (sinks.tracer != nullptr) {
-    DISMASTD_RETURN_IF_ERROR(
-        sinks.tracer->WriteChromeTraceFile(sinks.trace_path));
-    out << "trace written to " << sinks.trace_path << " ("
-        << sinks.tracer->event_count() << " events";
-    if (sinks.tracer->dropped_events() > 0) {
-      out << ", " << sinks.tracer->dropped_events() << " dropped";
-    }
-    out << ")\n";
-    const obs::HistogramSummary spans =
-        obs::Summarize(sinks.tracer->span_duration_nanos(), 1e-3);  // -> us
-    if (spans.count > 0) {
-      out << "span durations (us): " << obs::FormatSummaryRow(spans) << "\n";
-    }
-  }
-  if (sinks.health != nullptr) {
-    if (sinks.metrics != nullptr) {
-      sinks.health->PublishTo(sinks.metrics.get());
-    }
-    const std::string alerts = sinks.health->AlertsToString();
-    if (!alerts.empty()) {
-      out << alerts;
-    } else {
-      out << "health alerts: none\n";
-    }
-  }
-  if (sinks.metrics != nullptr) {
-    DISMASTD_RETURN_IF_ERROR(
-        sinks.metrics->WritePrometheusFile(sinks.metrics_path));
-    out << "metrics written to " << sinks.metrics_path << " ("
-        << sinks.metrics->NumSeries() << " series)\n";
-  }
-  if (sinks.flight != nullptr) {
-    DISMASTD_RETURN_IF_ERROR(
-        sinks.flight->DumpFile(sinks.flight_path, "exit"));
-    out << "flight recorder dumped to " << sinks.flight_path << " ("
-        << std::min<uint64_t>(sinks.flight->frames_total(),
-                              obs::FlightRecorder::kCapacity)
-        << " frames)\n";
-  }
+  sink_options.metrics_path = args.Get("metrics-out");
+  if (args.Has("slo")) sink_options.slo = args.Get("slo");
+  sink_options.flight_path = args.Get("flight-out");
+  DISMASTD_RETURN_IF_ERROR(sinks->Open(sink_options));
+  options->tracer = sinks->tracer();
+  options->metrics = sinks->metrics();
+  options->health = sinks->health();
+  options->flight = sinks->flight();
   return Status::OK();
 }
 
@@ -709,12 +626,8 @@ Status CmdStreamIngest(const Args& args, std::ostream& out) {
   Result<DistributedOptions> options_result = GetDistributedOptions(args);
   if (!options_result.ok()) return options_result.status();
   DistributedOptions decompose = options_result.value();
-  ObsSinks obs_sinks;
-  DISMASTD_RETURN_IF_ERROR(SetUpObsSinks(args, &obs_sinks));
-  decompose.tracer = obs_sinks.tracer.get();
-  decompose.metrics = obs_sinks.metrics.get();
-  decompose.health = obs_sinks.health.get();
-  decompose.flight = obs_sinks.flight.get();
+  obs::RunSinks obs_sinks;
+  DISMASTD_RETURN_IF_ERROR(OpenObsSinks(args, &obs_sinks, &decompose));
 
   Result<ingest::EventLogReader> log =
       ingest::EventLogReader::OpenFile(args.Get("ingest"));
@@ -779,7 +692,7 @@ Status CmdStreamIngest(const Args& args, std::ostream& out) {
         WriteStreamCheckpointFile(run.value().checkpoint, checkpoint_path));
     out << "checkpoint written to " << checkpoint_path << "\n";
   }
-  return WriteObsSinks(obs_sinks, out);
+  return obs_sinks.Write(out);
 }
 
 Status CmdStream(const Args& args, std::ostream& out) {
@@ -787,12 +700,8 @@ Status CmdStream(const Args& args, std::ostream& out) {
   Result<DistributedOptions> options_result = GetDistributedOptions(args);
   if (!options_result.ok()) return options_result.status();
   DistributedOptions options = options_result.value();
-  ObsSinks obs_sinks;
-  DISMASTD_RETURN_IF_ERROR(SetUpObsSinks(args, &obs_sinks));
-  options.tracer = obs_sinks.tracer.get();
-  options.metrics = obs_sinks.metrics.get();
-  options.health = obs_sinks.health.get();
-  options.flight = obs_sinks.flight.get();
+  obs::RunSinks obs_sinks;
+  DISMASTD_RETURN_IF_ERROR(OpenObsSinks(args, &obs_sinks, &options));
   Result<MethodKind> method_kind = ParseMethodKind(args.Get("method", "dismastd"));
   if (!method_kind.ok()) return method_kind.status();
   const MethodKind method = method_kind.value();
@@ -841,23 +750,28 @@ Status CmdStream(const Args& args, std::ostream& out) {
     out << line << "\n";
   }
 
-  // Per-phase simulated-time breakdown across the whole stream.
-  double total_s = 0.0, part_s = 0.0, mttkrp_s = 0.0, gram_s = 0.0,
-         loss_s = 0.0;
+  // Where the stream's seconds went: each step's phase table summed over
+  // the steps. The sim column sums to the total row; the wall total is the
+  // steps' whole wall time, which also holds the work between phases.
+  StepPhaseTable phases;
+  double total_sim = 0.0, total_wall = 0.0;
   for (const StreamStepMetrics& m : metrics) {
-    total_s += m.sim_seconds_total;
-    part_s += m.sim_seconds_partitioning;
-    mttkrp_s += m.sim_seconds_mttkrp_update;
-    gram_s += m.sim_seconds_gram_reduce;
-    loss_s += m.sim_seconds_loss;
+    for (StepPhase phase : kStepPhases) {
+      phases[phase].sim += m.phase_seconds[phase].sim;
+      phases[phase].wall += m.phase_seconds[phase].wall;
+    }
+    total_sim += m.sim_seconds_total;
+    total_wall += m.wall_seconds;
   }
-  char phase_line[160];
-  std::snprintf(phase_line, sizeof(phase_line),
-                "sim phases: total %.4fs = partition %.4fs + mttkrp+solve "
-                "%.4fs + gram-reduce %.4fs + loss %.4fs + other %.4fs",
-                total_s, part_s, mttkrp_s, gram_s, loss_s,
-                total_s - part_s - mttkrp_s - gram_s - loss_s);
-  out << phase_line << "\n";
+  out << "phase          sim_s     wall_s\n";
+  const auto phase_row = [&](const char* name, double sim, double wall) {
+    std::snprintf(line, sizeof(line), "%-14s %-9.4f %.4f", name, sim, wall);
+    out << line << "\n";
+  };
+  for (StepPhase phase : kStepPhases) {
+    phase_row(StepPhaseName(phase), phases[phase].sim, phases[phase].wall);
+  }
+  phase_row("total", total_sim, total_wall);
 
   if (coordinator != nullptr) {
     // Elastic rollup: cumulative activity plus the per-step imbalance the
@@ -900,7 +814,7 @@ Status CmdStream(const Args& args, std::ostream& out) {
         WriteStreamCheckpointFile(checkpoint, checkpoint_path));
     out << "checkpoint written to " << checkpoint_path << "\n";
   }
-  return WriteObsSinks(obs_sinks, out);
+  return obs_sinks.Write(out);
 }
 
 /// Decompose-and-serve: streams the input tensor through the chosen
@@ -912,12 +826,8 @@ Status CmdServeBench(const Args& args, std::ostream& out) {
   Result<DistributedOptions> options_result = GetDistributedOptions(args);
   if (!options_result.ok()) return options_result.status();
   DistributedOptions options = options_result.value();
-  ObsSinks obs_sinks;
-  DISMASTD_RETURN_IF_ERROR(SetUpObsSinks(args, &obs_sinks));
-  options.tracer = obs_sinks.tracer.get();
-  options.metrics = obs_sinks.metrics.get();
-  options.health = obs_sinks.health.get();
-  options.flight = obs_sinks.flight.get();
+  obs::RunSinks obs_sinks;
+  DISMASTD_RETURN_IF_ERROR(OpenObsSinks(args, &obs_sinks, &options));
   Result<MethodKind> method_kind =
       ParseMethodKind(args.Get("method", "dismastd"));
   if (!method_kind.ok()) return method_kind.status();
@@ -956,7 +866,7 @@ Status CmdServeBench(const Args& args, std::ostream& out) {
   session_options.store.servable.lsh.bits =
       static_cast<size_t>(bits.value());
   session_options.num_query_threads = options.execution.num_threads;
-  session_options.tracer = obs_sinks.tracer.get();
+  session_options.tracer = obs_sinks.tracer();
   serve::ServeSession session(session_options);
 
   const std::string warm_path = args.Get("warm-checkpoint");
@@ -1005,11 +915,11 @@ Status CmdServeBench(const Args& args, std::ostream& out) {
   // ns -> ms) into the health monitor. Wall-clock signal: useful for SLO
   // rules, never part of the determinism contract.
   StreamStepObserver observer = session.PublishObserver();
-  if (obs::Active(obs_sinks.health.get())) {
+  if (obs::Active(obs_sinks.health())) {
     observer = [publish = session.PublishObserver(),
-                health = obs_sinks.health.get(),
+                health = obs_sinks.health(),
                 metrics = &session.metrics(),
-                tracer = obs_sinks.tracer.get()](
+                tracer = obs_sinks.tracer()](
                    const StreamStepMetrics& sm, const KruskalTensor& factors) {
       publish(sm, factors);
       const obs::Pow2Histogram& h =
@@ -1054,11 +964,11 @@ Status CmdServeBench(const Args& args, std::ostream& out) {
   }
   out << "\n";
   out << session.metrics().Report().ToString();
-  if (obs_sinks.metrics != nullptr) {
-    session.metrics().PublishTo(obs_sinks.metrics.get());
-    session.store().PublishTo(obs_sinks.metrics.get());
+  if (obs_sinks.metrics() != nullptr) {
+    session.metrics().PublishTo(obs_sinks.metrics());
+    session.store().PublishTo(obs_sinks.metrics());
   }
-  return WriteObsSinks(obs_sinks, out);
+  return obs_sinks.Write(out);
 }
 
 Status CmdPartitionStats(const Args& args, std::ostream& out) {

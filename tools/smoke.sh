@@ -56,7 +56,8 @@ fi
 # SLO rules armed and the flight recorder on. The run survives, the flight
 # dump is valid schema-tagged JSON whose frames carry the crash step and
 # live alert counts, and the alert instants in the trace land inside their
-# step spans (validate_trace.py checks).
+# step spans (validate_trace.py checks). The registry's per-phase sim-second
+# gauges must equal the trace's phase spans, recovery included.
 section health
 "${cli}" generate --output smoke.tns \
   --dims 60x40x20 --nnz 6000 --rank 3 --seed 11
@@ -65,7 +66,7 @@ section health
   --fault-plan "drop=0.05,crash=1@2,superstep=10,seed=17" \
   --recovery degraded \
   --slo "step_sim_seconds<0,retransmitted_bytes<1" \
-  --trace-out trace.json --flight-out flight.json
+  --trace-out trace.json --flight-out flight.json --metrics-out metrics.prom
 python3 - <<'EOF'
 import json
 dump = json.load(open("flight.json"))
@@ -82,7 +83,7 @@ assert frames[-1]["last_alert"], frames[-1]
 print(f"flight dump OK: {len(frames)} frames, crash at step 2, "
       f"{frames[-1]['alerts_total']} alerts live at exit")
 EOF
-python3 "${validate_trace}" trace.json
+python3 "${validate_trace}" trace.json --metrics metrics.prom
 
 # Elastic: a scaled-down bench/skew_drift run. The bench's own assertions
 # are the gate: the static partition must degrade past 2x max/avg busy
@@ -123,7 +124,10 @@ EOF
 # Ingest: export a tensor as a TEVT event log and replay it with two
 # producers under both ingest policies. Each replay's trace must validate
 # (for the continuous one, cwin_update / cwin_stitch spans tile the publish
-# steps) and its metric families must reach the Prometheus dump. Then a
+# steps) and its metric families must reach the Prometheus dump. The batch
+# replay's phase gauges must also match its trace; the continuous one's
+# cannot, because each stitch publishes the inner decomposition's phase
+# gauges while its trace shows the stitch as one cwin_stitch span. Then a
 # scaled-down bench/ingest_throughput sweep: its barrier-driven rows replay
 # one log with 1, 2, 4 and 8 producers, and their batch-sequence
 # fingerprint must be identical (the determinism contract).
@@ -136,7 +140,7 @@ section ingest
 "${cli}" stream --ingest smoke.tevt \
   --workers 4 --rank 3 --iterations 3 --producers 2 \
   --trace-out trace.json --metrics-out metrics.prom
-python3 "${validate_trace}" trace.json
+python3 "${validate_trace}" trace.json --metrics metrics.prom
 grep -q '^dismastd_ingest_' metrics.prom
 "${cli}" stream --ingest smoke.tevt \
   --ingest-mode continuous --rank 3 --producers 2 \

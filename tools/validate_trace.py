@@ -15,13 +15,22 @@ Checks, per lane (pid, tid):
     matches the summed duration of the top-level stream-step spans within
     the given tolerance (default 1%).
 
+With --metrics FILE (the same run's --metrics-out Prometheus dump), also
+checks that the registry agrees with the trace: each
+dismastd_core_sim_seconds{phase=P} gauge equals the summed 'phase' spans
+named P, the phase="total" gauge equals the summed stream-step spans, and
+every phase span name has a gauge. Values agree within the export's
+rounding: each timestamp is printed to 1e-3 us, plus 1e-9 relative.
+
 Usage: validate_trace.py TRACE.json [--tolerance 0.01] [--require-phases]
+                         [--metrics METRICS.prom]
 
 Exit status 0 on a valid trace, 1 (with a message) otherwise.
 """
 
 import argparse
 import json
+import re
 import sys
 
 REQUIRED_KEYS = {"ph", "pid", "ts"}
@@ -53,6 +62,40 @@ def fail(message):
     sys.exit(1)
 
 
+PHASE_GAUGE = re.compile(
+    r'^dismastd_core_sim_seconds\{phase="([^"]*)"\} (\S+)$')
+
+
+def check_phase_gauges(path, phase_spans, step_spans_us):
+    """Fails unless the phase gauges in the Prometheus dump at `path` match
+    the trace. `phase_spans` maps a phase name to [summed us, span count];
+    `step_spans_us` lists the stream-step span durations."""
+    gauges = {}
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for line in f:
+                match = PHASE_GAUGE.match(line.strip())
+                if match:
+                    gauges[match.group(1)] = float(match.group(2)) * 1e6
+    except OSError as error:
+        fail(f"cannot load {path}: {error}")
+    if "total" not in gauges:
+        fail(f"{path} has no dismastd_core_sim_seconds{{phase=\"total\"}}")
+    expected = {"total": [sum(step_spans_us), len(step_spans_us)]}
+    expected.update(phase_spans)
+    for name in sorted(phase_spans.keys() - gauges.keys()):
+        fail(f"phase span {name!r} has no dismastd_core_sim_seconds gauge")
+    for name, gauge_us in sorted(gauges.items()):
+        trace_us, count = expected.get(name, [0.0, 0])
+        tolerance = 1e-3 * count + 1e-9 * max(abs(gauge_us), abs(trace_us))
+        if abs(gauge_us - trace_us) > tolerance:
+            fail(
+                f"gauge phase={name!r} reads {gauge_us:.3f} us but the trace "
+                f"sums to {trace_us:.3f} us (tolerance {tolerance:.3f} us)"
+            )
+    return len(gauges)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", help="Chrome trace-event JSON file")
@@ -67,6 +110,11 @@ def main():
         action="store_true",
         help="fail if the trace has no 'phase'-category spans (i.e. was "
         "recorded below --trace-detail phases)",
+    )
+    parser.add_argument(
+        "--metrics",
+        help="the same run's Prometheus dump; check its "
+        "dismastd_core_sim_seconds gauges against the trace",
     )
     args = parser.parse_args()
 
@@ -87,7 +135,9 @@ def main():
     open_spans = {}  # (pid, tid) -> stack of B events
     last_ts = {}  # (pid, tid) -> last timestamp seen
     phase_us = 0.0
+    phase_spans = {}  # phase name -> [summed us, span count]
     step_us = 0.0
+    step_spans_us = []
     category_us = {}
     n_spans = 0
     step_spans = {}  # step number -> (begin_ts, end_ts)
@@ -162,10 +212,14 @@ def main():
             category_us[category] = category_us.get(category, 0.0) + duration
             if category == "phase":
                 phase_us += duration
+                entry = phase_spans.setdefault(begin["name"], [0.0, 0])
+                entry[0] += duration
+                entry[1] += 1
             if category == "stream" and begin.get("name", "").startswith(
                 "step "
             ):
                 step_us += duration
+                step_spans_us.append(duration)
                 try:
                     step_number = int(begin["name"].split()[1])
                 except (IndexError, ValueError):
@@ -229,6 +283,11 @@ def main():
                 f"{args.tolerance * 100:.2f}%)"
             )
 
+    gauges_checked = ""
+    if args.metrics:
+        checked = check_phase_gauges(args.metrics, phase_spans, step_spans_us)
+        gauges_checked = f"; {checked} phase gauges match the trace"
+
     summary = ", ".join(
         f"{cat or '<none>'}={us / 1e6:.4f}s"
         for cat, us in sorted(category_us.items())
@@ -236,7 +295,7 @@ def main():
     print(
         f"validate_trace: OK: {len(events)} events, {n_spans} sim spans, "
         f"{len(alerts)} alert instants, {len(sim_lanes_named)} sim lanes; "
-        f"per-category sim seconds: {summary}"
+        f"per-category sim seconds: {summary}{gauges_checked}"
     )
 
 
