@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -329,8 +330,9 @@ int RunKernelSweep(const std::string& path) {
   for (double& w : weights) w = rng.NextDouble(-1.0, 1.0);
   std::vector<double> scores(kCandidates);
 
-  // Hamming inputs: 120,000 random codes at the widest width swept; the
-  // narrower sweeps read a prefix of them.
+  // Hamming inputs: 120,000 distinct random codes of one row each, at the
+  // widest width swept (the narrower sweeps read a prefix of them) — the
+  // worst case for the grouped index, which scans a code per row.
   constexpr size_t kCodeRows = 120000;
   constexpr size_t kShortlist = 1000;
   constexpr size_t kMaxWords = 4;
@@ -338,8 +340,11 @@ int RunKernelSweep(const std::string& path) {
   std::vector<uint64_t> code_query(kMaxWords);
   for (uint64_t& c : codes) c = rng.NextU64();
   for (uint64_t& q : code_query) q = rng.NextU64();
-  std::vector<uint32_t> dists(kCodeRows);
-  std::vector<uint32_t> shortlist(kShortlist);
+  std::vector<uint32_t> code_offsets(kCodeRows + 1);
+  std::iota(code_offsets.begin(), code_offsets.end(), 0u);
+  std::vector<uint16_t> dists(kCodeRows);
+  std::vector<uint32_t> below(kCodeRows + 1);
+  std::vector<uint32_t> at(kCodeRows + 1);
 
   for (size_t b = 0; b < kernels::kNumBackends; ++b) {
     const auto backend = static_cast<kernels::Backend>(b);
@@ -410,15 +415,19 @@ int RunKernelSweep(const std::string& path) {
     for (const auto& [words, width] : kWidths) {
       constexpr size_t kReps = 64;
       const double secs = TimeSeconds(kReps, [&] {
-        kern.hamming_shortlist(codes.data(), kCodeRows, words,
-                               code_query.data(), kShortlist, dists.data(),
-                               shortlist.data());
-        benchmark::DoNotOptimize(shortlist.data());
+        const kernels::CodeGroups groups{codes.data(), kCodeRows, words,
+                                         code_offsets.data(), nullptr, 0};
+        const kernels::ShortlistCut cut =
+            kern.hamming_shortlist(groups, code_query.data(), kShortlist,
+                                   dists.data(), below.data(), at.data());
+        benchmark::DoNotOptimize(cut);
+        benchmark::DoNotOptimize(below.data());
+        benchmark::ClobberMemory();
       });
       const double items = static_cast<double>(kCodeRows) * kReps;
-      // Each row's code words and its distance.
+      // Each code's words and its distance.
       const double bytes =
-          items * (words * sizeof(uint64_t) + sizeof(uint32_t));
+          items * (words * sizeof(uint64_t) + sizeof(uint16_t));
       EmitSweepRow(csv, "hamming", backend, width, 0, items, secs, bytes);
     }
   }

@@ -1,6 +1,7 @@
 #include "ann/lsh_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <numeric>
@@ -26,14 +27,89 @@ double AugCoordinate(double norm_sq, double aug_norm) {
   return rest > 0.0 ? std::sqrt(rest) : 0.0;
 }
 
+/// splitmix64's finalizer folded over a code's words.
+uint64_t HashCode(const uint64_t* code, size_t words) {
+  uint64_t h = 0;
+  for (size_t w = 0; w < words; ++w) {
+    h ^= code[w];
+    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
+    h ^= h >> 31;
+  }
+  return h;
+}
+
+/// Groups `mode`'s rows by code, given every row's code (`row_codes`,
+/// num_rows * words). Code ids go out in first-row order through an
+/// open-addressing table from code words to ids, sized for every row to
+/// have its own code; a slot holds the upper half of the code's hash
+/// beside the id, so most mismatches never read the code. The table is
+/// larger than the caches once codes are mostly distinct, so each row's
+/// slot is prefetched kAhead rows early. A counting sort by id then lists
+/// each group's rows in ascending order. O(rows).
+void GroupRows(const uint64_t* row_codes, LshModeIndex* mode) {
+  constexpr uint64_t kEmpty = ~uint64_t{0};
+  constexpr size_t kAhead = 8;
+  const size_t words = mode->words;
+  const size_t num_rows = mode->num_rows;
+  std::vector<uint64_t> slots(std::bit_ceil(std::max<size_t>(64, 2 * num_rows)),
+                              kEmpty);
+  const size_t mask = slots.size() - 1;
+  // hashes[r % kAhead] holds row r's hash from when its slot was
+  // prefetched.
+  uint64_t hashes[kAhead];
+  const auto hash_ahead = [&](size_t r) {
+    if (r >= num_rows) return;
+    hashes[r % kAhead] = HashCode(row_codes + r * words, words);
+    __builtin_prefetch(&slots[hashes[r % kAhead] & mask]);
+  };
+  for (size_t r = 0; r < kAhead; ++r) hash_ahead(r);
+  mode->row_code.resize(num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    const uint64_t* code = row_codes + r * words;
+    const uint64_t hash = hashes[r % kAhead];
+    hash_ahead(r + kAhead);
+    size_t s = hash & mask;
+    for (; slots[s] != kEmpty; s = (s + 1) & mask) {
+      const uint32_t id = static_cast<uint32_t>(slots[s]);
+      if ((slots[s] >> 32) == (hash >> 32) &&
+          std::equal(code, code + words, mode->Code(id))) {
+        break;
+      }
+    }
+    if (slots[s] == kEmpty) {
+      slots[s] = (hash >> 32 << 32) | mode->num_codes++;
+      mode->codes.insert(mode->codes.end(), code, code + words);
+    }
+    mode->row_code[r] = static_cast<uint32_t>(slots[s]);
+  }
+
+  mode->group_start.assign(mode->num_codes + 1, 0);
+  for (uint32_t g : mode->row_code) ++mode->group_start[g + 1];
+  for (uint32_t g = 0; g < mode->num_codes; ++g) {
+    if (mode->group_start[g + 1] > 1) mode->multi_codes.push_back(g);
+    mode->group_start[g + 1] += mode->group_start[g];
+  }
+  std::vector<uint32_t> next(mode->group_start.begin(),
+                             mode->group_start.end() - 1);
+  mode->group_rows.resize(num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    mode->group_rows[next[mode->row_code[r]]++] = static_cast<uint32_t>(r);
+  }
+}
+
 /// This thread's Shortlist scratch, reused across queries (grown, never
 /// shrunk, like the kernels' LaneBuffer), so a query allocates only its
-/// answer: the query's augmented vector and code, and every row's
-/// distance.
+/// answer: the query's augmented vector and code, every code's distance,
+/// the chosen codes, and a one-bit-per-row bitmap that is all zero
+/// between queries.
 struct ShortlistScratch {
   std::vector<double> aug;
   std::vector<uint64_t> qcode;
-  std::vector<uint32_t> dists;
+  std::vector<uint16_t> dists;
+  std::vector<uint32_t> below;
+  std::vector<uint32_t> at;
+  std::vector<uint64_t> row_bits;
 };
 
 ShortlistScratch& ThreadScratch() {
@@ -41,11 +117,84 @@ ShortlistScratch& ThreadScratch() {
   return scratch;
 }
 
+/// The rows of a shortlist's chosen codes as bits of a row bitmap, and the
+/// range [lo, hi] of words that hold them.
+struct RowBits {
+  uint64_t* bits;
+  size_t lo = SIZE_MAX;
+  size_t hi = 0;
+
+  /// Sets the first `cap` rows of each listed code of `mode`; returns the
+  /// number set. The codes lie scattered over the index, so the group
+  /// bounds and first rows of the codes kAhead and kAhead / 2 places on
+  /// are prefetched.
+  size_t Mark(const LshModeIndex& mode, const uint32_t* list, size_t count,
+              size_t cap) {
+    constexpr size_t kAhead = 16;
+    const uint32_t* start = mode.group_start.data();
+    const uint32_t* rows = mode.group_rows.data();
+    size_t marked = 0;
+    for (size_t i = 0; i < count; ++i) {
+      if (i + kAhead < count) __builtin_prefetch(start + list[i + kAhead]);
+      if (i + kAhead / 2 < count) {
+        __builtin_prefetch(rows + start[list[i + kAhead / 2]]);
+      }
+      const uint32_t* first = rows + start[list[i]];
+      const uint32_t* last =
+          first + std::min<size_t>(start[list[i] + 1] - start[list[i]], cap);
+      lo = std::min<size_t>(lo, *first / 64);
+      hi = std::max<size_t>(hi, last[-1] / 64);
+      marked += static_cast<size_t>(last - first);
+      for (; first != last; ++first) {
+        bits[*first / 64] |= uint64_t{1} << (*first % 64);
+      }
+    }
+    return marked;
+  }
+
+  /// Clears every set bit after the lowest `keep` (> 0, at most the bits
+  /// set).
+  void KeepLowest(size_t keep) {
+    size_t w = lo;
+    for (;; ++w) {
+      const size_t set = static_cast<size_t>(__builtin_popcountll(bits[w]));
+      if (set >= keep) break;
+      keep -= set;
+    }
+    uint64_t word = bits[w];
+    for (; keep > 1; --keep) word &= word - 1;
+    bits[w] &= ((word & (0 - word)) << 1) - 1;  // through the keep-th bit
+    std::fill(bits + w + 1, bits + hi + 1, uint64_t{0});
+    hi = w;
+  }
+
+  /// Writes the set rows to `out` in ascending order, clearing the bitmap;
+  /// returns the number written. Every word stores once, even an empty
+  /// one (the next row overwrites that slot), so the sparse words of a
+  /// scattered shortlist cost no mispredicted branch: `out` needs one slot
+  /// beyond the rows.
+  size_t Drain(uint32_t* out) {
+    constexpr uint64_t kTop = uint64_t{1} << 63;
+    size_t taken = 0;
+    for (size_t w = lo; w <= hi; ++w) {
+      uint64_t word = bits[w];
+      bits[w] = 0;
+      do {
+        out[taken] =
+            static_cast<uint32_t>(w * 64 + __builtin_ctzll(word | kTop));
+        taken += word != 0;
+        word &= word - 1;
+      } while (word != 0);
+    }
+    return taken;
+  }
+};
+
 }  // namespace
 
 LshHyperplanes::LshHyperplanes(size_t bits, size_t rank, uint64_t seed)
     : bits_(bits), rank_(rank), seed_(seed) {
-  DISMASTD_CHECK(bits >= 1);
+  DISMASTD_CHECK(bits >= 1 && bits <= kMaxLshBits);
   Rng rng(seed);
   planes_ = Matrix::RandomGaussian(bits, rank + 1, rng);
 }
@@ -93,12 +242,13 @@ std::shared_ptr<const AnnIndex> AnnIndex::Build(
   index->modes_.resize(factors.order());
   std::vector<double> aug(rank + 1, 0.0);
   std::vector<double> norms_sq;
+  std::vector<uint64_t> row_codes;
   for (size_t m = 0; m < factors.order(); ++m) {
     const Matrix& f = factors.factor(m);
     LshModeIndex& mode = index->modes_[m];
     mode.num_rows = f.rows();
+    DISMASTD_CHECK(mode.num_rows <= UINT32_MAX);
     mode.words = num_words;
-    mode.codes.assign(mode.num_rows * num_words, 0);
 
     norms_sq.resize(mode.num_rows);
     double max_norm_sq = 0.0;
@@ -123,21 +273,23 @@ std::shared_ptr<const AnnIndex> AnnIndex::Build(
     }
     mode.aug_norm = prev_mode != nullptr ? prev_mode->aug_norm : fresh_norm;
 
+    row_codes.resize(mode.num_rows * num_words);
     for (size_t r = 0; r < mode.num_rows; ++r) {
       const double* row = f.RowPtr(r);
+      uint64_t* code = row_codes.data() + r * num_words;
       if (prev_mode != nullptr && r < prev_mode->num_rows &&
           std::memcmp(row, prev_factor->RowPtr(r), rank * sizeof(double)) ==
               0) {
-        std::memcpy(mode.codes.data() + r * num_words, prev_mode->RowCode(r),
-                    num_words * sizeof(uint64_t));
+        std::memcpy(code, prev_mode->RowCode(r), num_words * sizeof(uint64_t));
         ++mode.reused_rows;
         continue;
       }
       std::memcpy(aug.data(), row, rank * sizeof(double));
       aug[rank] = AugCoordinate(norms_sq[r], mode.aug_norm);
-      planes.Encode(aug.data(), mode.codes.data() + r * num_words);
+      planes.Encode(aug.data(), code);
       ++mode.hashed_rows;
     }
+    GroupRows(row_codes.data(), &mode);
   }
   return index;
 }
@@ -173,17 +325,34 @@ std::vector<uint32_t> AnnIndex::Shortlist(size_t mode_index,
   scratch.qcode.resize(mode.words);
   planes_.Encode(scratch.aug.data(), scratch.qcode.data());
 
-  // The kernel's counting-select (kernels.h): every row strictly below
-  // the cut-off distance plus the lowest-indexed ties at it, ascending —
-  // a pure function of (index bytes, weights), whatever the backend.
-  if (scratch.dists.size() < mode.num_rows) {
-    scratch.dists.resize(mode.num_rows);
+  // The kernel's counting-select over the distinct codes (kernels.h): the
+  // cut-off c, the rows below it, and the codes below and at it.
+  if (scratch.dists.size() < mode.num_codes) {
+    scratch.dists.resize(mode.num_codes);
+    scratch.below.resize(mode.num_codes + 1);
+    scratch.at.resize(mode.num_codes + 1);
   }
-  std::vector<uint32_t> shortlist(shortlist_size);
-  kernels::Get().hamming_shortlist(mode.codes.data(), mode.num_rows,
-                                   mode.words, scratch.qcode.data(),
-                                   shortlist_size, scratch.dists.data(),
-                                   shortlist.data());
+  scratch.row_bits.resize(
+      std::max(scratch.row_bits.size(), (mode.num_rows + 63) / 64));
+  const kernels::ShortlistCut cut = kernels::Get().hamming_shortlist(
+      mode.Groups(), scratch.qcode.data(), shortlist_size,
+      scratch.dists.data(), scratch.below.data(), scratch.at.data());
+
+  // Expand codes to rows: the rows at c first, trimmed to their lowest
+  // `ties`, then every row below c; read out in row order. Only the first
+  // `ties` rows of the first `ties` codes at c can be kept: a code's rows
+  // ascend, and in first-row order the k-th code at c has k codes at c
+  // with lower first rows.
+  const size_t ties = shortlist_size - cut.rows_below;
+  RowBits rows{scratch.row_bits.data()};
+  if (rows.Mark(mode, scratch.at.data(), std::min(cut.num_at, ties), ties) >
+      ties) {
+    rows.KeepLowest(ties);
+  }
+  rows.Mark(mode, scratch.below.data(), cut.num_below, mode.num_rows);
+  std::vector<uint32_t> shortlist(shortlist_size + 1);
+  DISMASTD_CHECK(rows.Drain(shortlist.data()) == shortlist_size);
+  shortlist.pop_back();
   return shortlist;
 }
 

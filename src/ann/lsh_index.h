@@ -10,10 +10,11 @@
 //
 //   1. shortlist: sign-bit codes (random-hyperplane LSH, the simhash of
 //      Charikar 2002 / faiss IndexLSH as used by marian's output-layer
-//      shortlist) are scanned by Hamming distance — 64..256 bits per row
-//      instead of R doubles, an order of magnitude less memory traffic —
-//      and the `shortlist_size` nearest codes are selected by an exact
-//      counting-select (no heap, deterministic index tie-breaking);
+//      shortlist) are scanned by Hamming distance — 64..256 bits per
+//      distinct code instead of R doubles per row, an order of magnitude
+//      less memory traffic — and the `shortlist_size` nearest rows are
+//      selected by an exact counting-select over the codes' row counts
+//      (no heap, deterministic index tie-breaking);
 //   2. exact re-rank: the caller rescores just the shortlist through the
 //      canonical fp64 top-K dot, so returned scores are bit-identical to
 //      what the brute-force scan would have produced for the same rows.
@@ -29,9 +30,9 @@
 // Determinism contract: hyperplanes are drawn from a seeded Rng; every
 // dot product routes through the dispatched kernel table's fp64 dot
 // kernels (bit-exact across backends); the Hamming scan is integer.
-// Builds are single-pass in row order, so index bytes are bit-identical
-// across thread counts and kernel backends, and an incremental patch
-// (below) is a pure function of the publish history.
+// Builds encode, then group, in row order, so index bytes are
+// bit-identical across thread counts and kernel backends, and an
+// incremental patch (below) is a pure function of the publish history.
 //
 // Incremental patch rule: on publish t+1, a row keeps its code iff its
 // fp64 bytes are unchanged from publish t AND the mode's augmentation
@@ -45,15 +46,20 @@
 #include <vector>
 
 #include "common/random.h"
+#include "kernels/kernels.h"
 #include "la/matrix.h"
 #include "tensor/kruskal.h"
 
 namespace dismastd {
 namespace ann {
 
+/// The widest code: the shortlist's u16 Hamming distances reach
+/// 64 · ceil(bits / 64), which must not pass 65,535.
+inline constexpr size_t kMaxLshBits = 64 * kernels::kMaxCodeWords;
+
 struct LshOptions {
   /// Hyperplanes per row = code width in bits. Rounded storage is
-  /// ceil(bits / 64) u64 words per row. Must be >= 1.
+  /// ceil(bits / 64) u64 words per code. Must be in [1, kMaxLshBits].
   size_t bits = 64;
   /// Seed of the hyperplane draw. Two indexes with the same
   /// (bits, rank, seed) share hyperplanes, which is what makes codes
@@ -90,22 +96,44 @@ class LshHyperplanes {
   Matrix planes_;  // bits x (rank + 1)
 };
 
-/// Packed sign codes of one mode's candidate rows plus the augmentation
-/// norm they were hashed under, and the build provenance counters the
-/// serve metrics export.
+/// One mode's packed sign codes, grouped: each distinct code is stored
+/// once with the ascending list of the rows that hash to it. Rows whose
+/// norm is far below the mode's max M get nearly the same augmented
+/// vector, so a skewed factor (untouched all-zero rows, a long tail of
+/// light users) collapses onto a few codes, and the shortlist scans codes
+/// instead of rows. Also holds the augmentation norm the codes were
+/// hashed under, and the build provenance counters the serve metrics
+/// export.
 struct LshModeIndex {
   size_t num_rows = 0;
+  size_t num_codes = 0;
   size_t words = 0;
   /// Max row norm M of the mode at the build that last set it; rows are
   /// hashed as [row, sqrt(M² - ‖row‖²)].
   double aug_norm = 0.0;
-  std::vector<uint64_t> codes;  // num_rows * words, row-major
+  /// The distinct codes, num_codes * words, in the order of the first row
+  /// that has each (first-row order).
+  std::vector<uint64_t> codes;
+  /// Code g's rows are group_rows[group_start[g], group_start[g + 1]), in
+  /// ascending order; the groups partition the rows.
+  std::vector<uint32_t> group_start;  // num_codes + 1
+  std::vector<uint32_t> group_rows;   // num_rows
+  /// The code id of every row.
+  std::vector<uint32_t> row_code;  // num_rows
+  /// The codes with more than one row, ascending: the shortlist counts
+  /// codes and adds these codes' extra rows.
+  std::vector<uint32_t> multi_codes;
 
   /// Build provenance of the most recent (re)build of this mode.
   uint64_t reused_rows = 0;
   uint64_t hashed_rows = 0;
 
-  const uint64_t* RowCode(size_t r) const { return codes.data() + r * words; }
+  const uint64_t* Code(size_t g) const { return codes.data() + g * words; }
+  const uint64_t* RowCode(size_t r) const { return Code(row_code[r]); }
+  kernels::CodeGroups Groups() const {
+    return {codes.data(),       num_codes,         words, group_start.data(),
+            multi_codes.data(), multi_codes.size()};
+  }
 };
 
 /// The per-model ANN index: one LshModeIndex per mode, sharing one

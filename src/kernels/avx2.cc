@@ -439,10 +439,12 @@ inline __m256i AddPairs(__m256i a, __m256i b) {
   return _mm256_permute4x64_epi64(sums, _MM_SHUFFLE(3, 1, 2, 0));
 }
 
-/// The low 32 bits of each 64-bit lane, packed into 128 bits.
-inline __m128i PackLow32(__m256i v) {
-  return _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+/// The four 64-bit lanes of `v`, each below 65,536, as u16s in the low
+/// 64 bits.
+inline __m128i PackLow16(__m256i v) {
+  const __m128i low32 = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
       v, _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6)));
+  return _mm_packus_epi32(low32, low32);
 }
 
 /// Full 4-row blocks of kWords-word codes, kWords in {1, 2, 4}. A block
@@ -451,7 +453,7 @@ inline __m128i PackLow32(__m256i v) {
 /// each row's words into one lane. Returns the number of rows done.
 template <size_t kWords>
 size_t HammingBlocksAvx2(const uint64_t* codes, size_t num_rows,
-                         const uint64_t* query, uint32_t* dists) {
+                         const uint64_t* query, uint16_t* dists) {
   alignas(32) uint64_t pattern[4];
   for (size_t i = 0; i < 4; ++i) pattern[i] = query[i % kWords];
   const __m256i q =
@@ -470,8 +472,8 @@ size_t HammingBlocksAvx2(const uint64_t* codes, size_t num_rows,
         c[v] = AddPairs(c[2 * v], c[2 * v + 1]);
       }
     }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dists + 4 * b),
-                     PackLow32(c[0]));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dists + 4 * b),
+                     PackLow16(c[0]));
   }
   return blocks * 4;
 }
@@ -481,7 +483,7 @@ size_t HammingBlocksAvx2(const uint64_t* codes, size_t num_rows,
 /// lane-wise into one vector, and two AddPairs levels fold the 4 rows'
 /// vectors into one lane each. A partial block stores only its rows.
 void HammingRowsAvx2(const uint64_t* codes, size_t num_rows, size_t words,
-                     const uint64_t* query, uint32_t* dists) {
+                     const uint64_t* query, uint16_t* dists) {
   const size_t chunks = words / 4;
   const __m256i tail = ColumnMask(words % 4);
   const __m256i qtail = _mm256_maskload_epi64(
@@ -508,15 +510,14 @@ void HammingRowsAvx2(const uint64_t* codes, size_t num_rows, size_t words,
     }
     const __m256i sums =
         AddPairs(AddPairs(acc[0], acc[1]), AddPairs(acc[2], acc[3]));
-    const __m128i store = _mm_cmpgt_epi32(
-        _mm_set1_epi32(static_cast<int>(count)), _mm_setr_epi32(0, 1, 2, 3));
-    _mm_maskstore_epi32(reinterpret_cast<int*>(dists + j0), store,
-                        PackLow32(sums));
+    alignas(16) uint16_t packed[8];
+    _mm_store_si128(reinterpret_cast<__m128i*>(packed), PackLow16(sums));
+    std::copy_n(packed, count, dists + j0);
   }
 }
 
 void HammingScanAvx2(const uint64_t* codes, size_t num_rows, size_t words,
-                     const uint64_t* query, uint32_t* dists) {
+                     const uint64_t* query, uint16_t* dists) {
   size_t done = 0;
   switch (words) {
     case 1:
@@ -535,71 +536,77 @@ void HammingScanAvx2(const uint64_t* codes, size_t num_rows, size_t words,
                   dists + done);
 }
 
-/// Lanes of `d` at or below `limit`, as 32-bit all-ones (unsigned compare).
+/// Lanes of `d` at or below `limit`, as 16-bit all-ones (unsigned compare).
 inline __m256i AtOrBelow(__m256i d, __m256i limit) {
-  return _mm256_cmpeq_epi32(_mm256_min_epu32(d, limit), d);
+  return _mm256_cmpeq_epi16(_mm256_min_epu16(d, limit), d);
 }
 
-/// One bit per 32-bit lane of a compare result.
+/// One bit per 16-bit lane of a compare result, in lane order.
 inline uint32_t LaneBits(__m256i mask) {
-  return static_cast<uint32_t>(_mm256_movemask_ps(_mm256_castsi256_ps(mask)));
+  return static_cast<uint32_t>(_mm_movemask_epi8(_mm_packs_epi16(
+      _mm256_castsi256_si128(mask), _mm256_extracti128_si256(mask, 1))));
 }
 
-/// hamming_shortlist's counting pass: the number of rows with
-/// dists[j] <= t, 8 rows per compare.
-size_t CountAtOrBelowAvx2(const uint32_t* dists, size_t num_rows,
+inline __m256i Set1U16(uint32_t t) {
+  return _mm256_set1_epi16(static_cast<short>(static_cast<uint16_t>(t)));
+}
+
+/// hamming_shortlist's counting pass: the codes with dists[g] <= t, 16
+/// per compare, counted by popcounts of the compare masks.
+size_t CountAtOrBelowAvx2(const uint16_t* dists, size_t num_codes,
                           uint32_t t) {
-  const __m256i limit = _mm256_set1_epi32(static_cast<int>(t));
-  __m256i counts = _mm256_setzero_si256();
-  size_t j = 0;
-  for (; j + 8 <= num_rows; j += 8) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dists + j));
-    counts = _mm256_sub_epi32(counts, AtOrBelow(d, limit));
-  }
-  alignas(32) uint32_t lanes[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), counts);
+  const __m256i limit = Set1U16(t);
   size_t total = 0;
-  for (uint32_t c : lanes) total += c;
-  return total + detail::CountAtOrBelowScalar(dists + j, num_rows - j, t);
-}
-
-/// hamming_shortlist's select: 8 rows per compare; a block with a row at
-/// or below the cut-off writes its kept rows' indices in order.
-void SelectAvx2(const uint32_t* dists, size_t num_rows, uint32_t cutoff,
-                size_t ties, uint32_t* rows) {
-  const __m256i c = _mm256_set1_epi32(static_cast<int>(cutoff));
-  size_t taken = 0;
-  size_t j = 0;
-  for (; j + 8 <= num_rows; j += 8) {
+  size_t g = 0;
+  for (; g + 16 <= num_codes; g += 16) {
     const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dists + j));
-    const uint32_t at_or_below = LaneBits(AtOrBelow(d, c));
-    if (at_or_below == 0) continue;
-    const uint32_t at = LaneBits(_mm256_cmpeq_epi32(d, c));
-    const uint32_t tied = detail::LowestBits(at, ties);
-    ties -= static_cast<size_t>(__builtin_popcount(tied));
-    for (uint32_t keep = (at_or_below & ~at) | tied; keep != 0;
-         keep &= keep - 1) {
-      rows[taken++] = static_cast<uint32_t>(j + __builtin_ctz(keep));
-    }
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dists + g));
+    total += static_cast<size_t>(__builtin_popcount(
+        static_cast<uint32_t>(_mm256_movemask_epi8(AtOrBelow(d, limit)))));
   }
-  detail::SelectScalar(dists + j, j, num_rows - j, cutoff, ties,
-                       rows + taken);
+  // Two mask bits per 16-bit lane.
+  return total / 2 +
+         detail::CountAtOrBelowScalar(dists, g, num_codes - g, t);
 }
 
-void HammingShortlistAvx2(const uint64_t* codes, size_t num_rows,
-                          size_t words, const uint64_t* query, size_t n,
-                          uint32_t* dists, uint32_t* rows) {
-  HammingScanAvx2(codes, num_rows, words, query, dists);
-  if (n == 0) return;
-  size_t below = 0;
-  const uint32_t cutoff = detail::FindCutoff(
+/// hamming_shortlist's select: 64 codes per step, as four compares' masks
+/// of the codes below and at the cut-off, whose set bits AppendBits writes
+/// without a branch per step; the last partial step runs the scalar select.
+void SelectAvx2(const uint16_t* dists, size_t num_codes, uint32_t* below,
+                uint32_t* at, ShortlistCut* cut) {
+  const __m256i c = Set1U16(cut->cutoff);
+  size_t g = 0;
+  for (; g + 64 <= num_codes; g += 64) {
+    uint64_t at_or_below = 0;
+    uint64_t at_c = 0;
+    for (size_t q = 0; q < 4; ++q) {
+      const __m256i d = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(dists + g + 16 * q));
+      at_or_below |= static_cast<uint64_t>(LaneBits(AtOrBelow(d, c)))
+                     << (16 * q);
+      at_c |= static_cast<uint64_t>(LaneBits(_mm256_cmpeq_epi16(d, c)))
+              << (16 * q);
+    }
+    detail::AppendBits(at_or_below & ~at_c, g, below, &cut->num_below);
+    detail::AppendBits(at_c, g, at, &cut->num_at);
+  }
+  detail::SelectScalar(dists, g, num_codes - g, below, at, cut);
+}
+
+ShortlistCut HammingShortlistAvx2(const CodeGroups& groups,
+                                  const uint64_t* query, size_t n,
+                                  uint16_t* dists, uint32_t* below,
+                                  uint32_t* at) {
+  HammingScanAvx2(groups.codes, groups.num_codes, groups.words, query, dists);
+  ShortlistCut cut;
+  if (n == 0) return cut;
+  cut.cutoff = detail::FindCutoff(
       [&](size_t count, uint32_t t) {
         return CountAtOrBelowAvx2(dists, count, t);
       },
-      num_rows, static_cast<uint32_t>(64 * words), n, &below);
-  SelectAvx2(dists, num_rows, cutoff, n - below, rows);
+      groups, dists, n, &cut.rows_below);
+  SelectAvx2(dists, groups.num_codes, below, at, &cut);
+  return cut;
 }
 
 }  // namespace

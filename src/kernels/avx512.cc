@@ -422,67 +422,59 @@ void TopKScoreBlockAvx512(const double* rows, size_t num_rows, size_t rank,
 
 #if defined(DISMASTD_KERNELS_HAVE_VPOPCNTDQ)
 // hamming_shortlist: a VPOPCNTDQ scan, then the counting-select's passes
-// over the distances (plain AVX-512F).
+// over the u16 distances (AVX-512BW).
 
-/// Lanes [0, min(count, 16)) of a 16-lane mask.
-inline __mmask16 RowMask16(size_t count) {
-  return static_cast<__mmask16>(count >= 16 ? 0xFFFF : (1u << count) - 1u);
+/// Lanes [0, min(count, 32)) of a 32-lane mask.
+inline __mmask32 CodeMask32(size_t count) {
+  return static_cast<__mmask32>(count >= 32 ? 0xFFFFFFFFu
+                                            : (1u << count) - 1u);
 }
 
-/// hamming_shortlist's counting pass: the number of rows with
-/// dists[j] <= t, 16 rows per compare.
-size_t CountAtOrBelowAvx512(const uint32_t* dists, size_t num_rows,
+/// hamming_shortlist's counting pass: the codes with dists[g] <= t, 32
+/// per compare, counted by popcounts of the compare masks (two compares'
+/// masks per popcount, then a masked tail).
+size_t CountAtOrBelowAvx512(const uint16_t* dists, size_t num_codes,
                             uint32_t t) {
-  const __m512i limit = _mm512_set1_epi32(static_cast<int>(t));
-  const __m512i one = _mm512_set1_epi32(1);
-  __m512i even = _mm512_setzero_si512();
-  __m512i odd = _mm512_setzero_si512();
-  size_t j = 0;
-  for (; j + 32 <= num_rows; j += 32) {
-    const __mmask16 le0 =
-        _mm512_cmple_epu32_mask(_mm512_loadu_si512(dists + j), limit);
-    const __mmask16 le1 =
-        _mm512_cmple_epu32_mask(_mm512_loadu_si512(dists + j + 16), limit);
-    even = _mm512_mask_add_epi32(even, le0, even, one);
-    odd = _mm512_mask_add_epi32(odd, le1, odd, one);
-  }
-  for (; j < num_rows; j += 16) {
-    const __mmask16 valid = RowMask16(num_rows - j);
-    const __mmask16 le = _mm512_mask_cmple_epu32_mask(
-        valid, _mm512_maskz_loadu_epi32(valid, dists + j), limit);
-    even = _mm512_mask_add_epi32(even, le, even, one);
-  }
-  alignas(64) uint32_t lanes[16];
-  _mm512_store_si512(lanes, _mm512_add_epi32(even, odd));
+  const __m512i limit =
+      _mm512_set1_epi16(static_cast<short>(static_cast<uint16_t>(t)));
+  const auto at_or_below = [&](size_t g) -> uint64_t {
+    return _mm512_cmple_epu16_mask(_mm512_loadu_si512(dists + g), limit);
+  };
   size_t total = 0;
-  for (uint32_t c : lanes) total += c;
+  size_t g = 0;
+  for (; g + 64 <= num_codes; g += 64) {
+    total += static_cast<size_t>(
+        __builtin_popcountll(at_or_below(g) | at_or_below(g + 32) << 32));
+  }
+  for (; g < num_codes; g += 32) {
+    const __mmask32 valid = CodeMask32(num_codes - g);
+    total += static_cast<size_t>(__builtin_popcount(
+        _mm512_mask_cmple_epu16_mask(
+            valid, _mm512_maskz_loadu_epi16(valid, dists + g), limit)));
+  }
   return total;
 }
 
-/// hamming_shortlist's select: 16 rows per compare, the kept rows'
-/// indices compress-stored in order.
-void SelectAvx512(const uint32_t* dists, size_t num_rows, uint32_t cutoff,
-                  size_t ties, uint32_t* rows) {
-  const __m512i c = _mm512_set1_epi32(static_cast<int>(cutoff));
-  const __m512i lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
-                                          11, 12, 13, 14, 15);
-  size_t taken = 0;
-  for (size_t j = 0; j < num_rows; j += 16) {
-    const __mmask16 valid = RowMask16(num_rows - j);
-    const __m512i d = _mm512_maskz_loadu_epi32(valid, dists + j);
-    uint32_t keep = _mm512_mask_cmplt_epu32_mask(valid, d, c);
-    if (ties != 0) {
-      const uint32_t tied = detail::LowestBits(
-          _mm512_mask_cmpeq_epu32_mask(valid, d, c), ties);
-      ties -= static_cast<size_t>(__builtin_popcount(tied));
-      keep |= tied;
+/// hamming_shortlist's select: 64 codes per step, as two compares' masks
+/// of the codes below and at the cut-off, whose set bits AppendBits writes
+/// without a branch per step.
+void SelectAvx512(const uint16_t* dists, size_t num_codes, uint32_t* below,
+                  uint32_t* at, ShortlistCut* cut) {
+  const __m512i c = _mm512_set1_epi16(
+      static_cast<short>(static_cast<uint16_t>(cut->cutoff)));
+  for (size_t g = 0; g < num_codes; g += 64) {
+    uint64_t lt = 0;
+    uint64_t eq = 0;
+    for (size_t half = 0; half < 2 && g + 32 * half < num_codes; ++half) {
+      const __mmask32 valid = CodeMask32(num_codes - g - 32 * half);
+      const __m512i d = _mm512_maskz_loadu_epi16(valid, dists + g + 32 * half);
+      lt |= static_cast<uint64_t>(_mm512_mask_cmplt_epu16_mask(valid, d, c))
+            << (32 * half);
+      eq |= static_cast<uint64_t>(_mm512_mask_cmpeq_epu16_mask(valid, d, c))
+            << (32 * half);
     }
-    if (keep != 0) {
-      _mm512_mask_compressstoreu_epi32(
-          rows + taken, static_cast<__mmask16>(keep),
-          _mm512_add_epi32(lanes, _mm512_set1_epi32(static_cast<int>(j))));
-      taken += static_cast<size_t>(__builtin_popcount(keep));
-    }
+    detail::AppendBits(lt, g, below, &cut->num_below);
+    detail::AppendBits(eq, g, at, &cut->num_at);
   }
 }
 
@@ -509,7 +501,7 @@ template <size_t kWords>
 DISMASTD_VPOPCNTDQ size_t HammingBlocksVpopcntdq(const uint64_t* codes,
                                                  size_t num_rows,
                                                  const uint64_t* query,
-                                                 uint32_t* dists) {
+                                                 uint16_t* dists) {
   alignas(64) uint64_t pattern[8];
   for (size_t i = 0; i < 8; ++i) pattern[i] = query[i % kWords];
   const __m512i q = _mm512_load_si512(pattern);
@@ -526,8 +518,8 @@ DISMASTD_VPOPCNTDQ size_t HammingBlocksVpopcntdq(const uint64_t* codes,
         c[v] = AddPairs(c[2 * v], c[2 * v + 1]);
       }
     }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dists + 8 * b),
-                        _mm512_cvtepi64_epi32(c[0]));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dists + 8 * b),
+                     _mm512_cvtepi64_epi16(c[0]));
   }
   return blocks * 8;
 }
@@ -539,7 +531,7 @@ DISMASTD_VPOPCNTDQ size_t HammingBlocksVpopcntdq(const uint64_t* codes,
 DISMASTD_VPOPCNTDQ void HammingRowsVpopcntdq(const uint64_t* codes,
                                              size_t num_rows, size_t words,
                                              const uint64_t* query,
-                                             uint32_t* dists) {
+                                             uint16_t* dists) {
   const size_t chunks = words / 8;
   const __mmask8 tail = ColumnMask(words % 8);
   const __m512i qtail = _mm512_maskz_loadu_epi64(tail, query + 8 * chunks);
@@ -564,15 +556,15 @@ DISMASTD_VPOPCNTDQ void HammingRowsVpopcntdq(const uint64_t* codes,
         acc[v] = AddPairs(acc[2 * v], acc[2 * v + 1]);
       }
     }
-    _mm256_mask_storeu_epi32(dists + j0, ColumnMask(count),
-                             _mm512_cvtepi64_epi32(acc[0]));
+    _mm512_mask_cvtepi64_storeu_epi16(dists + j0, ColumnMask(count),
+                                      acc[0]);
   }
 }
 
 DISMASTD_VPOPCNTDQ void HammingScanVpopcntdq(const uint64_t* codes,
                                              size_t num_rows, size_t words,
                                              const uint64_t* query,
-                                             uint32_t* dists) {
+                                             uint16_t* dists) {
   size_t done = 0;
   switch (words) {
     case 1:
@@ -593,18 +585,21 @@ DISMASTD_VPOPCNTDQ void HammingScanVpopcntdq(const uint64_t* codes,
 
 /// The table entry, with every pass inlined into it (flatten): the hot
 /// loops run without a call.
-DISMASTD_VPOPCNTDQ __attribute__((flatten)) void HammingShortlistVpopcntdq(
-    const uint64_t* codes, size_t num_rows, size_t words,
-    const uint64_t* query, size_t n, uint32_t* dists, uint32_t* rows) {
-  HammingScanVpopcntdq(codes, num_rows, words, query, dists);
-  if (n == 0) return;
-  size_t below = 0;
-  const uint32_t cutoff = detail::FindCutoff(
+DISMASTD_VPOPCNTDQ __attribute__((flatten)) ShortlistCut
+HammingShortlistVpopcntdq(const CodeGroups& groups, const uint64_t* query,
+                          size_t n, uint16_t* dists, uint32_t* below,
+                          uint32_t* at) {
+  HammingScanVpopcntdq(groups.codes, groups.num_codes, groups.words, query,
+                       dists);
+  ShortlistCut cut;
+  if (n == 0) return cut;
+  cut.cutoff = detail::FindCutoff(
       [&](size_t count, uint32_t t) {
         return CountAtOrBelowAvx512(dists, count, t);
       },
-      num_rows, static_cast<uint32_t>(64 * words), n, &below);
-  SelectAvx512(dists, num_rows, cutoff, n - below, rows);
+      groups, dists, n, &cut.rows_below);
+  SelectAvx512(dists, groups.num_codes, below, at, &cut);
+  return cut;
 }
 
 bool CpuHasVpopcntdq() { return __builtin_cpu_supports("avx512vpopcntdq"); }

@@ -23,6 +23,35 @@ inline constexpr size_t kNumBackends = 3;
 const char* BackendName(Backend backend);
 Result<Backend> ParseBackend(const std::string& text);
 
+/// The widest code hamming_shortlist takes: its u16 distances reach
+/// 64 · words, which must not pass 65,535.
+inline constexpr size_t kMaxCodeWords = 65535 / 64;
+
+/// A mode's distinct sign codes, as hamming_shortlist reads them (the
+/// grouped layout of ann::LshModeIndex).
+struct CodeGroups {
+  /// num_codes codes of `words` u64s each; words <= kMaxCodeWords.
+  const uint64_t* codes = nullptr;
+  size_t num_codes = 0;
+  size_t words = 0;
+  /// Code g stands for offsets[g + 1] - offsets[g] >= 1 rows.
+  const uint32_t* offsets = nullptr;
+  /// The codes that stand for more than one row, ascending.
+  const uint32_t* multi = nullptr;
+  size_t num_multi = 0;
+};
+
+/// What hamming_shortlist's counting-select chose (see its contract).
+struct ShortlistCut {
+  /// The cut-off distance c.
+  uint32_t cutoff = 0;
+  /// Rows of the codes strictly below c; fewer than n.
+  size_t rows_below = 0;
+  /// Codes written to `below` (distance < c) and to `at` (distance c).
+  size_t num_below = 0;
+  size_t num_at = 0;
+};
+
 /// One table of function pointers per backend — the single place where a
 /// flop happens on a factor row. Callers fetch the dispatched table once
 /// (kernels::Get()) and call through it; they never branch on CPU features
@@ -106,21 +135,28 @@ struct KernelTable {
   void (*topk_score_block)(const double* rows, size_t num_rows, size_t rank,
                            const double* weights, double* scores);
 
-  /// The ANN shortlist (src/ann/) over packed sign codes, `words` u64s per
-  /// row. First the scan: dists[j] = Σ_w popcount(codes[j*words + w] ^
-  /// query[w]), the Hamming distance of every row j in [0, num_rows).
-  /// Then the counting-select: with c the smallest distance that has at
-  /// least n rows at or below it (n <= num_rows), rows[0, n) receives every
-  /// row below c and then the lowest-indexed rows at c, in ascending row
-  /// order; n = 0 runs the scan alone. Pure integer arithmetic, so every
-  /// backend is exact and identical. The SIMD bodies scan a block of 8
-  /// (AVX-512 VPOPCNTDQ) or 4 (AVX2) rows' codes as whole vectors for
-  /// every word count, find c by binary search over vector counts of rows
-  /// at or below a distance, and select with compare masks
-  /// (compress-stores on AVX-512): no histogram, no sort, no allocation.
-  void (*hamming_shortlist)(const uint64_t* codes, size_t num_rows,
-                            size_t words, const uint64_t* query, size_t n,
-                            uint32_t* dists, uint32_t* rows);
+  /// The ANN shortlist (src/ann/) over a mode's distinct packed sign
+  /// codes. First the scan: dists[g] = Σ_w popcount(codes[g*words + w] ^
+  /// query[w]), the Hamming distance of every code g, as a u16. Then the
+  /// counting-select over the codes' rows: c is the smallest distance
+  /// whose codes at or below it hold at least n rows (n <= the rows of all
+  /// codes), `rows_below` the rows of the codes under c; `below` receives
+  /// every code under c and `at` every code at c, each in ascending order;
+  /// each has room for num_codes + 1 entries (one slot of slack past the
+  /// codes it receives). The caller keeps the rows below c and the n -
+  /// rows_below lowest-indexed rows at c. n = 0 runs the scan alone. Pure
+  /// integer arithmetic, so every backend is exact and identical. The SIMD
+  /// bodies scan a block of 8 (AVX-512 VPOPCNTDQ) or 4 (AVX2) codes as
+  /// whole vectors for every word count; a count of rows at or below t is
+  /// a vector count of codes — 32 (AVX-512BW) or 16 (AVX2) distances per
+  /// compare — plus the extra rows of the listed multi-row codes. c is
+  /// found by a galloping search over such counts, and the select turns
+  /// compare masks of 64 codes into ids without a branch per step: no
+  /// histogram, no sort, no allocation.
+  ShortlistCut (*hamming_shortlist)(const CodeGroups& groups,
+                                    const uint64_t* query, size_t n,
+                                    uint16_t* dists, uint32_t* below,
+                                    uint32_t* at);
 };
 
 /// The table selected at startup: best CPUID-supported backend, overridden

@@ -77,14 +77,14 @@ inline uint32_t Popcount64(uint64_t v) {
   return static_cast<uint32_t>(__builtin_popcountll(v));
 }
 
-inline void HammingBlockScalar(const uint64_t* codes, size_t num_rows,
+inline void HammingBlockScalar(const uint64_t* codes, size_t num_codes,
                                size_t words, const uint64_t* query,
-                               uint32_t* dists) {
-  for (size_t j = 0; j < num_rows; ++j) {
-    const uint64_t* row = codes + j * words;
+                               uint16_t* dists) {
+  for (size_t g = 0; g < num_codes; ++g) {
+    const uint64_t* code = codes + g * words;
     uint32_t d = 0;
-    for (size_t w = 0; w < words; ++w) d += Popcount64(row[w] ^ query[w]);
-    dists[j] = d;
+    for (size_t w = 0; w < words; ++w) d += Popcount64(code[w] ^ query[w]);
+    dists[g] = static_cast<uint16_t>(d);
   }
 }
 
@@ -127,77 +127,101 @@ uint32_t GallopCutoff(CountAtOrBelow count_at_or_below, uint32_t max_dist,
   return lo;
 }
 
-/// hamming_shortlist's cut-off over `num_rows` distances, with *below the
-/// number of rows under it. count(rows, t) counts the first `rows`
-/// distances at or below t. The first sixteenth of the rows is searched
-/// first, for its share of n, and its cut-off seeds the full search, so
-/// most queries pay two or three full counting passes instead of
-/// log2(max_dist + 1).
-template <typename Count>
-uint32_t FindCutoff(Count count, size_t num_rows, uint32_t max_dist,
-                    size_t n, size_t* below) {
+/// hamming_shortlist's cut-off, with *below the rows under it.
+/// count_codes(k, t) counts the first k codes at or below t; a multi-row
+/// code among them adds its rows beyond one. The first sixteenth of the
+/// codes is searched first, for its rows' share of n, and its cut-off
+/// seeds the full search, so most queries pay two or three full counting
+/// passes instead of log2(max_dist + 1).
+template <typename CountCodes>
+uint32_t FindCutoff(CountCodes count_codes, const CodeGroups& groups,
+                    const uint16_t* dists, size_t n, size_t* below) {
+  const uint32_t* offsets = groups.offsets;
+  const auto count = [&](size_t codes, size_t num_multi, uint32_t t) {
+    size_t rows = count_codes(codes, t);
+    for (size_t i = 0; i < num_multi; ++i) {
+      const uint32_t g = groups.multi[i];
+      if (dists[g] <= t) rows += offsets[g + 1] - offsets[g] - 1;
+    }
+    return rows;
+  };
+  const uint32_t max_dist = static_cast<uint32_t>(64 * groups.words);
   uint32_t hint = max_dist / 2;
-  const size_t sample = num_rows / 16;
+  const size_t sample = groups.num_codes / 16;
   if (sample > 0) {
-    const size_t sample_n = std::max<size_t>(1, n * sample / num_rows);
+    const size_t sample_multi = static_cast<size_t>(
+        std::lower_bound(groups.multi, groups.multi + groups.num_multi,
+                         sample) -
+        groups.multi);
+    const size_t rows = offsets[groups.num_codes] - offsets[0];
+    const size_t sample_rows = offsets[sample] - offsets[0];
+    const size_t sample_n = std::max<size_t>(1, n * sample_rows / rows);
     size_t sample_below = 0;
-    hint = GallopCutoff([&](uint32_t t) { return count(sample, t); },
-                        max_dist, hint, sample_n, &sample_below);
+    hint = GallopCutoff(
+        [&](uint32_t t) { return count(sample, sample_multi, t); }, max_dist,
+        hint, sample_n, &sample_below);
   }
-  return GallopCutoff([&](uint32_t t) { return count(num_rows, t); },
-                      max_dist, hint, n, below);
+  return GallopCutoff(
+      [&](uint32_t t) {
+        return count(groups.num_codes, groups.num_multi, t);
+      },
+      max_dist, hint, n, below);
 }
 
-inline size_t CountAtOrBelowScalar(const uint32_t* dists, size_t num_rows,
-                                   uint32_t t) {
+/// The codes among [first, first + num_codes) at or below t.
+inline size_t CountAtOrBelowScalar(const uint16_t* dists, size_t first,
+                                   size_t num_codes, uint32_t t) {
   size_t count = 0;
-  for (size_t j = 0; j < num_rows; ++j) count += dists[j] <= t ? 1 : 0;
+  for (size_t g = first; g < first + num_codes; ++g) {
+    count += dists[g] <= t ? 1 : 0;
+  }
   return count;
 }
 
-/// The lowest `count` set bits of `mask`: the ties a select block keeps
-/// while the tie budget lasts.
-inline uint32_t LowestBits(uint32_t mask, size_t count) {
-  uint32_t kept = 0;
-  for (; mask != 0 && count != 0; --count) {
-    kept |= mask & (0u - mask);
+/// Appends first + i for every set bit i of `mask` to list[*count, ...),
+/// in ascending order. It stores once even for an empty mask (into the
+/// slot the next append overwrites), so sparse masks cost no mispredicted
+/// branch: `list` needs one slot beyond what it receives.
+inline void AppendBits(uint64_t mask, size_t first, uint32_t* list,
+                       size_t* count) {
+  constexpr uint64_t kTop = uint64_t{1} << 63;
+  do {
+    list[*count] =
+        static_cast<uint32_t>(first + __builtin_ctzll(mask | kTop));
+    *count += mask != 0;
     mask &= mask - 1;
-  }
-  return kept;
+  } while (mask != 0);
 }
 
-/// The select over rows [first, first + num_rows): every row below
-/// `cutoff`, and rows at it while `ties` lasts, written to `rows` in
-/// order. Returns the number written.
-inline size_t SelectScalar(const uint32_t* dists, size_t first,
-                           size_t num_rows, uint32_t cutoff, size_t ties,
-                           uint32_t* rows) {
-  size_t taken = 0;
-  for (size_t j = 0; j < num_rows; ++j) {
-    const uint32_t d = dists[j];
-    if (d == cutoff && ties != 0) {
-      --ties;
-      rows[taken++] = static_cast<uint32_t>(first + j);
-    } else if (d < cutoff) {
-      rows[taken++] = static_cast<uint32_t>(first + j);
+/// The select over codes [first, first + num_codes): the codes below
+/// `cut->cutoff` appended to `below`, those at it to `at`, in order.
+inline void SelectScalar(const uint16_t* dists, size_t first,
+                         size_t num_codes, uint32_t* below, uint32_t* at,
+                         ShortlistCut* cut) {
+  for (size_t g = first; g < first + num_codes; ++g) {
+    if (dists[g] < cut->cutoff) {
+      below[cut->num_below++] = static_cast<uint32_t>(g);
+    } else if (dists[g] == cut->cutoff) {
+      at[cut->num_at++] = static_cast<uint32_t>(g);
     }
   }
-  return taken;
 }
 
-inline void HammingShortlistScalar(const uint64_t* codes, size_t num_rows,
-                                   size_t words, const uint64_t* query,
-                                   size_t n, uint32_t* dists,
-                                   uint32_t* rows) {
-  HammingBlockScalar(codes, num_rows, words, query, dists);
-  if (n == 0) return;
-  size_t below = 0;
-  const uint32_t cutoff = FindCutoff(
+inline ShortlistCut HammingShortlistScalar(const CodeGroups& groups,
+                                           const uint64_t* query, size_t n,
+                                           uint16_t* dists, uint32_t* below,
+                                           uint32_t* at) {
+  HammingBlockScalar(groups.codes, groups.num_codes, groups.words, query,
+                     dists);
+  ShortlistCut cut;
+  if (n == 0) return cut;
+  cut.cutoff = FindCutoff(
       [&](size_t count, uint32_t t) {
-        return CountAtOrBelowScalar(dists, count, t);
+        return CountAtOrBelowScalar(dists, 0, count, t);
       },
-      num_rows, static_cast<uint32_t>(64 * words), n, &below);
-  SelectScalar(dists, 0, num_rows, cutoff, n - below, rows);
+      groups, dists, n, &cut.rows_below);
+  SelectScalar(dists, 0, groups.num_codes, below, at, &cut);
+  return cut;
 }
 
 }  // namespace

@@ -23,6 +23,13 @@ uint64_t FingerprintFactors(const KruskalTensor& factors) {
   return hash;
 }
 
+/// Prefetches every cache line of the `bytes` bytes at `p`.
+void PrefetchLines(const void* p, size_t bytes) {
+  const char* first = static_cast<const char*>(p);
+  for (size_t b = 0; b < bytes; b += 64) __builtin_prefetch(first + b);
+  if (bytes > 0) __builtin_prefetch(first + bytes - 1);
+}
+
 bool BetterScored(const ScoredIndex& a, const ScoredIndex& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.index < b.index;
@@ -193,11 +200,17 @@ TopKResult ServableModel::TopKAnn(size_t target_mode,
   // Each listed row is scored where it lies by dot_strided, the one-row
   // form of the full scan's kernel: the same blocked-8 dot over the same
   // inputs, so shortlisted rows score bit-identically to the full scan,
-  // with nothing gathered.
+  // with nothing gathered. The rows are scattered over the factor, so
+  // every line of the row kPrefetchAhead places on is prefetched.
+  constexpr size_t kPrefetchAhead = 16;
   const kernels::KernelTable& kern = kernels::Get();
   const Matrix& target = factors_.factor(target_mode);
+  const size_t row_bytes = rank() * sizeof(double);
   std::vector<double> scores(shortlist.size());
   for (size_t j = 0; j < shortlist.size(); ++j) {
+    if (j + kPrefetchAhead < shortlist.size()) {
+      PrefetchLines(target.RowPtr(shortlist[j + kPrefetchAhead]), row_bytes);
+    }
     scores[j] = kern.dot_strided(target.RowPtr(shortlist[j]), 1,
                                  weights.data(), 1, rank());
   }

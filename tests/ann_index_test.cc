@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <set>
 #include <thread>
 
@@ -57,6 +58,51 @@ std::vector<uint32_t> ReferenceSelect(const std::vector<uint32_t>& dists,
   return order;
 }
 
+/// hamming_shortlist's cut by brute force over codes weighted by their
+/// rows (offsets[g + 1] - offsets[g]): the smallest c whose codes at or
+/// below it hold n rows, the rows below c, and the codes below and at c.
+struct ReferenceCut {
+  uint32_t cutoff = 0;
+  size_t rows_below = 0;
+  std::vector<uint32_t> below;
+  std::vector<uint32_t> at;
+};
+
+ReferenceCut ReferenceCodeCut(const std::vector<uint32_t>& dists,
+                              const std::vector<uint32_t>& offsets,
+                              size_t n) {
+  ReferenceCut ref;
+  if (n == 0) return ref;
+  for (uint32_t c = 0;; ++c) {
+    size_t at_or_below = 0;
+    size_t below = 0;
+    for (size_t g = 0; g < dists.size(); ++g) {
+      const size_t rows = offsets[g + 1] - offsets[g];
+      if (dists[g] <= c) at_or_below += rows;
+      if (dists[g] < c) below += rows;
+    }
+    if (at_or_below >= n) {
+      ref.cutoff = c;
+      ref.rows_below = below;
+      break;
+    }
+  }
+  for (uint32_t g = 0; g < dists.size(); ++g) {
+    if (dists[g] < ref.cutoff) ref.below.push_back(g);
+    if (dists[g] == ref.cutoff) ref.at.push_back(g);
+  }
+  return ref;
+}
+
+/// Every row's code, row-major: the per-row view of a grouped mode.
+std::vector<uint64_t> RowCodes(const LshModeIndex& mode) {
+  std::vector<uint64_t> codes;
+  for (size_t r = 0; r < mode.num_rows; ++r) {
+    codes.insert(codes.end(), mode.RowCode(r), mode.RowCode(r) + mode.words);
+  }
+  return codes;
+}
+
 const kernels::Backend kAllBackends[] = {kernels::Backend::kScalar,
                                          kernels::Backend::kAvx2,
                                          kernels::Backend::kAvx512};
@@ -64,37 +110,74 @@ const kernels::Backend kAllBackends[] = {kernels::Backend::kScalar,
 TEST(HammingKernelTest, AllBackendsMatchReferenceExactly) {
   Rng rng(11);
   // 1, 2 and 4 words take the whole-block scan bodies; 3 and 9 the
-  // per-row chunked one (9 = a full 8-word chunk plus a masked tail). Row
-  // counts cover empty, partial, exact and one-past blocks of 4 and 8
-  // rows, and selections of none, one, a third and all of them.
+  // per-code chunked one (9 = a full 8-word chunk plus a masked tail).
+  // Code counts cover empty, partial, exact and one-past blocks of 4, 8,
+  // 16 and 32 codes. Each code holds one row (the unweighted count), 1-4
+  // rows, or 1 row but one code that holds most rows; selections take
+  // none, one, a third and all of the rows.
   for (size_t words : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{9}}) {
-    for (size_t rows : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
-                        size_t{1001}}) {
-      std::vector<uint64_t> codes(rows * words);
+    for (size_t num_codes : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                             size_t{9}, size_t{33}, size_t{1001}}) {
+      std::vector<uint64_t> codes(num_codes * words);
       std::vector<uint64_t> query(words);
       for (auto& c : codes) c = rng.NextU64();
       for (auto& q : query) q = rng.NextU64();
       const std::vector<uint32_t> expected =
           ReferenceHamming(codes, words, query);
-      for (size_t n : {size_t{0}, std::min<size_t>(1, rows), rows / 3, rows}) {
-        for (kernels::Backend backend : kAllBackends) {
-          if (!kernels::Supported(backend)) continue;
-          // One sentinel past each output: a body must not store beyond.
-          std::vector<uint32_t> dists(rows + 1, 0xDEADBEEFu);
-          std::vector<uint32_t> chosen(n + 1, 0xDEADBEEFu);
-          kernels::Get(backend).hamming_shortlist(codes.data(), rows, words,
-                                                  query.data(), n,
-                                                  dists.data(), chosen.data());
-          const std::string where = std::string(kernels::BackendName(backend)) +
-                                    " words=" + std::to_string(words) +
-                                    " rows=" + std::to_string(rows) +
-                                    " n=" + std::to_string(n);
-          EXPECT_EQ(dists.back(), 0xDEADBEEFu) << where;
-          EXPECT_EQ(chosen.back(), 0xDEADBEEFu) << where;
-          dists.pop_back();
-          chosen.pop_back();
-          EXPECT_EQ(dists, expected) << where;
-          EXPECT_EQ(chosen, ReferenceSelect(expected, n)) << where;
+      for (const char* weighting : {"one", "1-4", "heavy"}) {
+        std::vector<uint32_t> offsets(num_codes + 1, 0);
+        for (size_t g = 0; g < num_codes; ++g) {
+          uint32_t rows = 1;
+          if (weighting[0] == '1') {
+            rows += static_cast<uint32_t>(rng.NextBounded(4));
+          } else if (weighting[0] == 'h' && g == num_codes / 2) {
+            rows = static_cast<uint32_t>(10 * num_codes);
+          }
+          offsets[g + 1] = offsets[g] + rows;
+        }
+        const size_t rows = offsets.back();
+        std::vector<uint32_t> multi;
+        for (uint32_t g = 0; g < num_codes; ++g) {
+          if (offsets[g + 1] - offsets[g] > 1) multi.push_back(g);
+        }
+        const kernels::CodeGroups groups{codes.data(),   num_codes,
+                                         words,          offsets.data(),
+                                         multi.data(),   multi.size()};
+        for (size_t n :
+             {size_t{0}, std::min<size_t>(1, rows), rows / 3, rows}) {
+          const ReferenceCut ref = ReferenceCodeCut(expected, offsets, n);
+          for (kernels::Backend backend : kAllBackends) {
+            if (!kernels::Supported(backend)) continue;
+            // One sentinel past each output (past the lists' slot of
+            // slack): a body must not store beyond.
+            std::vector<uint16_t> dists(num_codes + 1, 0xBEEFu);
+            std::vector<uint32_t> below(num_codes + 2, 0xDEADBEEFu);
+            std::vector<uint32_t> at(num_codes + 2, 0xDEADBEEFu);
+            const kernels::ShortlistCut cut =
+                kernels::Get(backend).hamming_shortlist(
+                    groups, query.data(), n, dists.data(), below.data(),
+                    at.data());
+            const std::string where =
+                std::string(kernels::BackendName(backend)) +
+                " words=" + std::to_string(words) +
+                " codes=" + std::to_string(num_codes) + " rows=" + weighting +
+                " n=" + std::to_string(n);
+            EXPECT_EQ(dists.back(), 0xBEEFu) << where;
+            dists.pop_back();
+            EXPECT_EQ(std::vector<uint32_t>(dists.begin(), dists.end()),
+                      expected)
+                << where;
+            EXPECT_EQ(cut.cutoff, ref.cutoff) << where;
+            EXPECT_EQ(cut.rows_below, ref.rows_below) << where;
+            ASSERT_EQ(cut.num_below, ref.below.size()) << where;
+            ASSERT_EQ(cut.num_at, ref.at.size()) << where;
+            EXPECT_EQ(below.back(), 0xDEADBEEFu) << where;
+            EXPECT_EQ(at.back(), 0xDEADBEEFu) << where;
+            below.resize(cut.num_below);
+            at.resize(cut.num_at);
+            EXPECT_EQ(below, ref.below) << where;
+            EXPECT_EQ(at, ref.at) << where;
+          }
         }
       }
     }
@@ -109,7 +192,7 @@ TEST(LshIndexTest, BuildIsDeterministicAcrossRepeatsAndBackends) {
   const auto b = AnnIndex::Build(factors, options, nullptr, nullptr);
   ASSERT_EQ(a->num_modes(), b->num_modes());
   for (size_t m = 0; m < a->num_modes(); ++m) {
-    EXPECT_EQ(a->mode(m).codes, b->mode(m).codes) << "mode " << m;
+    EXPECT_EQ(RowCodes(a->mode(m)), RowCodes(b->mode(m))) << "mode " << m;
     EXPECT_EQ(a->mode(m).aug_norm, b->mode(m).aug_norm);
   }
 
@@ -122,56 +205,120 @@ TEST(LshIndexTest, BuildIsDeterministicAcrossRepeatsAndBackends) {
     ASSERT_TRUE(kernels::ForceBackend(backend).ok());
     const auto forced = AnnIndex::Build(factors, options, nullptr, nullptr);
     for (size_t m = 0; m < a->num_modes(); ++m) {
-      EXPECT_EQ(forced->mode(m).codes, a->mode(m).codes)
+      EXPECT_EQ(RowCodes(forced->mode(m)), RowCodes(a->mode(m)))
           << kernels::BackendName(backend) << " mode " << m;
     }
   }
   kernels::ResetDispatch();
 }
 
-TEST(LshIndexTest, ShortlistIsExactCountingSelect) {
-  const KruskalTensor factors = MakeFactors(2);
-  const size_t mode = 0;
-  const size_t rows = factors.factor(mode).rows();
-  std::vector<double> weights(factors.rank());
-  Rng rng(5);
-  for (auto& w : weights) w = rng.NextDouble(-1.0, 1.0);
+/// A skewed-norm model, the shape of a Zipf-skewed stream's user factor:
+/// mode 0's rows are a tenth heavy (random, norm ~1), the rest either
+/// exactly zero (rows no event touched) or tiny. Tiny and zero rows
+/// augment to nearly [0, M] and share one code.
+KruskalTensor MakeSkewedFactors(uint64_t seed) {
+  KruskalTensor factors = MakeFactors(seed, {3000, 40, 12});
+  Matrix& users = factors.mutable_factor(0);
+  Rng rng(seed + 100);
+  for (size_t r = 0; r < users.rows(); ++r) {
+    if (r % 10 == 3) continue;
+    for (size_t c = 0; c < users.cols(); ++c) {
+      users(r, c) = r % 3 == 0 ? 0.0 : 1e-4 * rng.NextDouble(-1.0, 1.0);
+    }
+  }
+  return factors;
+}
 
+/// The rows of a mode's largest code group.
+size_t LargestGroup(const LshModeIndex& mode) {
+  size_t largest = 0;
+  for (size_t g = 0; g < mode.num_codes; ++g) {
+    largest = std::max<size_t>(
+        largest, mode.group_start[g + 1] - mode.group_start[g]);
+  }
+  return largest;
+}
+
+TEST(LshIndexTest, ShortlistIsExactCountingSelect) {
+  const size_t mode = 0;
   struct Case {
     std::shared_ptr<const AnnIndex> index;
+    std::vector<double> weights;
     size_t want;
     std::vector<uint32_t> expected;
   };
   std::vector<Case> cases;
-  for (size_t bits : {size_t{64}, size_t{96}, size_t{128}, size_t{256}}) {
-    LshOptions options;
-    options.bits = bits;
-    auto index = AnnIndex::Build(factors, options, nullptr, nullptr);
-    std::vector<double> aug(factors.rank() + 1, 0.0);
-    std::copy(weights.begin(), weights.end(), aug.begin());
-    std::vector<uint64_t> qcode(index->planes().words(), 0);
-    index->planes().Encode(aug.data(), qcode.data());
-    const std::vector<uint32_t> dists =
-        ReferenceHamming(index->mode(mode).codes, index->mode(mode).words,
-                         qcode);
-    // A size that cuts through a tie: one past the rows below the
-    // smallest distance shared by at least two rows.
-    std::vector<uint32_t> sorted = dists;
-    std::sort(sorted.begin(), sorted.end());
-    size_t tie_cut = 0;
-    for (size_t i = 1; i < sorted.size(); ++i) {
-      if (sorted[i] == sorted[i - 1]) {
-        tie_cut = static_cast<size_t>(
-                      std::lower_bound(sorted.begin(), sorted.end(),
-                                       sorted[i]) -
-                      sorted.begin()) +
-                  1;
-        break;
+  // A random model, whose codes are nearly all distinct, and a
+  // skewed-norm one in which most rows share one code.
+  for (const bool skewed : {false, true}) {
+    const KruskalTensor factors =
+        skewed ? MakeSkewedFactors(2) : MakeFactors(2);
+    const size_t rows = factors.factor(mode).rows();
+    Rng rng(5);
+    for (size_t bits : {size_t{64}, size_t{96}, size_t{128}, size_t{256}}) {
+      LshOptions options;
+      options.bits = bits;
+      auto index = AnnIndex::Build(factors, options, nullptr, nullptr);
+      const LshModeIndex& m = index->mode(mode);
+      const std::string where =
+          std::string(skewed ? "skewed" : "random") + " bits=" +
+          std::to_string(bits);
+      const std::vector<uint64_t> row_codes = RowCodes(m);
+      // On the skewed model, rows must lie on both sides of the largest
+      // group's distance; redraw the query until they do.
+      size_t largest = LargestGroup(m);
+      size_t big = 0;
+      while (m.group_start[big + 1] - m.group_start[big] != largest) ++big;
+      std::vector<double> weights(factors.rank());
+      std::vector<uint32_t> dists;
+      std::vector<uint32_t> sorted;
+      size_t below = 0;
+      size_t through = 0;
+      for (int draw = 0; draw < 100; ++draw) {
+        for (auto& w : weights) w = rng.NextDouble(-1.0, 1.0);
+        std::vector<double> aug(factors.rank() + 1, 0.0);
+        std::copy(weights.begin(), weights.end(), aug.begin());
+        std::vector<uint64_t> qcode(index->planes().words(), 0);
+        index->planes().Encode(aug.data(), qcode.data());
+        dists = ReferenceHamming(row_codes, m.words, qcode);
+        sorted = dists;
+        std::sort(sorted.begin(), sorted.end());
+        const uint32_t d_big = dists[m.group_rows[m.group_start[big]]];
+        below = static_cast<size_t>(
+            std::lower_bound(sorted.begin(), sorted.end(), d_big) -
+            sorted.begin());
+        through = static_cast<size_t>(
+            std::upper_bound(sorted.begin(), sorted.end(), d_big) -
+            sorted.begin());
+        if (!skewed || (below > 1 && through < rows)) break;
       }
-    }
-    ASSERT_GT(tie_cut, 0u) << "bits=" << bits;
-    for (size_t want : {size_t{1}, tie_cut, rows - 1, rows}) {
-      cases.push_back({index, want, ReferenceSelect(dists, want)});
+      // A size that cuts through a tie: one past the rows below the
+      // smallest distance shared by at least two rows.
+      size_t tie_cut = 0;
+      for (size_t i = 1; i < sorted.size(); ++i) {
+        if (sorted[i] == sorted[i - 1]) {
+          tie_cut = static_cast<size_t>(
+                        std::lower_bound(sorted.begin(), sorted.end(),
+                                         sorted[i]) -
+                        sorted.begin()) +
+                    1;
+          break;
+        }
+      }
+      ASSERT_GT(tie_cut, 0u) << where;
+      std::vector<size_t> wants = {1, tie_cut, rows - 1, rows};
+      if (skewed) {
+        // Cuts below, inside and past the largest group.
+        ASSERT_GT(largest, rows / 2) << where;
+        ASSERT_GT(below, 1u) << where;
+        ASSERT_LT(through, rows) << where;
+        wants.insert(wants.end(), {below / 2, below, below + 1,
+                                   below + largest / 2, through,
+                                   through + (rows - through) / 2});
+      }
+      for (size_t want : wants) {
+        cases.push_back({index, weights, want, ReferenceSelect(dists, want)});
+      }
     }
   }
 
@@ -183,7 +330,8 @@ TEST(LshIndexTest, ShortlistIsExactCountingSelect) {
     std::atomic<int> mismatches{0};
     auto run = [&] {
       for (const Case& c : cases) {
-        if (c.index->Shortlist(mode, weights.data(), c.want) != c.expected) {
+        if (c.index->Shortlist(mode, c.weights.data(), c.want) !=
+            c.expected) {
           mismatches.fetch_add(1);
         }
       }
@@ -194,6 +342,94 @@ TEST(LshIndexTest, ShortlistIsExactCountingSelect) {
     EXPECT_EQ(mismatches.load(), 0) << kernels::BackendName(backend);
   }
   kernels::ResetDispatch();
+}
+
+TEST(LshIndexTest, GroupsPartitionRowsInFirstRowOrder) {
+  // Fresh builds of both models, and a patched build that reuses most
+  // rows' codes from the previous index.
+  const KruskalTensor skewed = MakeSkewedFactors(3);
+  KruskalTensor touched = skewed;
+  for (size_t r = 0; r < 40; ++r) {
+    touched.mutable_factor(0)(r * 7, 0) = 1e-3 * static_cast<double>(r);
+  }
+  LshOptions options;
+  options.bits = 128;
+  const auto base = AnnIndex::Build(skewed, options, nullptr, nullptr);
+  const auto patched =
+      AnnIndex::Build(touched, options, base.get(), &skewed);
+  ASSERT_GT(patched->reused_rows(), 0u);
+  const KruskalTensor random = MakeFactors(3);
+  const std::pair<std::shared_ptr<const AnnIndex>, const KruskalTensor*>
+      built[] = {{AnnIndex::Build(random, options, nullptr, nullptr), &random},
+                 {base, &skewed},
+                 {patched, &touched}};
+  for (const auto& [index, model] : built) {
+    const KruskalTensor& factors = *model;
+    for (size_t mi = 0; mi < index->num_modes(); ++mi) {
+      const LshModeIndex& m = index->mode(mi);
+      const Matrix& f = factors.factor(mi);
+      const std::string where = "mode " + std::to_string(mi);
+      ASSERT_EQ(m.num_rows, f.rows()) << where;
+      ASSERT_EQ(m.codes.size(), m.num_codes * m.words) << where;
+      ASSERT_EQ(m.group_start.size(), m.num_codes + 1) << where;
+      ASSERT_EQ(m.group_start.front(), 0u) << where;
+      ASSERT_EQ(m.group_start.back(), m.num_rows) << where;
+      ASSERT_EQ(m.group_rows.size(), m.num_rows) << where;
+      // The groups partition the rows, each ascending and non-empty, in
+      // the order of their first rows.
+      std::vector<int> seen(m.num_rows, 0);
+      for (size_t g = 0; g < m.num_codes; ++g) {
+        ASSERT_LT(m.group_start[g], m.group_start[g + 1]) << where;
+        for (uint32_t k = m.group_start[g]; k < m.group_start[g + 1]; ++k) {
+          const uint32_t r = m.group_rows[k];
+          ++seen[r];
+          EXPECT_EQ(m.row_code[r], g) << where;
+          if (k > m.group_start[g]) {
+            EXPECT_LT(m.group_rows[k - 1], r) << where;
+          }
+        }
+        if (g > 0) {
+          EXPECT_LT(m.group_rows[m.group_start[g - 1]],
+                    m.group_rows[m.group_start[g]])
+              << where;
+        }
+      }
+      EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+                static_cast<long>(m.num_rows))
+          << where;
+      // multi_codes lists, ascending, exactly the codes with two or more
+      // rows.
+      std::vector<uint32_t> multi;
+      for (uint32_t g = 0; g < m.num_codes; ++g) {
+        if (m.group_start[g + 1] - m.group_start[g] > 1) multi.push_back(g);
+      }
+      EXPECT_EQ(m.multi_codes, multi) << where;
+      // The codes are pairwise distinct.
+      std::set<std::vector<uint64_t>> distinct;
+      for (size_t g = 0; g < m.num_codes; ++g) {
+        distinct.insert(std::vector<uint64_t>(m.Code(g), m.Code(g) + m.words));
+      }
+      EXPECT_EQ(distinct.size(), m.num_codes) << where;
+      // Every row's code is its own encoding under the mode's
+      // augmentation norm.
+      const size_t rank = f.cols();
+      std::vector<double> aug(rank + 1);
+      std::vector<uint64_t> code(m.words);
+      for (size_t r = 0; r < m.num_rows; ++r) {
+        std::copy(f.RowPtr(r), f.RowPtr(r) + rank, aug.begin());
+        const double rest =
+            m.aug_norm * m.aug_norm -
+            kernels::Get().dot_strided(f.RowPtr(r), 1, f.RowPtr(r), 1, rank);
+        aug[rank] = rest > 0.0 ? std::sqrt(rest) : 0.0;
+        index->planes().Encode(aug.data(), code.data());
+        ASSERT_TRUE(std::equal(code.begin(), code.end(), m.RowCode(r)))
+            << where << " row " << r;
+      }
+    }
+  }
+  // The skewed user mode collapses onto few codes; the random one does not.
+  EXPECT_LT(base->mode(0).num_codes * 10, base->mode(0).num_rows);
+  EXPECT_GT(LargestGroup(base->mode(0)), base->mode(0).num_rows / 2);
 }
 
 TEST(LshIndexTest, ShortlistClampsAndHandlesEmptyMode) {
@@ -238,7 +474,8 @@ TEST(LshIndexTest, IncrementalPatchReusesUnchangedRows) {
   const auto fresh =
       AnnIndex::Build(updated, LshOptions{}, nullptr, nullptr);
   for (size_t m = 0; m < fresh->num_modes(); ++m) {
-    EXPECT_EQ(patched->mode(m).codes, fresh->mode(m).codes) << "mode " << m;
+    EXPECT_EQ(RowCodes(patched->mode(m)), RowCodes(fresh->mode(m)))
+        << "mode " << m;
   }
 }
 
@@ -286,7 +523,7 @@ TEST(LshIndexTest, MaxNormGrowthRehashesTheWholeMode) {
   // index in a state a fresh build could not produce when M grows).
   const auto fresh =
       AnnIndex::Build(updated, LshOptions{}, nullptr, nullptr);
-  EXPECT_EQ(patched->mode(0).codes, fresh->mode(0).codes);
+  EXPECT_EQ(RowCodes(patched->mode(0)), RowCodes(fresh->mode(0)));
 }
 
 TEST(LshIndexTest, AnnRecallIsHighOnSkinnyFactors) {

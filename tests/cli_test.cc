@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "tensor/checkpoint.h"
@@ -209,6 +210,23 @@ TEST(CliTest, ServeBenchDecomposesAndServes) {
   EXPECT_NE(output.find("queries answered   : 200 (0 failed)"),
             std::string::npos);
   EXPECT_NE(output.find("served per version:"), std::string::npos);
+  // The index summary counts each mode's rows and its distinct codes,
+  // which can only be fewer: "mode M: R rows, C codes".
+  for (int mode = 0; mode < 3; ++mode) {
+    const std::string label = "mode " + std::to_string(mode) + ": ";
+    const size_t at = output.find(label);
+    ASSERT_NE(at, std::string::npos) << output;
+    std::istringstream counts(output.substr(at + label.size()));
+    unsigned long rows = 0;
+    unsigned long codes = 0;
+    std::string rows_word;
+    std::string codes_word;
+    counts >> rows >> rows_word >> codes >> codes_word;
+    EXPECT_EQ(rows_word, "rows,") << output;
+    EXPECT_EQ(codes_word.substr(0, 5), "codes") << output;
+    EXPECT_GE(codes, 1u) << label;
+    EXPECT_LE(codes, rows) << label;
+  }
   std::remove(tensor_path.c_str());
 }
 
@@ -257,6 +275,14 @@ TEST(CliTest, ServeBenchValidatesFlags) {
                            "--keep-depth", "0"},
                           &output)
                    .ok());
+  // Code widths whose u16 Hamming distances could pass 65,535.
+  for (const char* bits : {"0", "65473"}) {
+    EXPECT_FALSE(RunCommand({"serve-bench", "--input", tensor_path,
+                             "--bits", bits},
+                            &output)
+                     .ok())
+        << bits;
+  }
   std::remove(tensor_path.c_str());
 }
 

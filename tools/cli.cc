@@ -856,8 +856,9 @@ Status CmdServeBench(const Args& args, std::ostream& out) {
   if (!probes.ok()) return probes.status();
   Result<uint64_t> bits = GetU64(args, "bits", 64);
   if (!bits.ok()) return bits.status();
-  if (bits.value() == 0) {
-    return Status::InvalidArgument("serve-bench needs --bits >= 1");
+  if (bits.value() == 0 || bits.value() > ann::kMaxLshBits) {
+    return Status::InvalidArgument("serve-bench needs --bits in [1, " +
+                                   std::to_string(ann::kMaxLshBits) + "]");
   }
 
   serve::ServeSessionOptions session_options;
@@ -960,7 +961,13 @@ Status CmdServeBench(const Args& args, std::ostream& out) {
   if (const auto model = session.store().Current(); model != nullptr) {
     const ann::AnnIndex& index = *model->ann_index();
     out << "ann index          : " << index.hashed_rows() << " rows hashed, "
-        << index.reused_rows() << " reused across publishes\n";
+        << index.reused_rows() << " reused across publishes";
+    for (size_t m = 0; m < index.num_modes(); ++m) {
+      out << (m == 0 ? " (" : "; ") << "mode " << m << ": "
+          << index.mode(m).num_rows << " rows, " << index.mode(m).num_codes
+          << " codes";
+    }
+    out << ")\n";
   }
   out << "\n";
   out << session.metrics().Report().ToString();
@@ -1057,7 +1064,7 @@ std::string UsageText() {
       "                  [--queries N --clients C --k K --batch B]\n"
       "                  [--search-mode exact|ann|ann_cached]\n"
       "                  [--probes P]  (ANN shortlist = P * K candidates)\n"
-      "                  [--bits B]    (LSH code width per row)\n"
+      "                  [--bits B]    (LSH code width per row, 1-65472)\n"
       "                  [--zipf-s S --query-seed N]  (query population)\n"
       "                  [--keep-depth D] [--warm-checkpoint F]\n"
       "                  [--trace-out F.json] [--metrics-out F.prom]\n"
