@@ -254,10 +254,12 @@ BENCHMARK(BM_DisMastdStep)->Arg(8)->Unit(benchmark::kMillisecond);
 // to FILE. "mttkrp" (the COO MTTKRP over one non-zero list), "solve" (the
 // row-list Eq. 5 solve, old-row numerators included), "gram" (the
 // row-list Gram update) and "topk" (the fp64 candidate scan) rows are
-// fp64, variant f64; "hamming" rows time the ANN shortlist entry (scan
-// plus counting-select of 1000 rows over 120,000 codes) at 1, 2 and 4
-// code words, variants b64, b128 and b256. CI greps this CSV to assert
-// the vectorized backends actually ran.
+// fp64, variant f64; "topk" rows of variant listed score a shortlist's
+// re-rank, 1,000 sorted random ids of a 120,000-row factor; "hamming"
+// rows time the ANN shortlist entry (scan plus counting-select of 1000
+// rows over 120,000 codes) at 1, 2 and 4 code words, variants b64, b128
+// and b256. CI greps this CSV to assert the vectorized backends actually
+// ran.
 
 template <typename Fn>
 double TimeSeconds(size_t reps, Fn&& fn) {
@@ -323,12 +325,21 @@ int RunKernelSweep(const std::string& path) {
   for (uint64_t& r : gram_rows) r = rng.NextBounded(kSideRows);
   Matrix gram(kRank, kRank);
 
-  // Top-K inputs: one contiguous candidate block.
+  // Top-K inputs: one contiguous candidate block, and a shortlist-shaped
+  // re-rank: 1,000 sorted random ids of a 120,000-row factor.
   constexpr size_t kCandidates = 1 << 16;
   const Matrix cand = Matrix::Random(kCandidates, kRank, rng);
   std::vector<double> weights(kRank);
   for (double& w : weights) w = rng.NextDouble(-1.0, 1.0);
   std::vector<double> scores(kCandidates);
+  constexpr size_t kFactorRows = 120000;
+  constexpr size_t kListed = 1000;
+  const Matrix factor = Matrix::Random(kFactorRows, kRank, rng);
+  std::vector<uint32_t> listed(kListed);
+  for (uint32_t& id : listed) {
+    id = static_cast<uint32_t>(rng.NextBounded(kFactorRows));
+  }
+  std::sort(listed.begin(), listed.end());
 
   // Hamming inputs: 120,000 distinct random codes of one row each, at the
   // widest width swept (the narrower sweeps read a prefix of them) — the
@@ -401,7 +412,7 @@ int RunKernelSweep(const std::string& path) {
     {
       constexpr size_t kReps = 64;
       const double secs = TimeSeconds(kReps, [&] {
-        kern.topk_score_block(cand.RowPtr(0), kCandidates, kRank,
+        kern.topk_score_block(cand.RowPtr(0), nullptr, kCandidates, kRank,
                               weights.data(), scores.data());
         benchmark::DoNotOptimize(scores.data());
       });
@@ -409,6 +420,20 @@ int RunKernelSweep(const std::string& path) {
       // Each candidate row and its score.
       const double bytes = items * (kRank * sizeof(double) + sizeof(double));
       EmitSweepRow(csv, "topk", backend, "f64", kRank, items, secs, bytes);
+    }
+    {
+      constexpr size_t kReps = 4096;
+      const double secs = TimeSeconds(kReps, [&] {
+        kern.topk_score_block(factor.RowPtr(0), listed.data(), kListed, kRank,
+                              weights.data(), scores.data());
+        benchmark::DoNotOptimize(scores.data());
+        benchmark::ClobberMemory();
+      });
+      const double items = static_cast<double>(kListed) * kReps;
+      // Each listed row, its id and its score.
+      const double bytes = items * (kRank * sizeof(double) + sizeof(uint32_t) +
+                                    sizeof(double));
+      EmitSweepRow(csv, "topk", backend, "listed", kRank, items, secs, bytes);
     }
     const std::pair<size_t, const char*> kWidths[] = {
         {1, "b64"}, {2, "b128"}, {4, "b256"}};

@@ -207,7 +207,8 @@ void LshHyperplanes::Encode(const double* aug, uint64_t* code) const {
   for (size_t w = 0; w < words(); ++w) {
     const size_t first = w * 64;
     const size_t count = std::min<size_t>(64, bits_ - first);
-    kt.topk_score_block(planes_.RowPtr(first), count, rank_ + 1, aug, dots);
+    kt.topk_score_block(planes_.RowPtr(first), nullptr, count, rank_ + 1,
+                        aug, dots);
     uint64_t word = 0;
     for (size_t b = 0; b < count; ++b) {
       word |= static_cast<uint64_t>(dots[b] >= 0.0) << b;

@@ -408,10 +408,87 @@ double DotStridedAvx2(const double* x, size_t incx, const double* y,
   return detail::DotBlocked(x, incx, y, incy, n);
 }
 
-void TopKScoreBlockAvx2(const double* rows, size_t num_rows, size_t rank,
-                        const double* weights, double* scores) {
-  for (size_t j = 0; j < num_rows; ++j) {
-    scores[j] = DotContiguousAvx2(rows + j * rank, weights, rank);
+/// The dots of 4 rows, row j's blocked-8 partials p0..p3 in lo[j] and
+/// p4..p7 in hi[j], in row order: the contract's tree for all 4 rows at
+/// once, each level's operands paired across the rows' registers by
+/// shuffles.
+inline __m256d CombineRows4(const __m256d lo[4], const __m256d hi[4]) {
+  // q[j]: q0..q3 (q_i = p_i + p_{i+4}) of row j.
+  __m256d q[4];
+#pragma GCC unroll 4
+  for (size_t j = 0; j < 4; ++j) q[j] = _mm256_add_pd(lo[j], hi[j]);
+  // s[h]: s0 = q0 + q2 and s1 = q1 + q3 of rows 2h and 2h+1, pairwise.
+  __m256d s[2];
+#pragma GCC unroll 2
+  for (size_t h = 0; h < 2; ++h) {
+    s[h] = _mm256_add_pd(_mm256_permute2f128_pd(q[2 * h], q[2 * h + 1], 0x20),
+                         _mm256_permute2f128_pd(q[2 * h], q[2 * h + 1], 0x31));
+  }
+  // s0 + s1 of rows 0, 2, 1, 3, then put back in row order.
+  const __m256d dots = _mm256_add_pd(_mm256_unpacklo_pd(s[0], s[1]),
+                                     _mm256_unpackhi_pd(s[0], s[1]));
+  return _mm256_permute4x64_pd(dots, 0xD8);
+}
+
+/// 4 rows per pass. A short pass repeats its first row in the missing
+/// slots and stores only its own scores. Listed rows are prefetched
+/// kPrefetchAhead rows ahead.
+void TopKScoreBlockAvx2(const double* rows, const uint32_t* ids,
+                        size_t num_rows, size_t rank, const double* weights,
+                        double* scores) {
+  const size_t r8 = rank & ~static_cast<size_t>(7);
+  const size_t t = rank - r8;
+  const __m256i tail_lo = ColumnMask(t);
+  const __m256i tail_hi = ColumnMask(t > 4 ? t - 4 : 0);
+  const __m256d wtail_lo = _mm256_maskload_pd(weights + r8, tail_lo);
+  const __m256d wtail_hi = _mm256_maskload_pd(weights + r8 + 4, tail_hi);
+  for (size_t j0 = 0; j0 < num_rows; j0 += 4) {
+    const size_t count = std::min<size_t>(4, num_rows - j0);
+    const double* x[4];
+#pragma GCC unroll 4
+    for (size_t j = 0; j < 4; ++j) {
+      const size_t k = j0 + (j < count ? j : 0);
+      x[j] = rows + (ids != nullptr ? ids[k] : k) * rank;
+    }
+    if (ids != nullptr && j0 + detail::kPrefetchAhead + 4 <= num_rows) {
+#pragma GCC unroll 4
+      for (size_t j = 0; j < 4; ++j) {
+        detail::PrefetchRow(rows + ids[j0 + detail::kPrefetchAhead + j] * rank,
+                            rank);
+      }
+    }
+    __m256d lo[4];
+    __m256d hi[4];
+#pragma GCC unroll 4
+    for (size_t j = 0; j < 4; ++j) {
+      lo[j] = _mm256_setzero_pd();
+      hi[j] = _mm256_setzero_pd();
+    }
+    for (size_t i = 0; i < r8; i += 8) {
+      const __m256d wlo = _mm256_loadu_pd(weights + i);
+      const __m256d whi = _mm256_loadu_pd(weights + i + 4);
+#pragma GCC unroll 4
+      for (size_t j = 0; j < 4; ++j) {
+        lo[j] = _mm256_add_pd(lo[j],
+                              _mm256_mul_pd(_mm256_loadu_pd(x[j] + i), wlo));
+        hi[j] = _mm256_add_pd(
+            hi[j], _mm256_mul_pd(_mm256_loadu_pd(x[j] + i + 4), whi));
+      }
+    }
+    if (t != 0) {
+#pragma GCC unroll 4
+      for (size_t j = 0; j < 4; ++j) {
+        const __m256d plo =
+            _mm256_mul_pd(_mm256_maskload_pd(x[j] + r8, tail_lo), wtail_lo);
+        const __m256d phi = _mm256_mul_pd(
+            _mm256_maskload_pd(x[j] + r8 + 4, tail_hi), wtail_hi);
+        lo[j] = _mm256_blendv_pd(lo[j], _mm256_add_pd(lo[j], plo),
+                                 _mm256_castsi256_pd(tail_lo));
+        hi[j] = _mm256_blendv_pd(hi[j], _mm256_add_pd(hi[j], phi),
+                                 _mm256_castsi256_pd(tail_hi));
+      }
+    }
+    _mm256_maskstore_pd(scores + j0, ColumnMask(count), CombineRows4(lo, hi));
   }
 }
 

@@ -413,10 +413,77 @@ double DotStridedAvx512(const double* x, size_t incx, const double* y,
   return detail::DotBlocked(x, incx, y, incy, n);
 }
 
-void TopKScoreBlockAvx512(const double* rows, size_t num_rows, size_t rank,
-                          const double* weights, double* scores) {
-  for (size_t j = 0; j < num_rows; ++j) {
-    scores[j] = DotContiguousAvx512(rows + j * rank, weights, rank);
+/// The dots of 8 rows, row j's blocked-8 partials in the lanes of acc[j],
+/// in row order: the contract's tree ((p0+p4)+(p2+p6))+((p1+p5)+(p3+p7))
+/// for all 8 rows at once, each level's operands paired across the rows'
+/// registers by shuffles.
+inline __m512d CombineRows8(const __m512d acc[8]) {
+  // q[k]: q0..q3 (q_i = p_i + p_{i+4}) of rows 2k and 2k+1.
+  __m512d q[4];
+#pragma GCC unroll 4
+  for (size_t k = 0; k < 4; ++k) {
+    const __m512d a = acc[2 * k];
+    const __m512d b = acc[2 * k + 1];
+    q[k] = _mm512_add_pd(_mm512_shuffle_f64x2(a, b, 0x44),
+                         _mm512_shuffle_f64x2(a, b, 0xEE));
+  }
+  // s[h]: s0 = q0 + q2 and s1 = q1 + q3 of rows 4h .. 4h+3, pairwise.
+  __m512d s[2];
+#pragma GCC unroll 2
+  for (size_t h = 0; h < 2; ++h) {
+    s[h] = _mm512_add_pd(_mm512_shuffle_f64x2(q[2 * h], q[2 * h + 1], 0x88),
+                         _mm512_shuffle_f64x2(q[2 * h], q[2 * h + 1], 0xDD));
+  }
+  const __m512i even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+  const __m512i odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+  return _mm512_add_pd(_mm512_permutex2var_pd(s[0], even, s[1]),
+                       _mm512_permutex2var_pd(s[0], odd, s[1]));
+}
+
+/// 8 rows per pass. A short pass repeats its first row in the missing
+/// slots and stores only its own scores. Listed rows are prefetched
+/// kPrefetchAhead rows ahead.
+void TopKScoreBlockAvx512(const double* rows, const uint32_t* ids,
+                          size_t num_rows, size_t rank, const double* weights,
+                          double* scores) {
+  const size_t r8 = rank & ~static_cast<size_t>(7);
+  const __mmask8 tail = ColumnMask(rank - r8);
+  const __m512d wtail = _mm512_maskz_loadu_pd(tail, weights + r8);
+  for (size_t j0 = 0; j0 < num_rows; j0 += 8) {
+    const size_t count = std::min<size_t>(8, num_rows - j0);
+    const double* x[8];
+#pragma GCC unroll 8
+    for (size_t j = 0; j < 8; ++j) {
+      const size_t k = j0 + (j < count ? j : 0);
+      x[j] = rows + (ids != nullptr ? ids[k] : k) * rank;
+    }
+    if (ids != nullptr && j0 + detail::kPrefetchAhead + 8 <= num_rows) {
+#pragma GCC unroll 8
+      for (size_t j = 0; j < 8; ++j) {
+        detail::PrefetchRow(rows + ids[j0 + detail::kPrefetchAhead + j] * rank,
+                            rank);
+      }
+    }
+    __m512d acc[8];
+#pragma GCC unroll 8
+    for (size_t j = 0; j < 8; ++j) acc[j] = _mm512_setzero_pd();
+    for (size_t i = 0; i < r8; i += 8) {
+      const __m512d w = _mm512_loadu_pd(weights + i);
+#pragma GCC unroll 8
+      for (size_t j = 0; j < 8; ++j) {
+        acc[j] = _mm512_add_pd(acc[j],
+                               _mm512_mul_pd(_mm512_loadu_pd(x[j] + i), w));
+      }
+    }
+    if (tail != 0) {
+#pragma GCC unroll 8
+      for (size_t j = 0; j < 8; ++j) {
+        acc[j] = _mm512_mask_add_pd(
+            acc[j], tail, acc[j],
+            _mm512_mul_pd(_mm512_maskz_loadu_pd(tail, x[j] + r8), wtail));
+      }
+    }
+    _mm512_mask_storeu_pd(scores + j0, ColumnMask(count), CombineRows8(acc));
   }
 }
 

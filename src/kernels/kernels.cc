@@ -5,6 +5,7 @@
 
 #include "kernels/kernels.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <mutex>
 #include <vector>
@@ -16,13 +17,12 @@ namespace dismastd {
 namespace kernels {
 namespace {
 
-struct DispatchState {
-  const KernelTable* table = nullptr;
-  std::string why;
-};
-
+/// Get() reads g_table with one acquire load. The first dispatch,
+/// ForceBackend and ResetDispatch store it (release) under g_mu, which also
+/// guards the explanation; every table is a static that outlives them.
 std::mutex g_mu;
-DispatchState g_state;
+std::atomic<const KernelTable*> g_table{nullptr};
+std::string g_why;
 
 bool CpuHasAvx2() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -138,12 +138,13 @@ void AutoDispatchLocked() {
       }
     }
   }
-  g_state.table = &TableFor(chosen);
-  g_state.why = why;
+  g_why = why;
+  g_table.store(&TableFor(chosen), std::memory_order_release);
 }
 
-void EnsureDispatchedLocked() {
-  if (g_state.table == nullptr) AutoDispatchLocked();
+const KernelTable& DispatchedLocked() {
+  if (g_table.load(std::memory_order_relaxed) == nullptr) AutoDispatchLocked();
+  return *g_table.load(std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -169,9 +170,10 @@ Result<Backend> ParseBackend(const std::string& text) {
 }
 
 const KernelTable& Get() {
+  const KernelTable* table = g_table.load(std::memory_order_acquire);
+  if (table != nullptr) return *table;
   std::lock_guard<std::mutex> lock(g_mu);
-  EnsureDispatchedLocked();
-  return *g_state.table;
+  return DispatchedLocked();
 }
 
 const KernelTable& Get(Backend backend) {
@@ -182,11 +184,7 @@ const KernelTable& Get(Backend backend) {
   return TableFor(backend);
 }
 
-Backend Dispatched() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  EnsureDispatchedLocked();
-  return g_state.table->backend;
-}
+Backend Dispatched() { return Get().backend; }
 
 Backend BestSupported() {
   std::lock_guard<std::mutex> lock(g_mu);
@@ -212,9 +210,9 @@ Status ForceBackend(Backend backend) {
     }
     return Status::FailedPrecondition(reason);
   }
-  g_state.table = &TableFor(backend);
-  g_state.why = std::string(BackendName(backend)) + " (forced via --kernel; " +
-                CpuidBits() + ")";
+  g_why = std::string(BackendName(backend)) + " (forced via --kernel; " +
+          CpuidBits() + ")";
+  g_table.store(&TableFor(backend), std::memory_order_release);
   return Status::OK();
 }
 
@@ -225,8 +223,8 @@ void ResetDispatch() {
 
 std::string DispatchExplanation() {
   std::lock_guard<std::mutex> lock(g_mu);
-  EnsureDispatchedLocked();
-  return g_state.why;
+  DispatchedLocked();
+  return g_why;
 }
 
 namespace detail {

@@ -109,8 +109,8 @@ struct KernelTable {
   /// (rank x rank row-major, lower triangle read). For each listed row r:
   /// b = rhs[r]; when `prev` is non-null, b[c] = mu * s_c + b[c], where
   /// s_c is the blocked-8 dot of prev[r] with row c of `weights_t` (had_hᵀ,
-  /// rank x rank) — bit for bit mu * topk_score_block(weights_t, rank,
-  /// rank, prev[r])[c] + b[c], including the dot's 0 + x·y start. Then
+  /// rank x rank) — bit for bit mu * topk_score_block(weights_t, nullptr,
+  /// rank, rank, prev[r])[c] + b[c], including the dot's 0 + x·y start. Then
   /// z·A = b is solved by forward substitution y_i = (b_i - Σ_{k<i}
   /// L_ik·y_k) / L_ii and back substitution z_i = (y_i - Σ_{k>i} L_ki·z_k)
   /// / L_ii, each sum subtracted term by term in k order with a true
@@ -129,10 +129,19 @@ struct KernelTable {
   double (*dot_strided)(const double* x, size_t incx, const double* y,
                         size_t incy, size_t n);
 
-  /// scores[j] = dot(rows + j*rank, weights) for j in [0, num_rows):
-  /// the serve-side candidate scan over a contiguous row-major factor
-  /// block.
-  void (*topk_score_block)(const double* rows, size_t num_rows, size_t rank,
+  /// scores[j] = dot(x_j, weights) for j in [0, num_rows), where x_j =
+  /// rows + ids[j]*rank is a listed row of a row-major rank-column matrix,
+  /// or rows + j*rank when `ids` is null (a contiguous block). Listed rows
+  /// may come unsorted or repeat. Each score is bit for bit dot_strided(x_j,
+  /// 1, weights, 1, rank): the exact top-K scan, the shortlist re-rank and
+  /// the LSH encode all score through this entry. The SIMD bodies score 8
+  /// (AVX-512) or 4 (AVX2) rows per pass: lane l of row j's accumulator
+  /// (one zmm, or two ymm) holds x_j's blocked-8 partial l, starting from
+  /// 0 + x·w; the rank mod 8 tail t is masked into lanes 0..t-1, and the
+  /// combine tree runs across the rows' accumulators by shuffles. A pass
+  /// short of rows stores only the scores of the rows it has.
+  void (*topk_score_block)(const double* rows, const uint32_t* ids,
+                           size_t num_rows, size_t rank,
                            const double* weights, double* scores);
 
   /// The ANN shortlist (src/ann/) over a mode's distinct packed sign
@@ -162,8 +171,9 @@ struct KernelTable {
 /// The table selected at startup: best CPUID-supported backend, overridden
 /// by DISMASTD_KERNEL=scalar|avx2|avx512 (invalid or unsupported values
 /// fall back to the CPUID choice; "native"/"best"/"" mean auto) or by
-/// ForceBackend (the --kernel flag). Thread-safe to call concurrently;
-/// the first call performs the dispatch.
+/// ForceBackend (the --kernel flag). Thread-safe to call concurrently:
+/// once dispatched it is one atomic load, with no lock; the first call
+/// performs the dispatch.
 const KernelTable& Get();
 
 /// The table of one specific backend. DISMASTD_CHECKs Supported(backend).

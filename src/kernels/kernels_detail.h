@@ -38,6 +38,18 @@ namespace {
 /// partial block's missing lanes are zero, which every step keeps finite.
 constexpr size_t kLanes = 8;
 
+/// How many rows ahead of its pass topk_score_block prefetches listed
+/// rows, which lie scattered over the factor: two AVX-512 passes, four
+/// AVX2 passes.
+constexpr size_t kPrefetchAhead = 16;
+
+/// Prefetches the first and last cache line of a `rank`-double row: the
+/// whole row when it spans at most two lines, as rank-10 rows do.
+inline void PrefetchRow(const double* row, size_t rank) {
+  __builtin_prefetch(row);
+  if (rank > 1) __builtin_prefetch(row + rank - 1);
+}
+
 /// Combine tree of the blocked-8 reduction: exactly what an 8-lane vector
 /// accumulator yields when reduced 512 -> 256 -> 128 -> 64 bits.
 inline double CombinePartials8(const double p[8]) {

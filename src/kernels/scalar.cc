@@ -150,10 +150,12 @@ void SolveRowsScalar(const double* lower, size_t rank, const double* rhs,
   }
 }
 
-void TopKScoreBlockScalar(const double* rows, size_t num_rows, size_t rank,
-                          const double* weights, double* scores) {
+void TopKScoreBlockScalar(const double* rows, const uint32_t* ids,
+                          size_t num_rows, size_t rank, const double* weights,
+                          double* scores) {
   for (size_t j = 0; j < num_rows; ++j) {
-    scores[j] = detail::DotBlocked(rows + j * rank, 1, weights, 1, rank);
+    const size_t row = ids != nullptr ? ids[j] : j;
+    scores[j] = detail::DotBlocked(rows + row * rank, 1, weights, 1, rank);
   }
 }
 

@@ -50,8 +50,10 @@ Result<std::vector<double>> QueryEngine::PredictBatch(
   Result<std::shared_ptr<const ServableModel>> snapshot = Snapshot();
   if (!snapshot.ok()) return snapshot.status();
   const ServableModel& model = *snapshot.value();
-  for (const auto& index : indices) {
-    DISMASTD_RETURN_IF_ERROR(model.ValidateIndex(index));
+  std::vector<const uint64_t*> tuples(indices.size());
+  for (size_t i = 0; i < indices.size(); ++i) {
+    DISMASTD_RETURN_IF_ERROR(model.ValidateIndex(indices[i]));
+    tuples[i] = indices[i].data();
   }
 
   std::vector<double> values(indices.size());
@@ -61,18 +63,18 @@ Result<std::vector<double>> QueryEngine::PredictBatch(
           : std::min(pool_->num_threads() + 1,
                      std::max<size_t>(
                          1, indices.size() / kMinTuplesPerShard));
+  // KruskalTensor::ValuesAt resolves a shard's rows before scoring any of
+  // its tuples; each value is bit for bit the point prediction's.
+  const KruskalTensor& factors = model.factors();
   if (shards <= 1) {
-    for (size_t i = 0; i < indices.size(); ++i) {
-      values[i] = model.Predict(indices[i].data());
-    }
+    factors.ValuesAt(tuples.data(), tuples.size(), values.data());
   } else {
     const size_t per_shard = (indices.size() + shards - 1) / shards;
     pool_->ParallelFor(shards, [&](size_t shard) {
-      const size_t begin = shard * per_shard;
+      const size_t begin = std::min(indices.size(), shard * per_shard);
       const size_t end = std::min(indices.size(), begin + per_shard);
-      for (size_t i = begin; i < end; ++i) {
-        values[i] = model.Predict(indices[i].data());
-      }
+      factors.ValuesAt(tuples.data() + begin, end - begin,
+                       values.data() + begin);
     });
   }
   Record(QueryType::kBatch, timer.Stop(), model);

@@ -23,13 +23,6 @@ uint64_t FingerprintFactors(const KruskalTensor& factors) {
   return hash;
 }
 
-/// Prefetches every cache line of the `bytes` bytes at `p`.
-void PrefetchLines(const void* p, size_t bytes) {
-  const char* first = static_cast<const char*>(p);
-  for (size_t b = 0; b < bytes; b += 64) __builtin_prefetch(first + b);
-  if (bytes > 0) __builtin_prefetch(first + bytes - 1);
-}
-
 bool BetterScored(const ScoredIndex& a, const ScoredIndex& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.index < b.index;
@@ -176,8 +169,8 @@ TopKResult ServableModel::TopK(size_t target_mode,
       CombinationWeights(target_mode, anchor);
   const Matrix& target = factors_.factor(target_mode);
   std::vector<double> scores(static_cast<size_t>(dims_[target_mode]));
-  kernels::Get().topk_score_block(target.data(), scores.size(), rank(),
-                                  weights.data(), scores.data());
+  kernels::Get().topk_score_block(target.data(), nullptr, scores.size(),
+                                  rank(), weights.data(), scores.data());
   TopKResult result;
   result.items = SelectTopK(scores, nullptr, k);
   result.rows_scored = scores.size();
@@ -197,23 +190,14 @@ TopKResult ServableModel::TopKAnn(size_t target_mode,
   const std::vector<uint32_t> shortlist =
       ann_index_->Shortlist(target_mode, weights.data(), shortlist_size);
 
-  // Each listed row is scored where it lies by dot_strided, the one-row
-  // form of the full scan's kernel: the same blocked-8 dot over the same
-  // inputs, so shortlisted rows score bit-identically to the full scan,
-  // with nothing gathered. The rows are scattered over the factor, so
-  // every line of the row kPrefetchAhead places on is prefetched.
-  constexpr size_t kPrefetchAhead = 16;
-  const kernels::KernelTable& kern = kernels::Get();
+  // The full scan's kernel over the listed rows, where they lie: the same
+  // blocked-8 dot of each row, so shortlisted rows score bit-identically
+  // to the full scan, with nothing gathered.
   const Matrix& target = factors_.factor(target_mode);
-  const size_t row_bytes = rank() * sizeof(double);
   std::vector<double> scores(shortlist.size());
-  for (size_t j = 0; j < shortlist.size(); ++j) {
-    if (j + kPrefetchAhead < shortlist.size()) {
-      PrefetchLines(target.RowPtr(shortlist[j + kPrefetchAhead]), row_bytes);
-    }
-    scores[j] = kern.dot_strided(target.RowPtr(shortlist[j]), 1,
-                                 weights.data(), 1, rank());
-  }
+  kernels::Get().topk_score_block(target.data(), shortlist.data(),
+                                  shortlist.size(), rank(), weights.data(),
+                                  scores.data());
   TopKResult result;
   result.items = SelectTopK(scores, &shortlist, k);
   result.rows_scored = shortlist.size();

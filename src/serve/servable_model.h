@@ -121,7 +121,7 @@ class ServableModel {
 
   /// Model value at `index` (order() entries). The caller is responsible
   /// for bounds; the query engine validates against dims() first. Routes
-  /// through the canonical KruskalValueAtRows implementation.
+  /// through the canonical KruskalTensor::ValuesAt implementation.
   double Predict(const uint64_t* index) const {
     return factors_.ValueAt(index);
   }

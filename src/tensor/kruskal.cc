@@ -1,5 +1,6 @@
 #include "tensor/kruskal.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "kernels/kernels.h"
@@ -9,8 +10,14 @@ namespace dismastd {
 
 namespace {
 
+/// Tuples ValuesAt resolves before it scores them: one batch query's 64.
+constexpr size_t kTupleBlock = 64;
+
+/// Orders whose block of row pointers ValuesAt keeps on the stack.
+constexpr size_t kStackOrder = 8;
+
 /// Scratch for combination weights: stack for the common small ranks, heap
-/// beyond. Keeps ValueAt allocation-free on the hot path.
+/// beyond. Keeps ValuesAt allocation-free on the hot path.
 struct WeightScratch {
   static constexpr size_t kStackRank = 64;
   double stack[kStackRank];
@@ -24,21 +31,6 @@ struct WeightScratch {
 };
 
 }  // namespace
-
-double KruskalValueAtRows(const double* const* rows, size_t num_rows,
-                          size_t rank) {
-  if (rank == 0) return 0.0;
-  const kernels::KernelTable& kern = kernels::Get();
-  if (num_rows == 0) return static_cast<double>(rank);  // empty products
-  if (num_rows == 1) {
-    const double one = 1.0;
-    return kern.dot_strided(rows[0], 1, &one, 0, rank);
-  }
-  WeightScratch scratch;
-  double* weights = scratch.Acquire(rank);
-  kern.hadamard_combine(rows, num_rows - 1, rank, weights);
-  return kern.dot_strided(weights, 1, rows[num_rows - 1], 1, rank);
-}
 
 KruskalTensor::KruskalTensor(std::vector<Matrix> factors)
     : factors_(std::move(factors)) {
@@ -73,19 +65,52 @@ DenseTensor KruskalTensor::Reconstruct() const {
 }
 
 double KruskalTensor::ValueAt(const uint64_t* index) const {
-  constexpr size_t kStackOrder = 8;
+  double value = 0.0;
+  ValuesAt(&index, 1, &value);
+  return value;
+}
+
+void KruskalTensor::ValuesAt(const uint64_t* const* tuples, size_t count,
+                             double* out) const {
   const size_t n = order();
-  const double* stack_rows[kStackOrder];
+  const size_t r = rank();
+  if (r == 0) {
+    std::fill_n(out, count, 0.0);
+    return;
+  }
+  const kernels::KernelTable& kern = kernels::Get();
+  const double* stack_rows[kTupleBlock * kStackOrder];
   std::vector<const double*> heap_rows;
   const double** rows = stack_rows;
   if (n > kStackOrder) {
-    heap_rows.resize(n);
+    heap_rows.resize(kTupleBlock * n);
     rows = heap_rows.data();
   }
-  for (size_t m = 0; m < n; ++m) {
-    rows[m] = factors_[m].RowPtr(static_cast<size_t>(index[m]));
+  WeightScratch scratch;
+  double* weights = scratch.Acquire(r);
+  const size_t last_byte = r * sizeof(double) - 1;
+  const double one = 1.0;
+  for (size_t t0 = 0; t0 < count; t0 += kTupleBlock) {
+    const size_t block = std::min(kTupleBlock, count - t0);
+    for (size_t t = 0; t < block; ++t) {
+      const uint64_t* index = tuples[t0 + t];
+      for (size_t m = 0; m < n; ++m) {
+        const double* row = factors_[m].RowPtr(static_cast<size_t>(index[m]));
+        __builtin_prefetch(row);
+        __builtin_prefetch(reinterpret_cast<const char*>(row) + last_byte);
+        rows[t * n + m] = row;
+      }
+    }
+    for (size_t t = 0; t < block; ++t) {
+      const double* const* tuple_rows = rows + t * n;
+      if (n == 1) {
+        out[t0 + t] = kern.dot_strided(tuple_rows[0], 1, &one, 0, r);
+      } else {
+        kern.hadamard_combine(tuple_rows, n - 1, r, weights);
+        out[t0 + t] = kern.dot_strided(weights, 1, tuple_rows[n - 1], 1, r);
+      }
+    }
   }
-  return KruskalValueAtRows(rows, n, rank());
 }
 
 double KruskalTensor::NormSquaredViaGrams() const {
@@ -99,15 +124,14 @@ double KruskalTensor::NormSquaredViaGrams() const {
 
 double KruskalTensor::InnerWithSparse(const SparseTensor& x) const {
   DISMASTD_CHECK(x.order() == order());
-  const size_t n = order();
-  std::vector<const double*> rows(n);
+  const uint64_t* tuples[kTupleBlock] = {};
+  double values[kTupleBlock] = {};
   double total = 0.0;
-  for (size_t e = 0; e < x.nnz(); ++e) {
-    const uint64_t* idx = x.IndexTuple(e);
-    for (size_t m = 0; m < n; ++m) {
-      rows[m] = factors_[m].RowPtr(static_cast<size_t>(idx[m]));
-    }
-    total += x.Value(e) * KruskalValueAtRows(rows.data(), n, rank());
+  for (size_t e0 = 0; e0 < x.nnz(); e0 += kTupleBlock) {
+    const size_t block = std::min(kTupleBlock, x.nnz() - e0);
+    for (size_t t = 0; t < block; ++t) tuples[t] = x.IndexTuple(e0 + t);
+    ValuesAt(tuples, block, values);
+    for (size_t t = 0; t < block; ++t) total += x.Value(e0 + t) * values[t];
   }
   return total;
 }

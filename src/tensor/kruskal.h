@@ -28,15 +28,29 @@ class KruskalTensor {
   /// Materializes the full dense tensor (tests / small tensors only).
   DenseTensor Reconstruct() const;
 
-  /// The model's value at one index tuple: Σ_f Π_n A_n[i_n, f].
+  /// The model's value at one index tuple: Σ_f Π_n A_n[i_n, f]. The
+  /// one-tuple case of ValuesAt.
   double ValueAt(const uint64_t* index) const;
+
+  /// The model's values at `count` index tuples of order() entries each:
+  /// out[t] = Σ_f Π_n A_n[tuples[t][n], f]. The one Kruskal-value routine
+  /// (ValueAt, InnerWithSparse and the serving plane's point and batch
+  /// predictions all call it). Up to 64 tuples at a time have every row
+  /// resolved, and its first and last cache line prefetched, before the
+  /// first of them is scored. All are scored through one kernel-table
+  /// fetch, each as hadamard_combine over its first order() - 1 rows, then
+  /// dot_strided against the last (against 1.0 broadcast for order 1), so
+  /// a value never depends on the tuples scored beside it.
+  void ValuesAt(const uint64_t* const* tuples, size_t count,
+                double* out) const;
 
   /// ‖[[A_1..A_N]]‖_F² computed from the R x R Grams:
   /// sum of all elements of (A_1ᵀA_1) * ... * (A_NᵀA_N) (Hadamard).
   /// O(N I R²) instead of materializing the tensor.
   double NormSquaredViaGrams() const;
 
-  /// ⟨X, [[A_1..A_N]]⟩ for a sparse X: Σ_nnz x · Σ_f Π_n A_n[i_n, f].
+  /// ⟨X, [[A_1..A_N]]⟩ for a sparse X: Σ_nnz x · Σ_f Π_n A_n[i_n, f],
+  /// the values from ValuesAt in blocks, the products added in nnz order.
   double InnerWithSparse(const SparseTensor& x) const;
 
   /// ‖X - [[A_1..A_N]]‖_F² via the expansion ‖X‖² + ‖Y‖² - 2⟨X,Y⟩,
@@ -54,13 +68,6 @@ class KruskalTensor {
 /// identical dims, computed from cross-Grams: sum of all elements of
 /// (A_1ᵀB_1) * ... * (A_NᵀB_N). Used by the paper's L^(0,0,0) loss term.
 double KruskalInner(const KruskalTensor& a, const KruskalTensor& b);
-
-/// The canonical Hadamard-dot evaluation Σ_f Π_m rows[m][f], routed
-/// through the dispatched compute kernels. Both KruskalTensor::ValueAt and
-/// ServableModel point predictions call this — it is the single
-/// implementation of brute-force Kruskal scoring.
-double KruskalValueAtRows(const double* const* rows, size_t num_rows,
-                          size_t rank);
 
 }  // namespace dismastd
 

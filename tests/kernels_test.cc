@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -70,6 +71,38 @@ TEST(KernelsDispatchTest, ForceBackendRoutesGetAndResetRestoresAuto) {
   EXPECT_FALSE(DispatchExplanation().empty());
 }
 
+TEST(KernelsDispatchTest, ConcurrentGetBesideDispatchReadsAndResets) {
+  // Four threads fetch the table and run a kernel through it while this
+  // thread reads the dispatch state and re-runs the dispatch: Get()'s
+  // lock-free read must not race with the stores under the mutex (a
+  // ThreadSanitizer gate), and every fetch yields a whole table.
+  ResetDispatch();
+  const std::vector<double> x = {1.0, -2.0, 3.0, 0.5, -0.25, 8.0, 1.5, 2.0,
+                                 -1.0, 4.0};
+  const double want =
+      Get(Backend::kScalar).dot_strided(x.data(), 1, x.data(), 1, x.size());
+  constexpr size_t kThreads = 4;
+  constexpr size_t kIterations = 2000;
+  std::vector<size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < kIterations; ++i) {
+        const KernelTable& kern = Get();
+        mismatches[t] +=
+            kern.dot_strided(x.data(), 1, x.data(), 1, x.size()) != want;
+      }
+    });
+  }
+  for (size_t i = 0; i < 200; ++i) {
+    EXPECT_TRUE(Supported(Dispatched()));
+    EXPECT_FALSE(DispatchExplanation().empty());
+    if (i % 50 == 0) ResetDispatch();
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0u) << t;
+}
+
 TEST(KernelsParityTest, HadamardCombineBitExactIncludingEmptyProduct) {
   Rng rng(2);
   for (size_t rank : kLengths) {
@@ -125,47 +158,6 @@ TEST(KernelsParityTest, DotStridedBitExactAcrossStridesAndLengths) {
   }
 }
 
-TEST(KernelsParityTest, TopKScoreBlockMatchesDotStridedBitExactly) {
-  Rng rng(5);
-  for (size_t rank : kLengths) {
-    const size_t num_rows = 37;  // prime, exercises every row offset
-    const std::vector<double> rows = RandomVector(num_rows * rank, rng);
-    const std::vector<double> weights = RandomVector(rank, rng);
-    std::vector<double> want(num_rows);
-    for (size_t j = 0; j < num_rows; ++j) {
-      want[j] = Get(Backend::kScalar)
-                    .dot_strided(rows.data() + j * rank, 1, weights.data(),
-                                 1, rank);
-    }
-    for (Backend backend : SupportedBackends()) {
-      std::vector<double> got(num_rows);
-      Get(backend).topk_score_block(rows.data(), num_rows, rank,
-                                    weights.data(), got.data());
-      for (size_t j = 0; j < num_rows; ++j) {
-        ASSERT_EQ(want[j], got[j])
-            << BackendName(backend) << " rank=" << rank << " j=" << j;
-      }
-    }
-    // The Eq. 5 numerator identity: the strided dot of x down column c of a
-    // row-major rank x rank matrix M is block score c of x against Mᵀ.
-    const std::vector<double> m = RandomVector(rank * rank, rng);
-    std::vector<double> mt(rank * rank);
-    for (size_t i = 0; i < rank; ++i) {
-      for (size_t c = 0; c < rank; ++c) mt[c * rank + i] = m[i * rank + c];
-    }
-    for (Backend backend : SupportedBackends()) {
-      const KernelTable& kern = Get(backend);
-      std::vector<double> got(rank);
-      kern.topk_score_block(mt.data(), rank, rank, weights.data(), got.data());
-      for (size_t c = 0; c < rank; ++c) {
-        ASSERT_EQ(kern.dot_strided(weights.data(), 1, m.data() + c, rank, rank),
-                  got[c])
-            << BackendName(backend) << " rank=" << rank << " c=" << c;
-      }
-    }
-  }
-}
-
 // The row-update shapes: ranks around the 8-wide vectors and masked tails,
 // row counts around the 8-row lane block and the 32-row, four-block group
 // (none, a lone padded row, partial, exact and overflowing blocks and
@@ -194,6 +186,94 @@ std::vector<uint64_t> RowList(size_t count, Rng& rng) {
   for (size_t k = 1; k < count; ++k) rows[k] = rng.NextBounded(kPoolRows);
   if (count > 1) rows[count - 1] = rows[0];
   return rows;
+}
+
+/// Scores the listed pool rows (rows 0 .. num_rows-1 when `ids` is null)
+/// on every supported backend and checks each score against the scalar
+/// dot_strided of its row, bit for bit, and that nothing past the last
+/// score is written.
+void ExpectTopKScoresMatch(const Matrix& pool, const uint32_t* ids,
+                           size_t num_rows, const std::vector<double>& weights,
+                           const std::string& what) {
+  const size_t rank = pool.cols();
+  constexpr double kUntouched = 7.0;
+  for (Backend backend : SupportedBackends()) {
+    std::vector<double> got(num_rows + 1, kUntouched);
+    Get(backend).topk_score_block(pool.data(), ids, num_rows, rank,
+                                  weights.data(), got.data());
+    for (size_t j = 0; j < num_rows; ++j) {
+      const size_t row = ids != nullptr ? ids[j] : j;
+      const double want = Get(Backend::kScalar)
+                              .dot_strided(pool.RowPtr(row), 1,
+                                           weights.data(), 1, rank);
+      ASSERT_EQ(Bits(got[j]), Bits(want))
+          << BackendName(backend) << " " << what << " rank=" << rank
+          << " rows=" << num_rows << " j=" << j << " row=" << row;
+    }
+    ASSERT_EQ(Bits(got[num_rows]), Bits(kUntouched))
+        << BackendName(backend) << " " << what << " rank=" << rank
+        << " rows=" << num_rows << " wrote past the last score";
+  }
+}
+
+/// Gaussian weights, and their absolute values: positive weights make
+/// every product with the -0.0 pool row a -0.0, so only a 0 + x·w start
+/// turns its partials, hence its score, to +0.0.
+std::vector<std::vector<double>> TopKWeights(size_t rank, Rng& rng) {
+  std::vector<double> gaussian = RandomVector(rank, rng);
+  std::vector<double> positive = gaussian;
+  for (double& w : positive) w = std::abs(w);
+  return {gaussian, positive};
+}
+
+TEST(KernelsParityTest, TopKScoreBlockMatchesDotStridedBitExactly) {
+  Rng rng(5);
+  for (size_t rank : kLengths) {
+    // The whole pool as one contiguous block: 23 rows, a prime, so every
+    // pass width leaves a remainder; row 0 is all -0.0.
+    const Matrix pool = RowPool(rank, rng);
+    for (const std::vector<double>& weights : TopKWeights(rank, rng)) {
+      ExpectTopKScoresMatch(pool, nullptr, kPoolRows, weights, "contiguous");
+    }
+    // The Eq. 5 numerator identity: the strided dot of x down column c of a
+    // row-major rank x rank matrix M is block score c of x against Mᵀ.
+    const std::vector<double> weights = RandomVector(rank, rng);
+    const std::vector<double> m = RandomVector(rank * rank, rng);
+    std::vector<double> mt(rank * rank);
+    for (size_t i = 0; i < rank; ++i) {
+      for (size_t c = 0; c < rank; ++c) mt[c * rank + i] = m[i * rank + c];
+    }
+    for (Backend backend : SupportedBackends()) {
+      const KernelTable& kern = Get(backend);
+      std::vector<double> got(rank);
+      kern.topk_score_block(mt.data(), nullptr, rank, rank, weights.data(),
+                            got.data());
+      for (size_t c = 0; c < rank; ++c) {
+        ASSERT_EQ(
+            Bits(kern.dot_strided(weights.data(), 1, m.data() + c, rank,
+                                  rank)),
+            Bits(got[c]))
+            << BackendName(backend) << " rank=" << rank << " c=" << c;
+      }
+    }
+  }
+}
+
+TEST(KernelsParityTest, TopKScoreBlockListedRowsMatchDotStrided) {
+  for (size_t rank : kLengths) {
+    Rng rng(50 + rank);
+    const Matrix pool = RowPool(rank, rng);
+    const std::vector<std::vector<double>> weights = TopKWeights(rank, rng);
+    // 0 .. 33 rows: none, every remainder of the 4- and 8-row passes, and
+    // up to four full 8-row passes plus one.
+    for (size_t count = 0; count <= 33; ++count) {
+      const std::vector<uint64_t> list = RowList(count, rng);
+      const std::vector<uint32_t> ids(list.begin(), list.end());
+      for (const std::vector<double>& w : weights) {
+        ExpectTopKScoresMatch(pool, ids.data(), count, w, "listed");
+      }
+    }
+  }
 }
 
 /// The Cholesky factors the solve tests use: a random SPD system's, and
@@ -288,7 +368,7 @@ TEST(KernelsRowListTest, SolveRowsWithPrevMatchScaledTopKScorePlusRhs) {
       std::vector<double> scores(rank);
       for (size_t k = 0; k < count; ++k) {
         Get(Backend::kScalar)
-            .topk_score_block(weights_t.data(), rank, rank,
+            .topk_score_block(weights_t.data(), nullptr, rank, rank,
                               prev.RowPtr(rows[k]), scores.data());
         for (size_t c = 0; c < rank; ++c) {
           numerators(k, c) = mu * scores[c] + mttkrp(rows[k], c);

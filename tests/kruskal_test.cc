@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "kernels/kernels.h"
 #include "stream/generator.h"
+#include "test_util.h"
 
 namespace dismastd {
 namespace {
@@ -48,6 +51,44 @@ TEST(KruskalTest, ValueAtMatchesReconstruct) {
   }
 }
 
+TEST(KruskalTest, ValuesAtMatchPerTupleKernelSequenceBitExactly) {
+  // Orders 1 (a dot against broadcast 1.0), 3 and 9 (row pointers past
+  // the stack block), and counts around the 64-tuple resolve block: each
+  // value is the scalar kernels' hadamard_combine + dot_strided of its
+  // tuple alone, whatever tuples are scored beside it.
+  const kernels::KernelTable& scalar = kernels::Get(kernels::Backend::kScalar);
+  for (size_t order : {1u, 3u, 9u}) {
+    const std::vector<uint64_t> dims(order, 7);
+    const KruskalTensor k = RandomKruskal(dims, 10, 20 + order);
+    Rng rng(30 + order);
+    for (size_t count : {0u, 1u, 63u, 64u, 65u, 130u}) {
+      std::vector<std::vector<uint64_t>> indices(count);
+      std::vector<const uint64_t*> tuples(count);
+      for (size_t t = 0; t < count; ++t) {
+        for (size_t m = 0; m < order; ++m) {
+          indices[t].push_back(rng.NextBounded(7));
+        }
+        tuples[t] = indices[t].data();
+      }
+      std::vector<double> got(count);
+      k.ValuesAt(tuples.data(), count, got.data());
+      for (size_t t = 0; t < count; ++t) {
+        std::vector<const double*> rows;
+        for (size_t m = 0; m < order; ++m) {
+          rows.push_back(k.factor(m).RowPtr(indices[t][m]));
+        }
+        std::vector<double> weights(10, 1.0);
+        scalar.hadamard_combine(rows.data(), order - 1, 10, weights.data());
+        const double want =
+            scalar.dot_strided(weights.data(), 1, rows.back(), 1, 10);
+        ASSERT_EQ(test::Bits(got[t]), test::Bits(want))
+            << "order=" << order << " count=" << count << " t=" << t;
+        ASSERT_EQ(test::Bits(k.ValueAt(tuples[t])), test::Bits(want));
+      }
+    }
+  }
+}
+
 TEST(KruskalTest, NormViaGramsMatchesDense) {
   const KruskalTensor k = RandomKruskal({4, 3, 2}, 3, 3);
   EXPECT_NEAR(k.NormSquaredViaGrams(), k.Reconstruct().NormSquared(), 1e-9);
@@ -65,6 +106,23 @@ TEST(KruskalTest, InnerWithSparseMatchesDense) {
     expected += x.Value(e) * kd.AtRaw(x.IndexTuple(e));
   }
   EXPECT_NEAR(k.InnerWithSparse(x), expected, 1e-10);
+}
+
+TEST(KruskalTest, InnerWithSparseAddsValuesInNnzOrder) {
+  // 200 non-zeros span four resolve blocks; the inner product is the
+  // products x · ValueAt added one at a time in nnz order, bit for bit.
+  const KruskalTensor k = RandomKruskal({9, 8, 7}, 10, 8);
+  SparseTensor x({9, 8, 7});
+  Rng rng(9);
+  for (int e = 0; e < 200; ++e) {
+    x.Add({rng.NextBounded(9), rng.NextBounded(8), rng.NextBounded(7)},
+          rng.NextGaussian());
+  }
+  double want = 0.0;
+  for (size_t e = 0; e < x.nnz(); ++e) {
+    want += x.Value(e) * k.ValueAt(x.IndexTuple(e));
+  }
+  EXPECT_EQ(test::Bits(k.InnerWithSparse(x)), test::Bits(want));
 }
 
 TEST(KruskalTest, ResidualMatchesDenseDistance) {

@@ -9,8 +9,9 @@
 # (bounded MPSC queue plus the multi-producer ordered replay under both
 # the micro-batch and the continuous-window policy, the latter running
 # the execution engine inside periodic stitches), the compute-kernel
-# dispatch (mutex-guarded table selection that every worker thread reads
-# through), the ANN serving layer (the LSH index riding inside
+# dispatch (an atomic table pointer that every worker thread reads without
+# a lock, stored under a mutex by the first dispatch, --kernel and
+# ResetDispatch), the ANN serving layer (the LSH index riding inside
 # RCU-published models while queries shortlist against it, plus the
 # lock-per-slot result cache), and the elastic cluster (live
 # repartitioning and state migration while a query thread reads the

@@ -28,16 +28,18 @@ section() {
 }
 
 # Kernel sweep: the micro_kernels per-backend sweep must hold the
-# vectorized MTTKRP, row-update (solve, Gram), top-K scan and ANN
-# shortlist (hamming) rows — else the AVX2 backend silently stopped being
-# compiled in or dispatched (GitHub runners guarantee AVX2; AVX-512 rows
-# appear when the runner has it but are not required).
+# vectorized MTTKRP, row-update (solve, Gram), top-K scan (contiguous and
+# listed rows) and ANN shortlist (hamming) rows — else the AVX2 backend
+# silently stopped being compiled in or dispatched (GitHub runners
+# guarantee AVX2; AVX-512 rows appear when the runner has it but are not
+# required).
 section kernel-sweep
 "${build}/bench/micro_kernels" --kernel-sweep=sweep.csv --sweep-only
 grep -q '^mttkrp,avx2,f64,' sweep.csv
 grep -q '^solve,avx2,f64,' sweep.csv
 grep -q '^gram,avx2,f64,' sweep.csv
 grep -q '^topk,avx2,f64,' sweep.csv
+grep -q '^topk,avx2,listed,' sweep.csv
 grep -q '^hamming,avx2,' sweep.csv
 
 # Kernel linkage: the helpers the backends share (kernels_detail.h) have
