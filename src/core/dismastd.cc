@@ -382,9 +382,11 @@ void RebuildProducts(StepState& s, bool old_rows_are_prev,
       s.h[n] = TransposeTimes(s.prev.factor(n), a0);
     }
   });
+  // The reductions only account traffic: the products above are already
+  // the reduced ones. Fault-free they are booked without moving a byte;
+  // under an injector their messages are drawn like any other.
+  const std::vector<Matrix> partial_stub(s.workers, Matrix(s.rank, s.rank));
   for (size_t n = 0; n < s.order; ++n) {
-    std::vector<Matrix> partial_stub(s.workers, Matrix(s.rank, s.rank));
-    // Account the reduction traffic for the three products per mode.
     for (int rep = 0; rep < 3; ++rep) {
       (void)s.cluster.AllToAllReduceMatrix(partial_stub, acct);
     }

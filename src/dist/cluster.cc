@@ -32,6 +32,25 @@ Result<Matrix> DeserializeMatrix(const std::vector<uint8_t>& bytes) {
   return m;
 }
 
+namespace {
+
+/// SerializeMatrix(m).size(), without building the payload: rows, cols,
+/// the span's length, then the doubles.
+uint64_t SerializedMatrixBytes(const Matrix& m) {
+  return 3 * sizeof(uint64_t) + m.size() * sizeof(double);
+}
+
+/// Charges one transfer attempt of `wire` bytes to the superstep.
+void AccountTransfer(uint32_t src, uint32_t dst, uint64_t wire,
+                     SuperstepAccounting* acct) {
+  if (acct != nullptr && src != dst) {
+    acct->AddSend(src, wire);
+    acct->AddReceive(dst, wire);
+  }
+}
+
+}  // namespace
+
 Cluster::Cluster(uint32_t num_workers, CostModelConfig config)
     : network_(num_workers),
       config_(config),
@@ -98,12 +117,7 @@ Result<Message> Cluster::TransmitReliably(uint32_t src, uint32_t dst,
                                           const std::vector<uint8_t>& payload,
                                           SuperstepAccounting* acct) {
   const uint64_t wire = network_.WireBytes(payload.size());
-  const auto account_attempt = [&] {
-    if (acct != nullptr && src != dst) {
-      acct->AddSend(src, wire);
-      acct->AddReceive(dst, wire);
-    }
-  };
+  const auto account_attempt = [&] { AccountTransfer(src, dst, wire, acct); };
   const uint32_t max_retries =
       injector_ != nullptr ? injector_->plan().max_retries : 0;
   for (uint32_t attempt = 0;; ++attempt) {
@@ -145,17 +159,34 @@ Result<Message> Cluster::TransmitReliably(uint32_t src, uint32_t dst,
   }
 }
 
+void Cluster::BookFanOut(uint32_t src, uint64_t payload_bytes,
+                         SuperstepAccounting* acct) {
+  const uint64_t wire = network_.WireBytes(payload_bytes);
+  for (uint32_t dst = 0; dst < num_workers(); ++dst) {
+    if (dst == src) continue;
+    AccountTransfer(src, dst, wire, acct);
+    network_.BookRemote(src, dst, wire);
+  }
+}
+
 Matrix Cluster::AllToAllReduceMatrix(const std::vector<Matrix>& partials,
                                      SuperstepAccounting* acct) {
   const uint32_t workers = num_workers();
   DISMASTD_CHECK(partials.size() == workers);
   const uint32_t tag = next_tag_++;
-  // Every worker ships its partial to every other worker; each transfer is
-  // delivered reliably (retransmitted under fault injection). Every
-  // replica sums in the same worker order, so they are bit-identical; we
-  // compute worker 0's replica and return it.
-  std::vector<Matrix> received(workers);
+  // Every worker ships its partial to every other worker. Every replica
+  // sums in the same worker order, so they are bit-identical; we compute
+  // worker 0's replica and return it. Fault-free, the partials are what
+  // would arrive; under an injector each transfer is delivered reliably
+  // (retransmitted on a drop or corruption) and worker 0 sums what it
+  // received.
+  const bool booked = injector_ == nullptr;
+  std::vector<Matrix> received(booked ? 0 : workers);
   for (uint32_t src = 0; src < workers; ++src) {
+    if (booked) {
+      BookFanOut(src, SerializedMatrixBytes(partials[src]), acct);
+      continue;
+    }
     const std::vector<uint8_t> payload = SerializeMatrix(partials[src]);
     for (uint32_t dst = 0; dst < workers; ++dst) {
       if (dst == src) continue;
@@ -175,10 +206,10 @@ Matrix Cluster::AllToAllReduceMatrix(const std::vector<Matrix>& partials,
                               static_cast<uint64_t>(partials[dst].size()));
     }
   }
-  received[0] = partials[0];
-  Matrix sum = received[0];
+  Matrix sum = partials[0];
   for (uint32_t w = 1; w < workers; ++w) {
-    if (received[w].rows() > 0) AddInPlace(sum, received[w]);
+    const Matrix& part = booked ? partials[w] : received[w];
+    if (part.rows() > 0) AddInPlace(sum, part);
   }
   return sum;
 }
@@ -189,6 +220,10 @@ double Cluster::AllToAllReduceScalar(const std::vector<double>& partials,
   DISMASTD_CHECK(partials.size() == workers);
   const uint32_t tag = next_tag_++;
   for (uint32_t src = 0; src < workers; ++src) {
+    if (injector_ == nullptr) {
+      BookFanOut(src, sizeof(double), acct);
+      continue;
+    }
     ByteWriter writer;
     writer.WriteDouble(partials[src]);
     const std::vector<uint8_t> payload = writer.TakeBytes();

@@ -23,9 +23,10 @@ Result<Matrix> DeserializeMatrix(const std::vector<uint8_t>& bytes);
 ///
 /// The cluster advances a simulated clock: each committed superstep adds the
 /// cost-model time of its slowest worker (compute + communication + task
-/// startup). Collectives route real serialized bytes through the
-/// SimulatedNetwork so that communication totals match what MPI/Spark would
-/// move for the same algorithm.
+/// startup). Communication totals count the serialized bytes MPI/Spark
+/// would move for the same algorithm. Point-to-point transfers move them
+/// through the SimulatedNetwork; a fault-free collective books each of its
+/// messages' bytes without moving them (see AllToAllReduceMatrix).
 class Cluster {
  public:
   Cluster(uint32_t num_workers, CostModelConfig config = {});
@@ -99,10 +100,18 @@ class Cluster {
   /// all M partials in worker order, so all replicas are bit-identical.
   /// Traffic and the element-wise additions are recorded into `acct`.
   /// Returns the reduced matrix (the replica every worker holds).
+  ///
+  /// Without a fault injector nothing can alter a message in flight, so
+  /// each of the M(M-1) messages is booked — its wire bytes counted into
+  /// `acct` and the network's stats exactly as a send and receive would
+  /// count them — and the partials are summed directly. With any injector
+  /// attached, every message goes through TransmitReliably, one at a time,
+  /// and the replica sums what arrived.
   Matrix AllToAllReduceMatrix(const std::vector<Matrix>& partials,
                               SuperstepAccounting* acct);
 
-  /// All-to-all reduction of one scalar per worker.
+  /// All-to-all reduction of one scalar per worker; booked or transmitted
+  /// like AllToAllReduceMatrix.
   double AllToAllReduceScalar(const std::vector<double>& partials,
                               SuperstepAccounting* acct);
 
@@ -124,6 +133,11 @@ class Cluster {
                                    SuperstepAccounting* acct);
 
  private:
+  /// Worker `src`'s share of a fault-free all-to-all: one booked message
+  /// of `payload_bytes` to every other worker, in worker order.
+  void BookFanOut(uint32_t src, uint64_t payload_bytes,
+                  SuperstepAccounting* acct);
+
   SimulatedNetwork network_;
   CostModelConfig config_;
   FaultInjector* injector_ = nullptr;  // not owned

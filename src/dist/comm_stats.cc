@@ -22,11 +22,11 @@ std::string CommStats::ToString() const {
 void CommStats::PublishTo(obs::MetricRegistry* registry) const {
   registry
       ->GetCounter("dismastd_comm_messages_total", {},
-                   "Remote messages routed through the simulated fabric")
+                   "Remote messages between simulated workers, sent or booked")
       ->Add(messages);
   registry
       ->GetCounter("dismastd_comm_payload_bytes_total", {},
-                   "Serialized payload bytes moved between workers")
+                   "Serialized payload bytes of the remote messages")
       ->Add(payload_bytes);
   registry
       ->GetCounter("dismastd_comm_migration_messages_total", {},

@@ -63,41 +63,48 @@ Status SimulatedNetwork::Send(uint32_t src, uint32_t dst, uint32_t tag,
     return Status::InvalidArgument("worker id out of range");
   }
   if (framing_enabled()) AppendCrcFrame(&payload);
-  const uint64_t size = payload.size();
   if (src != dst) {
-    stats_.Record(size);
-    if (traffic_class_ == TrafficClass::kMigration) {
-      stats_.RecordMigration(size);
+    const FaultInjector::Transit transit =
+        injector_ != nullptr ? injector_->OnSend()
+                             : FaultInjector::Transit::kDeliver;
+    BookRemote(src, dst, payload.size(),
+               transit != FaultInjector::Transit::kDrop);
+    switch (transit) {
+      case FaultInjector::Transit::kDrop:
+        // The bytes left the source but never arrive: counted as sent,
+        // not received, and nothing is enqueued.
+        ++injector_->metrics().messages_dropped;
+        return Status::OK();
+      case FaultInjector::Transit::kCorrupt:
+        // Flip one byte in transit; the CRC frame makes Receive notice.
+        payload[injector_->CorruptOffset(payload.size())] ^= 0x5Au;
+        ++injector_->metrics().messages_corrupted;
+        break;
+      case FaultInjector::Transit::kDelay:
+        // Straggler link: delivered intact, but the configured delay is
+        // charged to the simulated clock at the next superstep commit.
+        ++injector_->metrics().messages_delayed;
+        injector_->ChargeFaultOverhead(injector_->plan().delay_seconds);
+        break;
+      case FaultInjector::Transit::kDeliver:
+        break;
     }
-    bytes_sent_[src] += size;
-    ++msgs_sent_[src];
-    if (message_bytes_ != nullptr) message_bytes_->Record(size);
-    if (injector_ != nullptr) {
-      switch (injector_->OnSend()) {
-        case FaultInjector::Transit::kDrop:
-          // The bytes left the source but never arrive: count the send,
-          // skip the receive side, and enqueue nothing.
-          ++injector_->metrics().messages_dropped;
-          return Status::OK();
-        case FaultInjector::Transit::kCorrupt:
-          // Flip one byte in transit; the CRC frame makes Receive notice.
-          payload[injector_->CorruptOffset(payload.size())] ^= 0x5Au;
-          ++injector_->metrics().messages_corrupted;
-          break;
-        case FaultInjector::Transit::kDelay:
-          // Straggler link: delivered intact, but the configured delay is
-          // charged to the simulated clock at the next superstep commit.
-          ++injector_->metrics().messages_delayed;
-          injector_->ChargeFaultOverhead(injector_->plan().delay_seconds);
-          break;
-        case FaultInjector::Transit::kDeliver:
-          break;
-      }
-    }
-    bytes_recv_[dst] += size;
   }
   inboxes_[dst].push_back(Message{src, dst, tag, std::move(payload)});
   return Status::OK();
+}
+
+void SimulatedNetwork::BookRemote(uint32_t src, uint32_t dst,
+                                  uint64_t wire_bytes, bool delivered) {
+  DISMASTD_CHECK(src != dst && src < num_workers_ && dst < num_workers_);
+  stats_.Record(wire_bytes);
+  if (traffic_class_ == TrafficClass::kMigration) {
+    stats_.RecordMigration(wire_bytes);
+  }
+  bytes_sent_[src] += wire_bytes;
+  ++msgs_sent_[src];
+  if (message_bytes_ != nullptr) message_bytes_->Record(wire_bytes);
+  if (delivered) bytes_recv_[dst] += wire_bytes;
 }
 
 Result<Message> SimulatedNetwork::Receive(uint32_t dst, uint32_t tag) {

@@ -89,6 +89,16 @@ class SimulatedNetwork {
   Status Send(uint32_t src, uint32_t dst, uint32_t tag,
               std::vector<uint8_t> payload);
 
+  /// Counts one remote message of `wire_bytes` from `src` to `dst` (src !=
+  /// dst): CommStats (and its migration share under kMigration), the
+  /// per-worker bytes and messages, and the message-byte histogram. A
+  /// message that is not `delivered` (dropped in transit) counts as sent
+  /// but not as received. Send counts every remote message through this;
+  /// a fault-free collective calls it for each message it books without
+  /// moving (Cluster::AllToAllReduceMatrix), so both count alike.
+  void BookRemote(uint32_t src, uint32_t dst, uint64_t wire_bytes,
+                  bool delivered = true);
+
   /// Pops the oldest pending message for `dst` with the given tag.
   /// Returns NotFound if none is pending. With framing enabled, verifies
   /// and strips the CRC; a checksum mismatch consumes the message and

@@ -139,7 +139,8 @@ void GramTileAvx2(const double* x, const double* y, const uint64_t* rows,
     }
   }
   for (size_t k = 0; k < num_rows; ++k) {
-    const size_t base = static_cast<size_t>(rows[k]) * rank;
+    const size_t base =
+        static_cast<size_t>(rows != nullptr ? rows[k] : k) * rank;
     const double* xr = x + base + i0;
     __m256d yv[kVecs];
     for (size_t v = 0; v < kVecs; ++v) {

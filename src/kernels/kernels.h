@@ -98,10 +98,17 @@ struct KernelTable {
 
   /// out[i*rank + j] += Σ_k x_k[i] * y_k[j] for i, j in [0, rank), where
   /// x_k = x + rows[k]*rank and y_k = y + rows[k]*rank are rows of two
-  /// row-major rank-column matrices. Each output element adds its terms
-  /// one at a time in list order (k = 0, 1, ...), exactly as num_rows
-  /// successive rank-1 updates would; rows may repeat or come unsorted.
-  /// The Gram (y == x) or cross-Gram partial of a partition's rows.
+  /// row-major rank-column matrices, or x + k*rank and y + k*rank when
+  /// `rows` is null (a contiguous block, as in topk_score_block). Each
+  /// output element adds its terms one at a time in list order (k = 0,
+  /// 1, ...), exactly as num_rows successive rank-1 updates would; rows may
+  /// repeat or come unsorted. The Gram (y == x) or cross-Gram partial of a
+  /// partition's rows, and with null rows the whole xᵀy of TransposeTimes.
+  /// From out = +0.0 that is bit for bit a loop that skips the terms of
+  /// zero x entries, as long as the inputs are finite: such a term is
+  /// ±0.0, and adding ±0.0 leaves every sum that starts at +0.0 unchanged
+  /// (a round-to-nearest sum is -0.0 only when both addends are). A zero x
+  /// entry against an infinite or NaN y entry gives NaN here instead.
   void (*gram_rows)(const double* x, const double* y, const uint64_t* rows,
                     size_t num_rows, size_t rank, double* out);
 

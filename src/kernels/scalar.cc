@@ -25,7 +25,8 @@ void GramRowsScalar(const double* x, const double* y, const uint64_t* rows,
       double acc[8];
       std::copy_n(o, width, acc);
       for (size_t k = 0; k < num_rows; ++k) {
-        const size_t base = static_cast<size_t>(rows[k]) * rank;
+        const size_t base =
+            static_cast<size_t>(rows != nullptr ? rows[k] : k) * rank;
         const double xi = x[base + i];
         const double* yr = y + base + j0;
         for (size_t j = 0; j < width; ++j) acc[j] += xi * yr[j];

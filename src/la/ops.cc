@@ -1,5 +1,7 @@
 #include "la/ops.h"
 
+#include "kernels/kernels.h"
+
 namespace dismastd {
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -30,6 +32,13 @@ Matrix Transpose(const Matrix& a) {
 Matrix TransposeTimes(const Matrix& a, const Matrix& b) {
   DISMASTD_CHECK(a.rows() == b.rows());
   Matrix c(a.cols(), b.cols());
+  if (a.cols() == b.cols()) {
+    // Every row, contiguous (a null row list); for finite inputs the same
+    // bits as the loop below (see gram_rows in kernels/kernels.h).
+    kernels::Get().gram_rows(a.data(), b.data(), nullptr, a.rows(), a.cols(),
+                             c.data());
+    return c;
+  }
   const size_t rows = a.rows(), ac = a.cols(), bc = b.cols();
   for (size_t r = 0; r < rows; ++r) {
     const double* arow = a.RowPtr(r);

@@ -15,6 +15,10 @@ Matrix Transpose(const Matrix& a);
 
 /// Gram-style product AᵀB where A and B share the row count. This is the
 /// R x R "matrix product" DisMASTD all-reduces across workers (§IV-B3).
+/// Each element adds its terms in ascending row order from +0.0. With equal
+/// column counts this is one gram_rows call (bit-identical across
+/// backends); otherwise a plain loop that skips zero entries of A, which
+/// for finite inputs gives the same bits.
 Matrix TransposeTimes(const Matrix& a, const Matrix& b);
 
 /// Element-wise (Hadamard) product A * B; shapes must match.

@@ -1,7 +1,5 @@
 #include "partition/factor_assign.h"
 
-#include <algorithm>
-
 namespace dismastd {
 
 ModePartitionData BuildModePartitionData(
@@ -33,13 +31,14 @@ ModePartitionData BuildModePartitionData(
     data.part_tensors[part_of(e)].AddRaw(indices + e * order, tensor.Value(e));
   }
 
-  // Access sets, one part at a time: a factor row enters part q's set the
-  // first time one of q's entries touches it (stamp[k][row] == q + 1), so
-  // only the distinct rows are kept and sorted.
+  // Access sets, one part at a time: each of part q's entries sets its
+  // row's bit in factor k's bitmap, and reading the set bits back word by
+  // word lists the distinct rows in ascending order, with no sort, and
+  // clears the bitmap for the next part.
   data.needed_rows.assign(parts, std::vector<std::vector<uint64_t>>(order));
-  std::vector<std::vector<uint32_t>> stamp(order);
+  std::vector<std::vector<uint64_t>> seen(order);
   for (size_t k = 0; k < order; ++k) {
-    if (k != mode) stamp[k].assign(static_cast<size_t>(tensor.dim(k)), 0);
+    if (k != mode) seen[k].assign((tensor.dim(k) + 63) / 64, 0);
   }
   for (uint32_t q = 0; q < parts; ++q) {
     const SparseTensor& part = data.part_tensors[q];
@@ -48,14 +47,18 @@ ModePartitionData BuildModePartitionData(
       for (size_t k = 0; k < order; ++k) {
         if (k == mode) continue;
         const uint64_t row = part_indices[e * order + k];
-        uint32_t& seen = stamp[k][static_cast<size_t>(row)];
-        if (seen == q + 1) continue;
-        seen = q + 1;
-        data.needed_rows[q][k].push_back(row);
+        seen[k][row >> 6] |= uint64_t{1} << (row & 63);
       }
     }
-    for (std::vector<uint64_t>& rows : data.needed_rows[q]) {
-      std::sort(rows.begin(), rows.end());
+    for (size_t k = 0; k < order; ++k) {
+      std::vector<uint64_t>& rows = data.needed_rows[q][k];
+      for (size_t w = 0; w < seen[k].size(); ++w) {
+        for (uint64_t bits = seen[k][w]; bits != 0; bits &= bits - 1) {
+          rows.push_back(w * 64 +
+                         static_cast<uint64_t>(__builtin_ctzll(bits)));
+        }
+        seen[k][w] = 0;
+      }
     }
   }
   return data;

@@ -17,8 +17,8 @@ struct ModePartitionData {
   /// part_tensors[q] holds partition q's non-zeros (full tensor dims, so
   /// global indices remain valid).
   std::vector<SparseTensor> part_tensors;
-  /// needed_rows[q][k] = sorted distinct row indices of factor k accessed
-  /// by partition q's non-zeros (empty vector for k == mode).
+  /// needed_rows[q][k] = the distinct row indices of factor k accessed by
+  /// partition q's non-zeros, ascending (empty vector for k == mode).
   std::vector<std::vector<std::vector<uint64_t>>> needed_rows;
 };
 

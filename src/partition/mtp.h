@@ -12,7 +12,8 @@ namespace dismastd {
 ///
 /// Sorts slices by nnz descending (ties broken by slice index for
 /// determinism) and assigns each slice to the partition with the currently
-/// smallest load (LPT scheduling). Produces non-contiguous partitions with a
+/// smallest load (LPT scheduling), ties going to the partition with fewer
+/// slices, then the lower id. Produces non-contiguous partitions with a
 /// classic max-load guarantee of (4/3 - 1/3p) x optimum.
 ModePartition MaxMinPartitionMode(const std::vector<uint64_t>& slice_nnz,
                                   uint32_t num_parts);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "la/ops.h"
+#include "obs/histogram.h"
+#include "test_util.h"
 
 namespace dismastd {
 namespace {
@@ -79,6 +83,103 @@ TEST(ClusterTest, ScalarReduce) {
       cluster.AllToAllReduceScalar({1.0, 2.0, 3.0, 4.0}, &acct);
   EXPECT_DOUBLE_EQ(sum, 10.0);
   EXPECT_EQ(cluster.network().TotalPending(), 0u);
+}
+
+/// Every counter a collective's traffic lands in must agree between the
+/// two clusters, bit for bit.
+void ExpectSameTraffic(Cluster& booked, const SuperstepAccounting& booked_acct,
+                       const obs::Pow2Histogram& booked_sizes, Cluster& moved,
+                       const SuperstepAccounting& moved_acct,
+                       const obs::Pow2Histogram& moved_sizes,
+                       const std::string& what) {
+  EXPECT_EQ(booked.network().TotalPending(), 0u) << what;
+  EXPECT_EQ(moved.network().TotalPending(), 0u) << what;
+  const CommStats& b = booked.network().stats();
+  const CommStats& m = moved.network().stats();
+  EXPECT_EQ(b.messages, m.messages) << what;
+  EXPECT_EQ(b.payload_bytes, m.payload_bytes) << what;
+  EXPECT_EQ(b.migration_messages, m.migration_messages) << what;
+  EXPECT_EQ(b.migration_bytes, m.migration_bytes) << what;
+  EXPECT_EQ(b.orphan_events, m.orphan_events) << what;
+  EXPECT_EQ(b.orphan_messages, m.orphan_messages) << what;
+  for (uint32_t w = 0; w < booked.num_workers(); ++w) {
+    EXPECT_EQ(booked.network().bytes_sent_by(w),
+              moved.network().bytes_sent_by(w))
+        << what << " worker " << w;
+    EXPECT_EQ(booked.network().bytes_received_by(w),
+              moved.network().bytes_received_by(w))
+        << what << " worker " << w;
+    EXPECT_EQ(booked.network().messages_sent_by(w),
+              moved.network().messages_sent_by(w))
+        << what << " worker " << w;
+  }
+  EXPECT_EQ(booked_acct.per_worker_bytes_sent(),
+            moved_acct.per_worker_bytes_sent())
+      << what;
+  EXPECT_EQ(booked_acct.per_worker_bytes_recv(),
+            moved_acct.per_worker_bytes_recv())
+      << what;
+  EXPECT_EQ(booked_acct.per_worker_messages(),
+            moved_acct.per_worker_messages())
+      << what;
+  EXPECT_EQ(booked_acct.per_worker_flops(), moved_acct.per_worker_flops())
+      << what;
+  EXPECT_EQ(booked_sizes.Count(), moved_sizes.Count()) << what;
+  EXPECT_EQ(booked_sizes.Total(), moved_sizes.Total()) << what;
+}
+
+TEST(ClusterTest, BookedCollectivesMatchTransmittedOnes) {
+  // A plain cluster books its collectives' messages; one with a
+  // crash-armed injector that injects no message faults (its crash never
+  // fires) still transmits them one at a time. Both must return the same
+  // bits and leave every traffic counter equal.
+  FaultPlan plan;
+  plan.crash_worker = 0;
+  plan.crash_superstep = 1u << 30;
+  for (uint32_t workers : {1u, 2u, 15u}) {
+    for (size_t rank : {size_t{1}, size_t{10}, size_t{16}}) {
+      const std::string what = "workers=" + std::to_string(workers) +
+                               " rank=" + std::to_string(rank);
+      Cluster booked(workers);
+      Cluster moved(workers);
+      FaultInjector injector(plan, /*stream_step=*/0);
+      ASSERT_TRUE(injector.CrashArmed() && !injector.message_faults());
+      moved.AttachFaultInjector(&injector);
+      obs::Pow2Histogram booked_sizes, moved_sizes;
+      booked.network().AttachMessageByteHistogram(&booked_sizes);
+      moved.network().AttachMessageByteHistogram(&moved_sizes);
+      Rng rng(workers * 100 + rank);
+      std::vector<Matrix> partials;
+      std::vector<double> scalars;
+      for (uint32_t w = 0; w < workers; ++w) {
+        partials.push_back(Matrix::RandomGaussian(rank, rank, rng));
+        partials.back()(0, 0) = w % 2 == 0 ? -0.0 : 0.0;
+        scalars.push_back(rng.NextGaussian());
+      }
+      SuperstepAccounting booked_acct = booked.NewSuperstep();
+      SuperstepAccounting moved_acct = moved.NewSuperstep();
+      const Matrix booked_sum =
+          booked.AllToAllReduceMatrix(partials, &booked_acct);
+      const Matrix moved_sum =
+          moved.AllToAllReduceMatrix(partials, &moved_acct);
+      ASSERT_EQ(booked_sum.size(), moved_sum.size()) << what;
+      for (size_t e = 0; e < booked_sum.size(); ++e) {
+        EXPECT_EQ(test::Bits(booked_sum.data()[e]),
+                  test::Bits(moved_sum.data()[e]))
+            << what << " element " << e;
+      }
+      ExpectSameTraffic(booked, booked_acct, booked_sizes, moved, moved_acct,
+                        moved_sizes, what + " matrix");
+      EXPECT_EQ(test::Bits(booked.AllToAllReduceScalar(scalars, &booked_acct)),
+                test::Bits(moved.AllToAllReduceScalar(scalars, &moved_acct)))
+          << what;
+      ExpectSameTraffic(booked, booked_acct, booked_sizes, moved, moved_acct,
+                        moved_sizes, what + " scalar");
+      const uint64_t messages = uint64_t{2} * workers * (workers - 1);
+      EXPECT_EQ(booked.network().stats().messages, messages) << what;
+      EXPECT_EQ(booked_sizes.Count(), messages) << what;
+    }
+  }
 }
 
 TEST(ClusterTest, SingleWorkerReduceIsFree) {

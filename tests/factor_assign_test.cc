@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "common/random.h"
 #include "partition/mtp.h"
+#include "stream/generator.h"
 
 namespace dismastd {
 namespace {
@@ -123,6 +125,44 @@ TEST(FactorAssignTest, SplitMatchesPerEntryOracle) {
           << "mode " << mode << " part " << q;
       EXPECT_EQ(data.needed_rows[q], want_rows[q])
           << "mode " << mode << " part " << q;
+    }
+  }
+}
+
+TEST(FactorAssignTest, AccessSetsMatchBruteForceOnZipfTail) {
+  // A skewed tensor whose heavy rows sit at index 0 and whose tail rows
+  // are touched once or never, with mode sizes that end mid-word: every
+  // part's access set per other mode is exactly the set of rows its
+  // non-zeros touch, in ascending order.
+  GeneratorOptions gen;
+  gen.dims = {300, 130, 67};
+  gen.nnz = 2500;
+  gen.zipf_exponents = {1.2, 1.0, 0.6};
+  gen.scramble_indices = false;
+  gen.seed = 23;
+  const SparseTensor t = GenerateSparseTensor(gen).tensor;
+  for (uint32_t parts : {1u, 4u, 15u}) {
+    const TensorPartitioning tp =
+        PartitionTensor(PartitionerKind::kMaxMin, t, parts);
+    for (size_t mode = 0; mode < t.order(); ++mode) {
+      std::vector<std::vector<std::set<uint64_t>>> want(
+          parts, std::vector<std::set<uint64_t>>(t.order()));
+      for (size_t e = 0; e < t.nnz(); ++e) {
+        const uint32_t q = tp.modes[mode].slice_to_part[t.Index(e, mode)];
+        for (size_t k = 0; k < t.order(); ++k) {
+          if (k != mode) want[q][k].insert(t.Index(e, k));
+        }
+      }
+      const ModePartitionData data = BuildModePartitionData(t, tp, mode);
+      for (uint32_t q = 0; q < parts; ++q) {
+        for (size_t k = 0; k < t.order(); ++k) {
+          EXPECT_EQ(data.needed_rows[q][k],
+                    std::vector<uint64_t>(want[q][k].begin(),
+                                          want[q][k].end()))
+              << "parts " << parts << " mode " << mode << " part " << q
+              << " factor " << k;
+        }
+      }
     }
   }
 }

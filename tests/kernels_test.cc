@@ -479,6 +479,56 @@ TEST(KernelsParityTest, GramRowsMatchPerRowRankOneOracle) {
   }
 }
 
+TEST(KernelsParityTest, GramRowsContiguousMatchZeroSkippingTransposeTimes) {
+  // A null row list means rows 0 .. num_rows-1. From a +0.0 output that is
+  // TransposeTimes' plain loop, which skips zero x entries: x and y hold
+  // +0.0 and -0.0 entries (whole rows and scattered ones) among Gaussians,
+  // so a kernel that started a sum from its first product, or let a -0.0
+  // term through as the sum's sign, shows in the sign bit.
+  std::vector<size_t> counts;
+  for (size_t count = 0; count <= 33; ++count) counts.push_back(count);
+  counts.push_back(1000);
+  for (size_t rank = 1; rank <= 17; ++rank) {
+    for (size_t count : counts) {
+      Rng rng(1000 * rank + count);
+      Matrix x = Matrix::RandomGaussian(count, rank, rng);
+      Matrix y = Matrix::RandomGaussian(count, rank, rng);
+      for (size_t r = 0; r < count; ++r) {
+        for (size_t i = 0; i < rank; ++i) {
+          const uint64_t pick = rng.NextBounded(6);
+          if (pick == 0) x(r, i) = 0.0;
+          if (pick == 1) x(r, i) = -0.0;
+          if (pick == 2) y(r, i) = -0.0;
+          if (r == 0) x(r, i) = -0.0;
+          if (r == 1) y(r, i) = 0.0;
+        }
+      }
+      for (const Matrix* second : {&x, &y}) {
+        Matrix want(rank, rank);
+        for (size_t r = 0; r < count; ++r) {
+          for (size_t i = 0; i < rank; ++i) {
+            if (x(r, i) == 0.0) continue;
+            for (size_t j = 0; j < rank; ++j) {
+              want(i, j) += x(r, i) * (*second)(r, j);
+            }
+          }
+        }
+        for (Backend backend : SupportedBackends()) {
+          Matrix got(rank, rank);
+          Get(backend).gram_rows(x.data(), second->data(), nullptr, count,
+                                 rank, got.data());
+          for (size_t e = 0; e < rank * rank; ++e) {
+            ASSERT_EQ(Bits(got.data()[e]), Bits(want.data()[e]))
+                << BackendName(backend) << " rank=" << rank
+                << " rows=" << count << " cross=" << (second == &y)
+                << " e=" << e;
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace kernels
 }  // namespace dismastd

@@ -4,6 +4,8 @@
 
 #include <tuple>
 
+#include "test_util.h"
+
 namespace dismastd {
 namespace {
 
@@ -42,6 +44,27 @@ TEST(TransposeTimesTest, EqualsExplicitTransposeMatMul) {
   const Matrix a = Matrix::Random(6, 3, rng);
   const Matrix b = Matrix::Random(6, 4, rng);
   EXPECT_TRUE(TransposeTimes(a, b).AllClose(MatMul(Transpose(a), b), 1e-12));
+}
+
+TEST(TransposeTimesTest, SquareProductIsTransposeMatMulBitForBit) {
+  // Square products run on the gram_rows kernel; MatMul(Transpose(a), b)
+  // is the plain loop (rows in ascending order, zero a entries skipped).
+  // Signed zeros included, every element's bits must agree.
+  Rng rng(6);
+  Matrix a = Matrix::RandomGaussian(37, 10, rng);
+  Matrix b = Matrix::RandomGaussian(37, 10, rng);
+  for (size_t r = 0; r < a.rows(); r += 3) {
+    a(r, r % 10) = r % 2 == 0 ? 0.0 : -0.0;
+    b(r, (r + 1) % 10) = -0.0;
+  }
+  for (const Matrix* second : {&a, &b}) {
+    const Matrix got = TransposeTimes(a, *second);
+    const Matrix want = MatMul(Transpose(a), *second);
+    for (size_t e = 0; e < got.size(); ++e) {
+      EXPECT_EQ(test::Bits(got.data()[e]), test::Bits(want.data()[e]))
+          << "element " << e;
+    }
+  }
 }
 
 TEST(TransposeTimesTest, GramIsSymmetric) {

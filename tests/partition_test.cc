@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <queue>
+#include <string>
 #include <tuple>
 
 #include "common/random.h"
@@ -135,6 +137,89 @@ TEST(MtpTest, DeterministicTieBreaking) {
   const ModePartition a = MaxMinPartitionMode(hist, 2);
   const ModePartition b = MaxMinPartitionMode(hist, 2);
   EXPECT_EQ(a.slice_to_part, b.slice_to_part);
+}
+
+/// Alg. 3 as first written here, kept as the reference MTP must match: a
+/// stable sort of every slice by nnz descending, then one pop and push of a
+/// (load, slice count, id) min-heap per slice.
+ModePartition ReferenceMaxMin(const std::vector<uint64_t>& slice_nnz,
+                              uint32_t num_parts) {
+  ModePartition result;
+  result.num_parts = num_parts;
+  result.slice_to_part.assign(slice_nnz.size(), 0);
+  result.part_nnz.assign(num_parts, 0);
+  std::vector<size_t> order(slice_nnz.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return slice_nnz[a] > slice_nnz[b];
+  });
+  using HeapEntry = std::tuple<uint64_t, uint64_t, uint32_t>;
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
+      lightest;
+  for (uint32_t p = 0; p < num_parts; ++p) lightest.emplace(0, 0, p);
+  for (size_t slice : order) {
+    auto [load, count, part] = lightest.top();
+    lightest.pop();
+    result.slice_to_part[slice] = part;
+    load += slice_nnz[slice];
+    result.part_nnz[part] = load;
+    lightest.emplace(load, count + 1, part);
+  }
+  return result;
+}
+
+void ExpectReferenceMaxMin(const std::vector<uint64_t>& hist,
+                           uint32_t parts, const std::string& what) {
+  const ModePartition want = ReferenceMaxMin(hist, parts);
+  const ModePartition got = MaxMinPartitionMode(hist, parts);
+  EXPECT_EQ(got.num_parts, parts) << what;
+  EXPECT_EQ(got.slice_to_part, want.slice_to_part) << what;
+  EXPECT_EQ(got.part_nnz, want.part_nnz) << what;
+}
+
+TEST(MtpTest, MatchesReferenceAlgorithmThree) {
+  const uint32_t kParts[] = {1, 2, 3, 7, 15, 38};
+  Rng rng(77);
+  for (uint32_t parts : kParts) {
+    const std::string at = " parts=" + std::to_string(parts);
+    for (uint64_t trial = 0; trial < 40; ++trial) {
+      // Random loads with a long zero-nnz tail: a small or large share of
+      // the slices non-empty, small loads (many exact ties) or loads
+      // spread over several bytes.
+      const size_t slices = 1 + rng.NextBounded(3000);
+      const uint64_t nonzero_per_64 = 1 + rng.NextBounded(48);
+      const uint64_t max_load =
+          trial % 3 == 0 ? 3 : trial % 3 == 1 ? 60 : uint64_t{1} << 40;
+      std::vector<uint64_t> hist(slices, 0);
+      for (uint64_t& h : hist) {
+        if (rng.NextBounded(64) < nonzero_per_64) {
+          h = 1 + rng.NextBounded(max_load);
+        }
+      }
+      ExpectReferenceMaxMin(hist, parts,
+                            "random trial=" + std::to_string(trial) + at);
+    }
+    // All-zero loads, fewer and more slices than parts.
+    for (size_t slices : {size_t{0}, size_t{1}, size_t{5}, size_t{200}}) {
+      ExpectReferenceMaxMin(std::vector<uint64_t>(slices, 0), parts,
+                            "all zero slices=" + std::to_string(slices) + at);
+    }
+    // Exact load ties: equal loads, then ties reached with unequal slice
+    // counts (2 = 1 + 1), each before a zero tail.
+    std::vector<uint64_t> equal(4 * parts, 5);
+    equal.resize(equal.size() + 100, 0);
+    ExpectReferenceMaxMin(equal, parts, "equal loads" + at);
+    std::vector<uint64_t> uneven(parts - parts / 2, 2);
+    uneven.resize(uneven.size() + 2 * (parts / 2), 1);
+    uneven.resize(uneven.size() + 3 * parts + 7, 0);
+    ExpectReferenceMaxMin(uneven, parts, "uneven counts" + at);
+    // More parts than slices.
+    ExpectReferenceMaxMin({4, 0, 9}, parts, "three slices" + at);
+  }
+  // The largest loads a uint64_t histogram carries, and a Zipf one.
+  ExpectReferenceMaxMin({~uint64_t{0} >> 2, 0, 1, ~uint64_t{0} >> 2, 0, 7},
+                        3, "huge loads");
+  ExpectReferenceMaxMin(RandomHistogram(5000, 4, 9, 1.1), 15, "zipf");
 }
 
 TEST(MtpTest, BeatsGtpOnSkewedData) {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke checks over an already-built Release tree: the kernel
-# sweep and linkage, health, elastic, recall, ingest and trace gates. Each section runs
-# the tree's binaries in its own temporary directory, so no two sections
-# share a tensor, trace or metrics file; the first failing command or check
-# fails the script.
+# sweep and linkage, collectives, health, elastic, recall, ingest and trace
+# gates. Each section runs the tree's binaries in its own temporary
+# directory, so no two sections share a tensor, trace or metrics file; the
+# first failing command or check fails the script.
 #
 #   bash tools/smoke.sh build
 set -euo pipefail
@@ -53,6 +53,29 @@ if nm -C "${kernels_lib}" | grep -E ' [WV] dismastd::kernels::detail::'; then
   echo "weak kernels::detail symbols in libdismastd_kernels.a" >&2
   exit 1
 fi
+
+# Collectives: without a fault injector the all-to-all reductions book
+# their messages' bytes instead of moving them; with any injector attached
+# every message goes through the fabric. A plan whose only fault is a
+# crash that never fires attaches an injector at step 2 and changes
+# nothing else, so the two runs of README's example must print the same
+# tables, apart from the phase table's wall_s column, and export the same
+# metrics, the dismastd_comm_* series included.
+section collectives
+"${cli}" generate --output t.tns --dims 500x400x50 --nnz 20000
+mkdir booked moved
+(cd booked && "${cli}" stream --input ../t.tns --steps 4 \
+  --metrics-out metrics.prom > stdout.txt)
+(cd moved && "${cli}" stream --input ../t.tns --steps 4 \
+  --fault-plan "crash=1@2,superstep=1000000" \
+  --metrics-out metrics.prom > stdout.txt)
+without_wall() {
+  awk '$1 == "phase" && $3 == "wall_s" { table = 1 }
+       table && NF == 3 { $3 = "" } { print }' "$1"
+}
+diff <(without_wall booked/stdout.txt) <(without_wall moved/stdout.txt)
+diff booked/metrics.prom moved/metrics.prom
+grep -q '^dismastd_comm_message_wire_bytes_count [1-9]' booked/metrics.prom
 
 # Health: a streaming run with an injected worker crash + message drops,
 # SLO rules armed and the flight recorder on. The run survives, the flight
