@@ -99,96 +99,22 @@ void GroupRows(const uint64_t* row_codes, LshModeIndex* mode) {
 }
 
 /// This thread's Shortlist scratch, reused across queries (grown, never
-/// shrunk, like the kernels' LaneBuffer), so a query allocates only its
-/// answer: the query's augmented vector and code, every code's distance,
-/// the chosen codes, and a one-bit-per-row bitmap that is all zero
-/// between queries.
+/// shrunk, like the kernels' LaneBuffer), so a query allocates nothing:
+/// the query's augmented vector and code, every code's distance, the
+/// chosen codes, and the rows at the cut-off before their trim.
 struct ShortlistScratch {
   std::vector<double> aug;
   std::vector<uint64_t> qcode;
   std::vector<uint16_t> dists;
   std::vector<uint32_t> below;
   std::vector<uint32_t> at;
-  std::vector<uint64_t> row_bits;
+  std::vector<uint32_t> at_rows;
 };
 
 ShortlistScratch& ThreadScratch() {
   thread_local ShortlistScratch scratch;
   return scratch;
 }
-
-/// The rows of a shortlist's chosen codes as bits of a row bitmap, and the
-/// range [lo, hi] of words that hold them.
-struct RowBits {
-  uint64_t* bits;
-  size_t lo = SIZE_MAX;
-  size_t hi = 0;
-
-  /// Sets the first `cap` rows of each listed code of `mode`; returns the
-  /// number set. The codes lie scattered over the index, so the group
-  /// bounds and first rows of the codes kAhead and kAhead / 2 places on
-  /// are prefetched.
-  size_t Mark(const LshModeIndex& mode, const uint32_t* list, size_t count,
-              size_t cap) {
-    constexpr size_t kAhead = 16;
-    const uint32_t* start = mode.group_start.data();
-    const uint32_t* rows = mode.group_rows.data();
-    size_t marked = 0;
-    for (size_t i = 0; i < count; ++i) {
-      if (i + kAhead < count) __builtin_prefetch(start + list[i + kAhead]);
-      if (i + kAhead / 2 < count) {
-        __builtin_prefetch(rows + start[list[i + kAhead / 2]]);
-      }
-      const uint32_t* first = rows + start[list[i]];
-      const uint32_t* last =
-          first + std::min<size_t>(start[list[i] + 1] - start[list[i]], cap);
-      lo = std::min<size_t>(lo, *first / 64);
-      hi = std::max<size_t>(hi, last[-1] / 64);
-      marked += static_cast<size_t>(last - first);
-      for (; first != last; ++first) {
-        bits[*first / 64] |= uint64_t{1} << (*first % 64);
-      }
-    }
-    return marked;
-  }
-
-  /// Clears every set bit after the lowest `keep` (> 0, at most the bits
-  /// set).
-  void KeepLowest(size_t keep) {
-    size_t w = lo;
-    for (;; ++w) {
-      const size_t set = static_cast<size_t>(__builtin_popcountll(bits[w]));
-      if (set >= keep) break;
-      keep -= set;
-    }
-    uint64_t word = bits[w];
-    for (; keep > 1; --keep) word &= word - 1;
-    bits[w] &= ((word & (0 - word)) << 1) - 1;  // through the keep-th bit
-    std::fill(bits + w + 1, bits + hi + 1, uint64_t{0});
-    hi = w;
-  }
-
-  /// Writes the set rows to `out` in ascending order, clearing the bitmap;
-  /// returns the number written. Every word stores once, even an empty
-  /// one (the next row overwrites that slot), so the sparse words of a
-  /// scattered shortlist cost no mispredicted branch: `out` needs one slot
-  /// beyond the rows.
-  size_t Drain(uint32_t* out) {
-    constexpr uint64_t kTop = uint64_t{1} << 63;
-    size_t taken = 0;
-    for (size_t w = lo; w <= hi; ++w) {
-      uint64_t word = bits[w];
-      bits[w] = 0;
-      do {
-        out[taken] =
-            static_cast<uint32_t>(w * 64 + __builtin_ctzll(word | kTop));
-        taken += word != 0;
-        word &= word - 1;
-      } while (word != 0);
-    }
-    return taken;
-  }
-};
 
 }  // namespace
 
@@ -307,16 +233,15 @@ uint64_t AnnIndex::hashed_rows() const {
   return total;
 }
 
-std::vector<uint32_t> AnnIndex::Shortlist(size_t mode_index,
-                                          const double* weights,
-                                          size_t shortlist_size) const {
+size_t AnnIndex::Shortlist(size_t mode_index, const double* weights,
+                           size_t shortlist_size, uint32_t* rows) const {
   const LshModeIndex& mode = modes_[mode_index];
-  if (mode.num_rows == 0 || shortlist_size == 0) return {};
-  if (shortlist_size >= mode.num_rows) {
-    std::vector<uint32_t> all(mode.num_rows);
-    std::iota(all.begin(), all.end(), 0u);
-    return all;
+  const size_t n = std::min(shortlist_size, mode.num_rows);
+  if (n == mode.num_rows) {
+    std::iota(rows, rows + n, 0u);
+    return n;
   }
+  if (n == 0) return 0;
   ShortlistScratch& scratch = ThreadScratch();
 
   // Query code: the MIPS augmentation of a query is [w, 0].
@@ -333,28 +258,42 @@ std::vector<uint32_t> AnnIndex::Shortlist(size_t mode_index,
     scratch.below.resize(mode.num_codes + 1);
     scratch.at.resize(mode.num_codes + 1);
   }
-  scratch.row_bits.resize(
-      std::max(scratch.row_bits.size(), (mode.num_rows + 63) / 64));
   const kernels::ShortlistCut cut = kernels::Get().hamming_shortlist(
-      mode.Groups(), scratch.qcode.data(), shortlist_size,
-      scratch.dists.data(), scratch.below.data(), scratch.at.data());
+      mode.Groups(), scratch.qcode.data(), n, scratch.dists.data(),
+      scratch.below.data(), scratch.at.data());
+  const uint32_t* start = mode.group_start.data();
+  const uint32_t* group_rows = mode.group_rows.data();
 
-  // Expand codes to rows: the rows at c first, trimmed to their lowest
-  // `ties`, then every row below c; read out in row order. Only the first
-  // `ties` rows of the first `ties` codes at c can be kept: a code's rows
-  // ascend, and in first-row order the k-th code at c has k codes at c
-  // with lower first rows.
-  const size_t ties = shortlist_size - cut.rows_below;
-  RowBits rows{scratch.row_bits.data()};
-  if (rows.Mark(mode, scratch.at.data(), std::min(cut.num_at, ties), ties) >
-      ties) {
-    rows.KeepLowest(ties);
+  // The rows at c, trimmed to their lowest `ties`. In first-row order the
+  // j-th code at c has j codes at c with lower first rows, and a code's
+  // i-th row has i lower rows of its own, so a row with i + j >= ties
+  // cannot be kept: gather the others, then select the lowest `ties`.
+  const size_t ties = n - cut.rows_below;
+  size_t gathered = 0;
+  for (size_t j = 0; j < std::min(cut.num_at, ties); ++j) {
+    const uint32_t g = scratch.at[j];
+    const size_t count = std::min<size_t>(start[g + 1] - start[g], ties - j);
+    if (scratch.at_rows.size() < gathered + count) {
+      scratch.at_rows.resize(2 * (gathered + count));
+    }
+    std::copy_n(group_rows + start[g], count,
+                scratch.at_rows.data() + gathered);
+    gathered += count;
   }
-  rows.Mark(mode, scratch.below.data(), cut.num_below, mode.num_rows);
-  std::vector<uint32_t> shortlist(shortlist_size + 1);
-  DISMASTD_CHECK(rows.Drain(shortlist.data()) == shortlist_size);
-  shortlist.pop_back();
-  return shortlist;
+  DISMASTD_CHECK(gathered >= ties);
+  uint32_t* at_rows = scratch.at_rows.data();
+  if (gathered > ties) {
+    std::nth_element(at_rows, at_rows + ties, at_rows + gathered);
+  }
+  uint32_t* out = std::copy_n(at_rows, ties, rows);
+
+  // Then every row below c, code by code.
+  for (size_t i = 0; i < cut.num_below; ++i) {
+    const uint32_t g = scratch.below[i];
+    out = std::copy(group_rows + start[g], group_rows + start[g + 1], out);
+  }
+  DISMASTD_CHECK(out == rows + n);
+  return n;
 }
 
 }  // namespace ann

@@ -159,13 +159,18 @@ class AnnIndex {
   uint64_t reused_rows() const;
   uint64_t hashed_rows() const;
 
-  /// The `shortlist_size` candidate rows of `mode` whose codes are nearest
-  /// in Hamming distance to the code of `weights` (rank doubles), returned
-  /// in ascending row order. Ties at the cut-off distance resolve to the
-  /// lowest row indices, so the shortlist is a pure function of
-  /// (index bytes, weights). Clamped to the mode's row count.
-  std::vector<uint32_t> Shortlist(size_t mode, const double* weights,
-                                  size_t shortlist_size) const;
+  /// Writes to `rows` the `shortlist_size` candidate rows of `mode` whose
+  /// codes are nearest in Hamming distance to the code of `weights` (rank
+  /// doubles), and returns their number: shortlist_size clamped to the
+  /// mode's row count, which `rows` must have room for. With c the
+  /// smallest distance that has that many rows at or below it, the set is
+  /// every row of a code below c plus the lowest-indexed rows at c, so the
+  /// shortlist is a pure function of (index bytes, weights). The rows come
+  /// in code order, with no per-row pass: first the kept rows at c (in no
+  /// particular order), then each code below c's rows, ascending, code by
+  /// code. A mode that fits whole is listed in ascending row order.
+  size_t Shortlist(size_t mode, const double* weights, size_t shortlist_size,
+                   uint32_t* rows) const;
 
  private:
   AnnIndex() = default;

@@ -27,8 +27,10 @@ ModePartitionData BuildModePartitionData(
   for (uint32_t q = 0; q < parts; ++q) {
     data.part_tensors[q].Reserve(part_nnz[q]);
   }
+  // The part tensors share the delta's dims, so its checked entries are
+  // copied unchecked.
   for (size_t e = 0; e < nnz; ++e) {
-    data.part_tensors[part_of(e)].AddRaw(indices + e * order, tensor.Value(e));
+    data.part_tensors[part_of(e)].AppendEntry(tensor, e);
   }
 
   // Access sets, one part at a time: each of part q's entries sets its

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 
 #include "common/serialization.h"
 #include "common/string_util.h"
@@ -28,33 +31,86 @@ bool BetterScored(const ScoredIndex& a, const ScoredIndex& b) {
   return a.index < b.index;
 }
 
-/// The best k of `scores` (score descending, index ascending). scores[j]
-/// belongs to candidate ids[j] (to j itself when `ids` is null), so a
-/// shortlist containing the true top-K yields exactly the exact scan's
-/// answer. One pass feeds a k-entry heap whose front is the worst entry
-/// kept, so nothing but the answer is allocated; a score below that front
-/// is rejected before its entry is built.
-std::vector<ScoredIndex> SelectTopK(const std::vector<double>& scores,
-                                    const std::vector<uint32_t>* ids,
-                                    size_t k) {
-  const auto entry = [&](size_t j) {
-    return ScoredIndex{ids != nullptr ? (*ids)[j] : static_cast<uint64_t>(j),
-                       scores[j]};
-  };
-  std::vector<ScoredIndex> top(std::min(k, scores.size()));
-  if (top.empty()) return top;
-  for (size_t j = 0; j < top.size(); ++j) top[j] = entry(j);
-  std::make_heap(top.begin(), top.end(), BetterScored);
-  for (size_t j = top.size(); j < scores.size(); ++j) {
-    if (scores[j] < top.front().score) continue;
-    const ScoredIndex candidate = entry(j);
-    if (!BetterScored(candidate, top.front())) continue;
-    std::pop_heap(top.begin(), top.end(), BetterScored);
-    top.back() = candidate;
-    std::push_heap(top.begin(), top.end(), BetterScored);
+/// Two fp64 lanes as one GNU vector, run as SSE2 on every x86-64 target:
+/// GCC leaves the scalar forms of the select's maxima unvectorized.
+using Pair = double __attribute__((vector_size(16)));
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr Pair kLowest = {-kInf, -kInf};
+
+/// SelectTopK's pre-pass reads at most this many scores.
+constexpr size_t kPrepassScores = 1024;
+
+/// This thread's top-K scratch, grown and never shrunk, so a query
+/// allocates only its answer.
+struct TopKScratch {
+  std::vector<const double*> rows;
+  std::vector<double> weights;
+  std::vector<uint32_t> shortlist;
+  std::vector<double> scores;
+};
+
+TopKScratch& ThreadScratch() {
+  thread_local TopKScratch scratch;
+  return scratch;
+}
+
+/// `buffer`'s first n slots, growing it (contents unspecified) if needed.
+template <typename T>
+T* Room(std::vector<T>& buffer, size_t n) {
+  if (buffer.size() < n) buffer.resize(n);
+  return buffer.data();
+}
+
+/// The combination weights w[f] = Π_{n≠target_mode} A_n[anchor[n], f] of a
+/// top-K query, in `scratch`.
+const double* Weigh(const KruskalTensor& factors, size_t target_mode,
+                    const std::vector<uint64_t>& anchor, TopKScratch& scratch) {
+  const double** rows = Room(scratch.rows, factors.order());
+  size_t count = 0;
+  for (size_t m = 0; m < factors.order(); ++m) {
+    if (m != target_mode) rows[count++] = factors.factor(m).RowPtr(anchor[m]);
   }
-  std::sort_heap(top.begin(), top.end(), BetterScored);
-  return top;
+  double* weights = Room(scratch.weights, factors.rank());
+  kernels::Get().hadamard_combine(rows, count, factors.rank(), weights);
+  return weights;
+}
+
+/// A lower bound on the k-th best of scores[0, n) (k <= 16): lane g folds
+/// the scores at g mod 16 of the whole blocks into its maximum, and the k
+/// largest lane maxima are k distinct scores. It is -inf, which bounds
+/// nothing out, when a score is NaN or a lane maximum is not finite.
+double KthBestBound(const double* scores, size_t n, size_t k) {
+  const size_t whole = n - n % 16;
+  Pair lanes[8];
+  std::fill_n(lanes, 8, kLowest);
+  auto ordered = kLowest == kLowest;  // turns false at a NaN
+  for (size_t b = 0; b < whole; b += 16) {
+    for (size_t v = 0; v < 8; ++v) {
+      Pair x;
+      std::memcpy(&x, scores + b + 2 * v, sizeof(x));
+      lanes[v] = x > lanes[v] ? x : lanes[v];
+      ordered &= x == x;
+    }
+  }
+  double lane_max[16];
+  std::memcpy(lane_max, lanes, sizeof(lane_max));
+  bool finite = ordered[0] != 0 && ordered[1] != 0;
+  for (size_t j = whole; j < n; ++j) finite = finite && !std::isnan(scores[j]);
+  for (double m : lane_max) finite = finite && std::isfinite(m);
+  if (!finite) return -kInf;
+  std::nth_element(lane_max, lane_max + k - 1, lane_max + 16,
+                   std::greater<double>());
+  return lane_max[k - 1];
+}
+
+/// The largest of the 16 scores at `block`, by a tree of vector maxima.
+double BlockMax(const double* block) {
+  Pair x[8];
+  std::memcpy(x, block, sizeof(x));
+  for (size_t w = 4; w > 0; w /= 2) {
+    for (size_t v = 0; v < w; ++v) x[v] = x[v + w] > x[v] ? x[v + w] : x[v];
+  }
+  return std::max(x[0][0], x[0][1]);
 }
 
 }  // namespace
@@ -79,6 +135,43 @@ Result<SearchMode> ParseSearchMode(const std::string& text) {
       {"ann+cache", SearchMode::kAnnCached},
       {"cache", SearchMode::kAnnCached}};
   return ParseEnumToken<SearchMode>(text, "search mode", kTokens);
+}
+
+std::vector<ScoredIndex> SelectTopK(const double* scores,
+                                    const uint32_t* ids, size_t n, size_t k) {
+  // One pass feeds a k-entry heap whose front is the worst entry kept. A
+  // score below `floor`, or a block of 16 whose maximum is, is rejected
+  // unread; the floor starts at a pre-pass bound and is the front once k
+  // entries are in, the full pass's own rule. The bound's scores hold k
+  // entries at or above it, so the heap is full before the pass leaves
+  // them: a NaN beyond them is rejected as in the full pass, and a NaN
+  // among them takes the full pass (floor -inf).
+  std::vector<ScoredIndex> top;
+  if (k == 0 || n == 0) return top;
+  double floor =
+      k <= 16 ? KthBestBound(scores, std::min(n, kPrepassScores), k) : -kInf;
+  top.reserve(std::min(k, n));
+  for (size_t b = 0; b < n; b += 16) {
+    const size_t end = std::min(n, b + 16);
+    if (end == b + 16 && BlockMax(scores + b) < floor) continue;
+    for (size_t j = b; j < end; ++j) {
+      if (scores[j] < floor) continue;
+      const ScoredIndex candidate{ids != nullptr ? ids[j] : j, scores[j]};
+      if (top.size() < k) {
+        top.push_back(candidate);
+        if (top.size() < k) continue;
+        std::make_heap(top.begin(), top.end(), BetterScored);
+      } else if (BetterScored(candidate, top.front())) {
+        std::pop_heap(top.begin(), top.end(), BetterScored);
+        top.back() = candidate;
+        std::push_heap(top.begin(), top.end(), BetterScored);
+      }
+      floor = top.front().score;
+    }
+  }
+  if (top.size() < k) std::make_heap(top.begin(), top.end(), BetterScored);
+  std::sort_heap(top.begin(), top.end(), BetterScored);
+  return top;
 }
 
 ServableModel::ServableModel(KruskalTensor factors, uint64_t version,
@@ -147,61 +240,43 @@ Status ServableModel::ValidateIndex(
 
 std::vector<double> ServableModel::CombinationWeights(
     size_t target_mode, const std::vector<uint64_t>& anchor) const {
-  const size_t r = rank();
-  const size_t n = order();
-  std::vector<const double*> rows;
-  rows.reserve(n);
-  for (size_t m = 0; m < n; ++m) {
-    if (m == target_mode) continue;
-    rows.push_back(
-        factors_.factor(m).RowPtr(static_cast<size_t>(anchor[m])));
-  }
-  std::vector<double> weights(r);
-  kernels::Get().hadamard_combine(rows.data(), rows.size(), r,
-                                  weights.data());
-  return weights;
+  const double* weights = Weigh(factors_, target_mode, anchor, ThreadScratch());
+  return std::vector<double>(weights, weights + rank());
 }
 
 TopKResult ServableModel::TopK(size_t target_mode,
                                 const std::vector<uint64_t>& anchor,
                                 size_t k) const {
-  const std::vector<double> weights =
-      CombinationWeights(target_mode, anchor);
-  const Matrix& target = factors_.factor(target_mode);
-  std::vector<double> scores(static_cast<size_t>(dims_[target_mode]));
-  kernels::Get().topk_score_block(target.data(), nullptr, scores.size(),
-                                  rank(), weights.data(), scores.data());
-  TopKResult result;
-  result.items = SelectTopK(scores, nullptr, k);
-  result.rows_scored = scores.size();
-  return result;
+  TopKScratch& scratch = ThreadScratch();
+  const double* weights = Weigh(factors_, target_mode, anchor, scratch);
+  const size_t n = static_cast<size_t>(dims_[target_mode]);
+  double* scores = Room(scratch.scores, n);
+  kernels::Get().topk_score_block(factors_.factor(target_mode).data(),
+                                  nullptr, n, rank(), weights, scores);
+  return {SelectTopK(scores, nullptr, n, k), n};
 }
 
 TopKResult ServableModel::TopKAnn(size_t target_mode,
                                   const std::vector<uint64_t>& anchor,
                                   size_t k, size_t probes) const {
-  const std::vector<double> weights =
-      CombinationWeights(target_mode, anchor);
+  TopKScratch& scratch = ThreadScratch();
+  const double* weights = Weigh(factors_, target_mode, anchor, scratch);
   const size_t candidates = static_cast<size_t>(dims_[target_mode]);
   // min(J, max(k, probes * k)), without letting probes * k wrap.
   if (probes == 0) probes = 1;
   const size_t shortlist_size =
       k == 0 ? 0 : (probes > candidates / k ? candidates : probes * k);
-  const std::vector<uint32_t> shortlist =
-      ann_index_->Shortlist(target_mode, weights.data(), shortlist_size);
+  uint32_t* shortlist = Room(scratch.shortlist, shortlist_size);
+  const size_t n =
+      ann_index_->Shortlist(target_mode, weights, shortlist_size, shortlist);
 
   // The full scan's kernel over the listed rows, where they lie: the same
   // blocked-8 dot of each row, so shortlisted rows score bit-identically
   // to the full scan, with nothing gathered.
-  const Matrix& target = factors_.factor(target_mode);
-  std::vector<double> scores(shortlist.size());
-  kernels::Get().topk_score_block(target.data(), shortlist.data(),
-                                  shortlist.size(), rank(), weights.data(),
-                                  scores.data());
-  TopKResult result;
-  result.items = SelectTopK(scores, &shortlist, k);
-  result.rows_scored = shortlist.size();
-  return result;
+  double* scores = Room(scratch.scores, n);
+  kernels::Get().topk_score_block(factors_.factor(target_mode).data(),
+                                  shortlist, n, rank(), weights, scores);
+  return {SelectTopK(scores, shortlist, n, k), n};
 }
 
 }  // namespace serve

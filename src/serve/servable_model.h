@@ -51,6 +51,16 @@ struct TopKResult {
   bool from_cache = false;
 };
 
+/// The best k of n scores, score descending, index ascending; scores[j]
+/// belongs to candidate ids[j] (to j itself when `ids` is null), so a
+/// shortlist holding the true top-K, in any order, yields exactly the
+/// exact scan's answer. One pass feeds a k-entry heap; for k <= 16 a
+/// vectorized pre-pass over the first 1,024 scores (at least one block of
+/// 16) first bounds the k-th best from below, so few scores reach the heap
+/// in any order. The answer is the only allocation.
+std::vector<ScoredIndex> SelectTopK(const double* scores,
+                                    const uint32_t* ids, size_t n, size_t k);
+
 /// How Build() hashes the LSH index (ann/lsh_index.h) it attaches for
 /// SearchMode::kAnn queries. The index rides inside the published model,
 /// so a query snapshot pins factors and index together.

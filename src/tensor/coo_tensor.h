@@ -33,6 +33,16 @@ class SparseTensor {
   /// Appends one non-zero from a raw index pointer of `order()` entries.
   void AddRaw(const uint64_t* index, double value);
 
+  /// Appends entry `e` of `source` without checking its indices again: an
+  /// entry was checked against its tensor's dims when it was added, so the
+  /// copy is in range while `source`'s dims do not exceed this tensor's,
+  /// which the caller guarantees.
+  void AppendEntry(const SparseTensor& source, size_t e) {
+    const uint64_t* index = source.IndexTuple(e);
+    indices_.insert(indices_.end(), index, index + order());
+    values_.push_back(source.Value(e));
+  }
+
   /// Index of entry `e` in mode `n`.
   uint64_t Index(size_t e, size_t mode) const {
     return indices_[e * order() + mode];

@@ -229,6 +229,43 @@ KruskalTensor MakeSkewedFactors(uint64_t seed) {
   return factors;
 }
 
+/// A model whose mode 0 has a middle tier: a tenth of the rows heavy, a
+/// fifth 1/30 to 1/300 of them, the rest 1e-5 of them. The middle rows
+/// spread over dozens of codes, tens of rows each, whose rows interleave.
+KruskalTensor MakeTieredFactors(uint64_t seed) {
+  KruskalTensor factors = MakeFactors(seed, {3000, 40, 12});
+  Matrix& users = factors.mutable_factor(0);
+  Rng rng(seed + 100);
+  for (size_t r = 0; r < users.rows(); ++r) {
+    const double tier = rng.NextDouble();
+    const double scale =
+        tier < 0.1 ? 1.0
+                   : tier < 0.3 ? std::pow(10.0, -1.5 - rng.NextDouble())
+                                : 1e-5;
+    for (size_t c = 0; c < users.cols(); ++c) users(r, c) *= scale;
+  }
+  return factors;
+}
+
+/// Shortlist's rows, sorted: the set, listed as ReferenceSelect lists it.
+std::vector<uint32_t> SortedShortlist(const AnnIndex& index, size_t mode,
+                                      const double* weights, size_t n) {
+  std::vector<uint32_t> rows(n);
+  rows.resize(index.Shortlist(mode, weights, n, rows.data()));
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// The query code of `weights` under `index`'s hyperplanes.
+std::vector<uint64_t> QueryCode(const AnnIndex& index,
+                                const std::vector<double>& weights) {
+  std::vector<double> aug(weights);
+  aug.push_back(0.0);
+  std::vector<uint64_t> qcode(index.planes().words(), 0);
+  index.planes().Encode(aug.data(), qcode.data());
+  return qcode;
+}
+
 /// The rows of a mode's largest code group.
 size_t LargestGroup(const LshModeIndex& mode) {
   size_t largest = 0;
@@ -276,11 +313,7 @@ TEST(LshIndexTest, ShortlistIsExactCountingSelect) {
       size_t through = 0;
       for (int draw = 0; draw < 100; ++draw) {
         for (auto& w : weights) w = rng.NextDouble(-1.0, 1.0);
-        std::vector<double> aug(factors.rank() + 1, 0.0);
-        std::copy(weights.begin(), weights.end(), aug.begin());
-        std::vector<uint64_t> qcode(index->planes().words(), 0);
-        index->planes().Encode(aug.data(), qcode.data());
-        dists = ReferenceHamming(row_codes, m.words, qcode);
+        dists = ReferenceHamming(row_codes, m.words, QueryCode(*index, weights));
         sorted = dists;
         std::sort(sorted.begin(), sorted.end());
         const uint32_t d_big = dists[m.group_rows[m.group_start[big]]];
@@ -321,6 +354,61 @@ TEST(LshIndexTest, ShortlistIsExactCountingSelect) {
       }
     }
   }
+  // A tiered model, with sizes whose trim at c keeps rows of at least 3
+  // codes at c whose rows interleave (a code's kept rows do not form one
+  // run among them), and drops others: the rows at c are gathered code
+  // by code, then selected.
+  for (size_t bits : {size_t{64}, size_t{128}}) {
+    const KruskalTensor factors = MakeTieredFactors(2);
+    LshOptions options;
+    options.bits = bits;
+    auto index = AnnIndex::Build(factors, options, nullptr, nullptr);
+    const LshModeIndex& m = index->mode(mode);
+    const std::vector<uint64_t> row_codes = RowCodes(m);
+    Rng rng(9);
+    size_t found = 0;
+    for (int draw = 0; draw < 200 && found < 3; ++draw) {
+      std::vector<double> weights(factors.rank());
+      for (auto& w : weights) w = rng.NextDouble(-1.0, 1.0);
+      const std::vector<uint64_t> qcode = QueryCode(*index, weights);
+      const std::vector<uint32_t> code_dists =
+          ReferenceHamming(m.codes, m.words, qcode);
+      std::vector<uint32_t> distances(code_dists);
+      std::sort(distances.begin(), distances.end());
+      distances.erase(std::unique(distances.begin(), distances.end()),
+                      distances.end());
+      size_t rows_below = 0;
+      for (uint32_t c : distances) {
+        // Every row at c with its code, in row order.
+        std::vector<std::pair<uint32_t, uint32_t>> at;
+        for (uint32_t g = 0; g < m.num_codes; ++g) {
+          if (code_dists[g] != c) continue;
+          for (uint32_t k = m.group_start[g]; k < m.group_start[g + 1]; ++k) {
+            at.push_back({m.group_rows[k], g});
+          }
+        }
+        std::sort(at.begin(), at.end());
+        const size_t ties = at.size() / 2;
+        std::set<uint32_t> kept_codes;
+        size_t runs = 0;
+        for (size_t i = 0; i < ties; ++i) {
+          kept_codes.insert(at[i].second);
+          runs += i == 0 || at[i].second != at[i - 1].second;
+        }
+        if (kept_codes.size() >= 3 && runs > kept_codes.size()) {
+          const size_t want = rows_below + ties;
+          cases.push_back(
+              {index, weights, want,
+               ReferenceSelect(ReferenceHamming(row_codes, m.words, qcode),
+                               want)});
+          ++found;
+          break;
+        }
+        rows_below += at.size();
+      }
+    }
+    ASSERT_GT(found, 0u) << "bits=" << bits;
+  }
 
   // Every backend, each from two threads at once: the per-thread scratch
   // must not leak between concurrent queries (run under TSan).
@@ -330,7 +418,7 @@ TEST(LshIndexTest, ShortlistIsExactCountingSelect) {
     std::atomic<int> mismatches{0};
     auto run = [&] {
       for (const Case& c : cases) {
-        if (c.index->Shortlist(mode, c.weights.data(), c.want) !=
+        if (SortedShortlist(*c.index, mode, c.weights.data(), c.want) !=
             c.expected) {
           mismatches.fetch_add(1);
         }
@@ -441,11 +529,11 @@ TEST(LshIndexTest, ShortlistClampsAndHandlesEmptyMode) {
   const auto index = AnnIndex::Build(model, LshOptions{}, nullptr, nullptr);
 
   std::vector<double> weights(4, 0.5);
-  const auto all = index->Shortlist(0, weights.data(), 1000);
-  ASSERT_EQ(all.size(), 20u);
-  for (uint32_t r = 0; r < 20; ++r) EXPECT_EQ(all[r], r);
-  EXPECT_TRUE(index->Shortlist(0, weights.data(), 0).empty());
-  EXPECT_TRUE(index->Shortlist(1, weights.data(), 5).empty());
+  std::vector<uint32_t> rows(1000);
+  ASSERT_EQ(index->Shortlist(0, weights.data(), 1000, rows.data()), 20u);
+  for (uint32_t r = 0; r < 20; ++r) EXPECT_EQ(rows[r], r);
+  EXPECT_EQ(index->Shortlist(0, weights.data(), 0, rows.data()), 0u);
+  EXPECT_EQ(index->Shortlist(1, weights.data(), 5, rows.data()), 0u);
 }
 
 TEST(LshIndexTest, IncrementalPatchReusesUnchangedRows) {

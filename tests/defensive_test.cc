@@ -21,6 +21,19 @@ TEST(DefensiveDeathTest, TensorRejectsOutOfBoundsIndex) {
   EXPECT_DEATH(t.Add({5, 0}, 1.0), "CHECK");
 }
 
+TEST(DefensiveDeathTest, AddRawRejectsOutOfBoundsIndex) {
+  // Copying a checked entry (AppendEntry) skips the check; appending a raw
+  // index still makes it.
+  SparseTensor t({3, 3});
+  const uint64_t in_range[] = {2, 1};
+  const uint64_t out_of_range[] = {1, 3};
+  t.AddRaw(in_range, 1.0);
+  EXPECT_DEATH(t.AddRaw(out_of_range, 1.0), "CHECK");
+  SparseTensor copy({3, 3});
+  copy.AppendEntry(t, 0);
+  EXPECT_EQ(copy, t);
+}
+
 TEST(DefensiveDeathTest, TensorRejectsWrongArity) {
   SparseTensor t({3, 3});
   EXPECT_DEATH(t.Add({1, 1, 1}, 1.0), "CHECK");

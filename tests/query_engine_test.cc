@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <set>
+#include <thread>
 
+#include "common/serialization.h"
+#include "kernels/kernels.h"
 #include "serve/query_log.h"
 
 namespace dismastd {
@@ -347,6 +352,128 @@ TEST_F(QueryEngineTest, StalenessTracksPublishedSteps) {
   const ServeMetricsReport report = metrics_.Report();
   EXPECT_EQ(report.max_staleness_steps, 4u);
   EXPECT_DOUBLE_EQ(report.mean_staleness_steps, 4.0);
+}
+
+/// A seeded rank-10 model whose user mode (mode 0) collapses onto a few
+/// LSH codes, as serve_live's does: 4,000 users on ~150 codes. 70% of the
+/// users are light, their rows 1e-4 to 1e-5 of the heavy ones, and share
+/// one code; 27% are 0.01 to 0.1 of them and spread over a few dozen
+/// codes whose rows interleave; the 3% heavy users lie scattered among
+/// them.
+KruskalTensor MakeLightTailModel(uint64_t seed) {
+  KruskalTensor model = MakeFactors(seed, {4000, 300, 20}, 10);
+  Matrix& users = model.mutable_factor(0);
+  Rng rng(seed + 1);
+  for (size_t r = 0; r < users.rows(); ++r) {
+    const double tier = rng.NextDouble();
+    const double decades = tier < 0.03 ? 0.0 : tier < 0.3 ? 1.0 : 4.0;
+    const double scale = std::pow(10.0, -decades - rng.NextDouble());
+    for (size_t f = 0; f < users.cols(); ++f) users(r, f) *= scale;
+  }
+  return model;
+}
+
+uint64_t HashAnswer(const std::vector<ScoredIndex>& items, uint64_t hash) {
+  for (const ScoredIndex& item : items) {
+    hash = Fnv1a(&item.index, sizeof(item.index), hash);
+    hash = Fnv1a(&item.score, sizeof(item.score), hash);
+  }
+  return hash;
+}
+
+TEST(TopKGoldenTest, AnswersHashToThePinnedValueOnEveryBackend) {
+  // Every (index, score bits) pair of the exact, ann and ann_cached top-10
+  // answers to a seeded query log, at serve_live's shape: 128-bit codes,
+  // probes 100 (a 1,000-row shortlist cut through a few shared codes) and
+  // probes 8 (80 rows). Any change to the shortlist, the re-rank or the
+  // select that moves one answer bit, on any backend, changes the hash.
+  constexpr uint64_t kTopKGolden = 0x1713B949AEA41ADEULL;
+  ModelStoreOptions options;
+  options.servable.lsh.bits = 128;
+  ModelStore store(options);
+  store.Publish(MakeLightTailModel(21), 0);
+  const ann::LshModeIndex& users = store.Current()->ann_index()->mode(0);
+  ASSERT_LT(users.num_codes * 10, users.num_rows);
+
+  QueryLogOptions log_options;
+  log_options.num_queries = 300;
+  log_options.topk_fraction = 1.0;
+  log_options.batch_fraction = 0.0;
+  log_options.topk_target_mode = 0;
+  log_options.seed = 29;
+  const std::vector<QueryRecord> log =
+      GenerateQueryLog(store.Current()->dims(), log_options);
+  for (size_t b = 0; b < kernels::kNumBackends; ++b) {
+    const auto backend = static_cast<kernels::Backend>(b);
+    if (!kernels::Supported(backend)) continue;
+    ASSERT_TRUE(kernels::ForceBackend(backend).ok());
+    TopKResultCache cache(256);
+    QueryEngine engine(&store, nullptr, nullptr, nullptr, &cache);
+    uint64_t hash = kFnvOffset;
+    for (const QueryRecord& record : log) {
+      TopKQuery query = record.topk;
+      query.search = SearchMode::kExact;
+      hash = HashAnswer(engine.TopK(query).value(), hash);
+      for (size_t probes : {size_t{100}, size_t{8}}) {
+        query.probes = probes;
+        for (SearchMode mode : {SearchMode::kAnn, SearchMode::kAnnCached}) {
+          query.search = mode;
+          hash = HashAnswer(engine.TopK(query).value(), hash);
+        }
+      }
+    }
+    EXPECT_EQ(hash, kTopKGolden)
+        << kernels::BackendName(backend) << " got 0x" << std::hex << hash;
+  }
+  kernels::ResetDispatch();
+}
+
+TEST(TopKConcurrencyTest, ThreadsAnswerAsOneThreadDoes) {
+  // Two threads answer ANN and exact top-K on one model, each its own
+  // queries, alternating 1,000- and 80-row shortlists: every answer must
+  // equal the single-threaded one, so no per-thread scratch leaks between
+  // queries or threads (run under TSan).
+  ModelStoreOptions options;
+  options.servable.lsh.bits = 128;
+  ModelStore store(options);
+  store.Publish(MakeLightTailModel(31), 0);
+  const auto model = store.Current();
+  struct Answer {
+    TopKQuery query;
+    std::vector<ScoredIndex> ann;
+    std::vector<ScoredIndex> exact;
+  };
+  std::vector<Answer> answers[2];
+  for (size_t t = 0; t < 2; ++t) {
+    QueryLogOptions log_options;
+    log_options.num_queries = 120;
+    log_options.topk_fraction = 1.0;
+    log_options.batch_fraction = 0.0;
+    log_options.topk_target_mode = 0;
+    log_options.seed = 41 + t;
+    for (const QueryRecord& record :
+         GenerateQueryLog(model->dims(), log_options)) {
+      TopKQuery query = record.topk;
+      query.probes = answers[t].size() % 2 == 0 ? 100 : 8;
+      answers[t].push_back(
+          {query, model->TopKAnn(0, query.anchor, query.k, query.probes).items,
+           model->TopK(0, query.anchor, query.k).items});
+    }
+  }
+  std::atomic<int> mismatches{0};
+  const auto run = [&](size_t t) {
+    for (const Answer& a : answers[t]) {
+      const TopKQuery& q = a.query;
+      if (model->TopKAnn(0, q.anchor, q.k, q.probes).items != a.ann ||
+          model->TopK(0, q.anchor, q.k).items != a.exact) {
+        mismatches.fetch_add(1);
+      }
+    }
+  };
+  std::thread other(run, 1);
+  run(0);
+  other.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(QueryLogTest, GeneratedLogIsDeterministicAndInBounds) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "la/ops.h"
 
@@ -207,6 +209,121 @@ TEST(ServableModelTest, TopKBreaksExactTiesByIndexAcrossTheKBoundary) {
       EXPECT_EQ(got->items[i].index, expected[i].index) << "position " << i;
       EXPECT_NEAR(got->items[i].score, expected[i].score, 1e-12);
       EXPECT_EQ(got->items[i].score, exact.items[i].score);
+    }
+  }
+}
+
+/// The best k by a full sort, score descending, index ascending: the
+/// answer SelectTopK must give.
+std::vector<ScoredIndex> SortedTopK(const std::vector<double>& scores,
+                                    const std::vector<uint32_t>* ids,
+                                    size_t k) {
+  std::vector<ScoredIndex> all;
+  for (size_t j = 0; j < scores.size(); ++j) {
+    all.push_back({ids != nullptr ? (*ids)[j] : j, scores[j]});
+  }
+  std::sort(all.begin(), all.end(),
+            [](const ScoredIndex& a, const ScoredIndex& b) {
+              return a.score != b.score ? a.score > b.score
+                                        : a.index < b.index;
+            });
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+/// The full pass without a pre-pass: the first k scores form a heap whose
+/// front is the worst kept, and each later score replaces the front when
+/// it ranks better. What a NaN score must get.
+std::vector<ScoredIndex> FullPassTopK(const std::vector<double>& scores,
+                                      size_t k) {
+  const auto better = [](const ScoredIndex& a, const ScoredIndex& b) {
+    return a.score != b.score ? a.score > b.score : a.index < b.index;
+  };
+  std::vector<ScoredIndex> top;
+  for (size_t j = 0; j < std::min(k, scores.size()); ++j) {
+    top.push_back({j, scores[j]});
+  }
+  std::make_heap(top.begin(), top.end(), better);
+  for (size_t j = top.size(); j < scores.size(); ++j) {
+    if (!better({j, scores[j]}, top.front())) continue;
+    std::pop_heap(top.begin(), top.end(), better);
+    top.back() = {j, scores[j]};
+    std::push_heap(top.begin(), top.end(), better);
+  }
+  std::sort_heap(top.begin(), top.end(), better);
+  return top;
+}
+
+/// Equal indices and score bits, so +0.0 and -0.0 differ.
+bool SameBits(const std::vector<ScoredIndex>& a,
+              const std::vector<ScoredIndex>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].index != b[i].index ||
+        std::memcmp(&a[i].score, &b[i].score, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SelectTopKTest, MatchesAFullSortOnEveryOrderTieAndSize) {
+  // Sizes below one block of 16 (no pre-pass), inside and past the
+  // pre-pass's 1,024 scores; k around the 16 lanes; ascending,
+  // descending, constant and random scores, few distinct values (ties at
+  // the k-th score) and mixed +0.0 / -0.0; positions as indices and a
+  // shortlist's descending row ids.
+  Rng rng(23);
+  for (size_t n : {size_t{10}, size_t{15}, size_t{100}, size_t{1000},
+                   size_t{5000}}) {
+    std::vector<double> ascending(n), random(n), ties(n), zeros(n);
+    std::vector<uint32_t> ids(n);
+    for (size_t j = 0; j < n; ++j) {
+      ascending[j] = 0.5 * static_cast<double>(j) - 3.0;
+      random[j] = rng.NextDouble(-1.0, 1.0);
+      ties[j] = static_cast<double>(rng.NextBounded(5));
+      zeros[j] = j % 97 == 5 ? 1.0 : rng.NextBounded(2) == 0 ? 0.0 : -0.0;
+      ids[j] = static_cast<uint32_t>(3 * (n - j));
+    }
+    const std::vector<double> descending(ascending.rbegin(),
+                                         ascending.rend());
+    const std::vector<double> constant(n, 0.25);
+    const std::pair<const char*, const std::vector<double>*> orders[] = {
+        {"ascending", &ascending}, {"descending", &descending},
+        {"constant", &constant},   {"random", &random},
+        {"ties", &ties},           {"zeros", &zeros}};
+    for (const auto& [name, scores] : orders) {
+      for (size_t k : {size_t{1}, size_t{10}, size_t{16}, size_t{17},
+                       size_t{64}, n - 1, n, n + 1}) {
+        const std::vector<uint32_t>* lists[] = {nullptr, &ids};
+        for (const std::vector<uint32_t>* list : lists) {
+          const auto got = SelectTopK(
+              scores->data(), list != nullptr ? list->data() : nullptr, n, k);
+          EXPECT_TRUE(SameBits(got, SortedTopK(*scores, list, k)))
+              << name << " n=" << n << " k=" << k
+              << " ids=" << (list != nullptr);
+        }
+      }
+    }
+  }
+}
+
+TEST(SelectTopKTest, NaNScoresTakeTheFullPass) {
+  // A NaN among the scores the pre-pass reads sends them all to the full
+  // pass, which admits a NaN only among its first k; one past them meets
+  // a full heap that rejects it. Either way the answer is the full
+  // pass's, bit for bit, and nothing crashes.
+  Rng rng(29);
+  std::vector<double> scores(3000);
+  for (double& s : scores) s = rng.NextDouble(-1.0, 1.0);
+  for (size_t at : {size_t{0}, size_t{5}, size_t{500}, size_t{2500}}) {
+    std::vector<double> with_nan = scores;
+    with_nan[at] = std::numeric_limits<double>::quiet_NaN();
+    for (size_t k : {size_t{1}, size_t{10}, size_t{16}, size_t{40}}) {
+      EXPECT_TRUE(SameBits(
+          SelectTopK(with_nan.data(), nullptr, with_nan.size(), k),
+          FullPassTopK(with_nan, k)))
+          << "NaN at " << at << " k=" << k;
     }
   }
 }
